@@ -11,7 +11,8 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+
+import numpy as np
 
 from .exact_core import DomainError
 from .report import IdentityReport, report_equal
@@ -73,10 +74,6 @@ class BinomKind(enum.Enum):
     ABSORPTION_PRINTED = "absorption_printed"
     ABSORPTION_STANDARD = "absorption_standard"
     COMMITTEE_PRODUCT = "committee_product"
-
-
-#: Kinds whose check is supposed to fail (shipped misprints kept on display).
-EXPECTED_FAIL_KINDS = frozenset({BinomKind.ABSORPTION_PRINTED})
 
 
 def binom_identity_check(kind: BinomKind, **params: int) -> IdentityReport:
@@ -147,10 +144,6 @@ def _require_k(params: dict, lo: int, hi: int) -> int:
     return k
 
 
-def fib_diagonal_check(n: int) -> IdentityReport:
-    return binom_identity_check(BinomKind.FIB_DIAGONAL, n=n)
-
-
 def absorption_printed_minimal_witness() -> tuple[int, int]:
     """Smallest (n, k) with 1 <= k <= n-1 where the printed identity breaks."""
     for n in itertools.count(2):
@@ -162,19 +155,35 @@ def absorption_printed_minimal_witness() -> tuple[int, int]:
 
 # --- constrained colorings ----------------------------------------------------
 
-def _no_adjacent_ones(n: int) -> Iterator[tuple[int, ...]]:
-    """Depth-first enumeration of 0/1 strings with no two adjacent 1s."""
-    stack: list[tuple[int, ...]] = [()]
-    while stack:
-        prefix = stack.pop()
-        if len(prefix) == n:
-            yield prefix
-            continue
-        if prefix and prefix[-1] == 1:
-            stack.append(prefix + (0,))
-        else:
-            stack.append(prefix + (1,))
-            stack.append(prefix + (0,))
+#: Candidate strings tested per numpy block; bounds the memory of one count.
+_COLORING_BLOCK = 1 << 14
+
+
+def _no_adjacent_masks(bits: int) -> np.ndarray:
+    """Every bits-long mask with no two adjacent 1s, filtered from all."""
+    x = np.arange(1 << bits, dtype=np.uint32)
+    return x[(x & (x >> 1)) == 0]
+
+
+def _count_no_adjacent_ones(n: int) -> int:
+    """Count n-bit strings with no two adjacent 1s by testing candidates.
+
+    A valid string has valid high and low halves, so every valid string is
+    among the (high, low) pairs of valid halves, exactly once.  Each pair is
+    joined and the whole string is tested again, which catches a 1 on both
+    sides of the seam.  Pairs go through numpy in blocks of about
+    ``_COLORING_BLOCK`` strings.  uint32 words hold n <= 30 bits, the cap
+    that `constrained_colorings` enforces.
+    """
+    low_bits = n // 2
+    high = _no_adjacent_masks(n - low_bits)
+    low = _no_adjacent_masks(low_bits)
+    rows = max(1, _COLORING_BLOCK // len(low))
+    count = 0
+    for start in range(0, len(high), rows):
+        words = (high[start:start + rows, None] << low_bits) | low
+        count += np.count_nonzero((words & (words >> 1)) == 0)
+    return int(count)
 
 
 @dataclass(frozen=True)
@@ -186,10 +195,10 @@ class ColoringReport:
 
 
 def constrained_colorings(n: int) -> ColoringReport:
-    """Count length-n strings with no two adjacent 1s by listing them."""
+    """Count length-n strings with no two adjacent 1s by testing candidates."""
     if not 1 <= n <= 30:
         raise DomainError("enumeration capped at 1 <= n <= 30")
-    count = sum(1 for _ in _no_adjacent_ones(n))
+    count = _count_no_adjacent_ones(n)
     binom_side = sum(binomial(n - k + 1, k) for k in range((n + 1) // 2 + 1))
     return ColoringReport(n, count, count == fibonacci(n + 2),
                           count == binom_side)
@@ -261,6 +270,24 @@ def partition_conjugate(p: Partition) -> Partition:
     return Partition(tuple(cols))
 
 
+def _conjugate_pairs(n: int) -> list[tuple[Partition, Partition]]:
+    """Every partition of n next to its conjugate, each listed once."""
+    return [(p, partition_conjugate(p)) for p in partitions_enumerate(n)]
+
+
+def _duality_report(n: int, k: int,
+                    pairs: list[tuple[Partition, Partition]]
+                    ) -> IdentityReport:
+    small_parts = [q for p, q in pairs if p.max_part() <= k]
+    few_parts = {p.parts for p, _ in pairs if p.num_parts() <= k}
+    mapped = {q.parts for q in small_parts}
+    bijection = mapped == few_parts and len(mapped) == len(small_parts)
+    passed = len(small_parts) == len(few_parts) and bijection
+    return IdentityReport("partition.duality", (n, k), len(small_parts),
+                          len(few_parts), passed, None if passed else (n, k),
+                          {"bijection": bijection})
+
+
 def partition_duality_check(n: int, k: int) -> IdentityReport:
     """Partitions with max part <= k vs partitions with <= k parts.
 
@@ -269,15 +296,13 @@ def partition_duality_check(n: int, k: int) -> IdentityReport:
     """
     if not 1 <= k <= n:
         raise DomainError("need 1 <= k <= n")
-    everything = partitions_enumerate(n)
-    small_parts = [p for p in everything if p.max_part() <= k]
-    few_parts = {p.parts for p in everything if p.num_parts() <= k}
-    mapped = {partition_conjugate(p).parts for p in small_parts}
-    bijection = mapped == few_parts and len(mapped) == len(small_parts)
-    passed = len(small_parts) == len(few_parts) and bijection
-    return IdentityReport("partition.duality", (n, k), len(small_parts),
-                          len(few_parts), passed, None if passed else (n, k),
-                          {"bijection": bijection})
+    return _duality_report(n, k, _conjugate_pairs(n))
+
+
+def partition_duality_reports(n: int) -> list[IdentityReport]:
+    """`partition_duality_check(n, k)` for k = 1..n from one enumeration."""
+    pairs = _conjugate_pairs(n)
+    return [_duality_report(n, k, pairs) for k in range(1, n + 1)]
 
 
 def partition_count(n: int) -> int:

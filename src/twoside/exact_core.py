@@ -62,12 +62,30 @@ def rat_from_str(s: str) -> Rational:
         raise DomainError(f"not a rational: {s!r}") from exc
 
 
+def _int_to_str(n: int) -> str:
+    """All decimal digits of n, however many.
+
+    str() refuses ints longer than the interpreter's digit limit (4300 by
+    default).  Those are split at a power of ten into halves that are
+    rendered the same way, so every digit is kept and the limit is left as
+    it is.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    split = int(n.bit_length() * 0.30103) // 2  # about half the digits
+    high, low = divmod(n, 10 ** split)
+    return sign + _int_to_str(high) + _int_to_str(low).zfill(split)
+
+
 def rat_to_str(q: RationalLike) -> str:
     """Render as "p/q", or just "p" for integers."""
     q = Fraction(q)
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _int_to_str(q.numerator)
+    return f"{_int_to_str(q.numerator)}/{_int_to_str(q.denominator)}"
 
 
 def rat_to_decimal(q: RationalLike, digits: int = 12) -> str:
@@ -82,9 +100,10 @@ def rat_to_decimal(q: RationalLike, digits: int = 12) -> str:
     whole = q.numerator // q.denominator
     rem = q.numerator - whole * q.denominator
     if digits <= 0:
-        return f"{sign}{whole}"
+        return f"{sign}{_int_to_str(whole)}"
     frac_digits = rem * 10 ** digits // q.denominator
-    return f"{sign}{whole}.{frac_digits:0{digits}d}"
+    return (f"{sign}{_int_to_str(whole)}."
+            f"{_int_to_str(frac_digits).zfill(digits)}")
 
 
 @dataclass(frozen=True)

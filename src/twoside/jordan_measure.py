@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from .exact_core import Bracket, DomainError, NonConvergenceError, RationalLike
+from .exact_core import (Bracket, DomainError, NonConvergenceError,
+                         RationalLike, rat_from_str)
 
 Point = tuple[Fraction, Fraction]
 
@@ -296,7 +297,7 @@ def parse_region(spec: str) -> Region:
     """Region specs for the CLI: "disk:R", "disk:CX,CY,R", "poly:X,Y;X,Y;..."."""
     kind, _, rest = spec.partition(":")
     if kind == "disk" and rest:
-        parts = [Fraction(p) for p in rest.split(",")]
+        parts = [rat_from_str(p) for p in rest.split(",")]
         if len(parts) == 1:
             return Disk((Fraction(0), Fraction(0)), parts[0])
         if len(parts) == 3:
@@ -305,7 +306,9 @@ def parse_region(spec: str) -> Region:
     if kind == "poly" and rest:
         vertices = []
         for chunk in rest.split(";"):
-            x, _, y = chunk.partition(",")
-            vertices.append((Fraction(x), Fraction(y)))
+            coords = chunk.split(",")
+            if len(coords) != 2:
+                raise DomainError(f"polygon vertex needs X,Y, not {chunk!r}")
+            vertices.append(tuple(rat_from_str(c) for c in coords))
         return ConvexPolygon(tuple(vertices))
     raise DomainError(f"unrecognized region spec {spec!r}")

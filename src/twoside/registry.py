@@ -222,10 +222,8 @@ def _colorings_runner(params: SuiteParams) -> list[dict]:
 
 def _duality_runner(params: SuiteParams) -> list[dict]:
     bound = min(params.max_n, 25)
-    reports = []
-    for n in range(1, bound + 1):
-        for k in range(1, n + 1):
-            reports.append(comb.partition_duality_check(n, k))
+    reports = [r for n in range(1, bound + 1)
+               for r in comb.partition_duality_reports(n)]
     return _rows(reports, case=lambda r: f"n={r.params[0]},k={r.params[1]}")
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import jsonschema
@@ -74,6 +75,20 @@ class TestCheck:
         second = run_cli(capsys, "check", "geom.ceva", "--trials", "10")
         assert first == second
 
+    def test_check_all_output_pinned(self, capsys, tmp_path, monkeypatch):
+        # The whole default run, byte for byte: a faster or smaller
+        # implementation must leave every row exactly as it was.
+        monkeypatch.delenv("TWOSIDE_FORMAT", raising=False)
+        target = tmp_path / "all.json"
+        code, _, _ = run_cli(capsys, "check", "all", "--format", "json",
+                             "--output", str(target))
+        assert code == 0
+        rows = json.loads(target.read_text())
+        assert len(rows) == 28323
+        assert sum(r["status"] == "EXPECTED-FAIL" for r in rows) == 3
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "32f50fef65b9dcf1ed3bfb9858bf9226d0118c7009d090cea7371b22f9d96408")
+
 
 class TestConverge:
     def test_pi_csv_rows(self, capsys):
@@ -121,6 +136,23 @@ class TestDedicatedCommands:
     def test_jordan_bad_region(self, capsys):
         code, _, err = run_cli(capsys, "jordan", "--region", "blob:1")
         assert code == 2
+
+    def test_jordan_malformed_numbers_exit_2(self, capsys):
+        for spec in ("disk:abc", "poly:0,0;1"):
+            code, _, err = run_cli(capsys, "jordan", "--region", spec)
+            assert code == 2
+            assert "Traceback" not in err
+            assert len(err.strip().splitlines()) == 1
+
+    def test_divisors_past_int_digit_limit(self, capsys):
+        # H_10000 has more digits than str() renders by default.
+        code, out, _ = run_cli(capsys, "divisors", "--n", "10000",
+                               "--format", "json")
+        assert code == 0
+        payload = json.loads(out)[0]
+        assert payload["status"] == "PASS"
+        assert len(payload["harmonic"]) > 4300
+        assert payload["harmonic_dec"] == "9.787606036044"
 
     def test_pick(self, capsys):
         code, out, _ = run_cli(capsys, "pick", "--seeds", "3", "--extent", "8",

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twoside import combinatorics
 from twoside.combinatorics import (BinomKind, Partition,
                                    absorption_printed_minimal_witness,
                                    binom_identity_check, binomial,
@@ -11,6 +12,7 @@ from twoside.combinatorics import (BinomKind, Partition,
                                    colorings_report, constrained_colorings,
                                    partition_conjugate, partition_count,
                                    partition_duality_check,
+                                   partition_duality_reports,
                                    partitions_enumerate)
 from twoside.exact_core import DomainError
 from twoside.sums_fib import fibonacci
@@ -173,6 +175,15 @@ class TestColorings:
         with pytest.raises(DomainError):
             constrained_colorings(31)
 
+    @pytest.mark.parametrize("block", [None, 1, 16])
+    def test_count_matches_brute_force(self, block, monkeypatch):
+        # Small blocks split even short strings over many numpy blocks.
+        if block is not None:
+            monkeypatch.setattr(combinatorics, "_COLORING_BLOCK", block)
+        for n in range(1, 17):
+            brute = sum(1 for x in range(1 << n) if not x & (x >> 1))
+            assert constrained_colorings(n).count == brute
+
 
 class TestPartitions:
     def test_single(self):
@@ -238,3 +249,11 @@ class TestDuality:
         for n in range(1, 16):
             for k in range(1, n + 1):
                 assert partition_duality_check(n, k).passed
+
+    def test_reports_match_single_checks(self):
+        for n in range(1, 13):
+            reports = partition_duality_reports(n)
+            assert len(reports) == n
+            for k in range(1, n + 1):
+                assert (reports[k - 1].row()
+                        == partition_duality_check(n, k).row())

@@ -56,6 +56,26 @@ class TestStrings:
         with pytest.raises(DomainError):
             rat_from_str("one half")
 
+    def test_past_the_int_digit_limit(self):
+        # 7**9000 has 7606 digits, past str()'s default limit of 4300.
+        def parse(text):
+            # Rebuild the int from 1000-digit chunks, each under the limit.
+            value = 0
+            for i in range(0, len(text), 1000):
+                chunk = text[i:i + 1000]
+                value = value * 10 ** len(chunk) + int(chunk)
+            return value
+
+        big = 7 ** 9000
+        text = rat_to_str(Fraction(-big, 2 ** 13001 + 1))
+        numerator, denominator = text.split("/")
+        assert numerator.startswith("-") and parse(numerator[1:]) == big
+        assert parse(denominator) == 2 ** 13001 + 1
+        assert rat_to_str(10 ** 5000) == "1" + "0" * 5000
+        assert rat_to_str(-(10 ** 6000 - 1)) == "-" + "9" * 6000
+        assert (rat_to_decimal(Fraction(10 ** 5000 + 1, 3), 4)
+                == "3" * 5000 + ".6666")
+
 
 class TestBracket:
     def test_add(self):
