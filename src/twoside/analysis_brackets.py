@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from itertools import islice
+from typing import Callable, Iterator
 
 from .exact_core import (Bracket, DomainError, NonConvergenceError,
                          RationalLike, root_bracket, rational_power_bracket)
@@ -275,33 +276,12 @@ def _polygon_area_pair(n_sides: int, cos_bracket: Bracket,
 
 
 def pi_bracket_sequence(doublings: int, eps: RationalLike) -> list[Bracket]:
-    """Nested pi brackets from the hexagon pair through `doublings` halvings.
-
-    The per-level root precision shrinks by 4 per doubling, which cancels
-    the growth of the relative error of sin(t) as t halves; successive
-    brackets are intersected so nesting holds by construction while every
-    bracket remains a sound enclosure.
-    """
+    """The first `doublings` + 1 brackets of :func:`pi_generator`."""
     if doublings < 0:
         raise DomainError("doublings must be non-negative")
-    eps = Fraction(eps)
-    if eps <= 0:
+    if Fraction(eps) <= 0:
         raise DomainError("eps must be positive")
-    step_eps = min(eps / 16, Fraction(1, 64))
-    cos_bracket = root_bracket(3, 2, step_eps).scale(Fraction(1, 2))
-    n_sides = 6
-    levels: list[Bracket] = []
-    current = None
-    for level in range(doublings + 1):
-        pair = _polygon_area_pair(n_sides, cos_bracket, step_eps)
-        current = pair if current is None else current.intersect(pair)
-        levels.append(current)
-        if level < doublings:
-            step_eps = step_eps / 4
-            half_angle_sq = cos_bracket.shift(1).scale(Fraction(1, 2))
-            cos_bracket = _sqrt_bracket(half_angle_sq, step_eps)
-            n_sides *= 2
-    return levels
+    return list(islice(pi_generator(eps), doublings + 1))
 
 
 def pi_bracket(doublings: int, eps: RationalLike) -> Bracket:
@@ -310,6 +290,13 @@ def pi_bracket(doublings: int, eps: RationalLike) -> Bracket:
 
 
 def pi_generator(eps: RationalLike = Fraction(1, 10 ** 12)) -> BracketGenerator:
+    """Nested pi brackets from the hexagon pair, halving the angle each step.
+
+    The per-level root precision shrinks by 4 per doubling, which cancels
+    the growth of the relative error of sin(t) as t halves; successive
+    brackets are intersected so nesting holds by construction while every
+    bracket remains a sound enclosure.
+    """
     eps = Fraction(eps)
     step_eps = min(eps / 16, Fraction(1, 64))
     cos_bracket = root_bracket(3, 2, step_eps).scale(Fraction(1, 2))
@@ -352,8 +339,8 @@ def sqrt_refinement_generator(radicand: RationalLike = 2) -> BracketGenerator:
         step += 1
 
 
-def named_generator(name: str) -> BracketGenerator:
-    factories = {
+def _generator_factories() -> dict[str, Callable[[], BracketGenerator]]:
+    return {
         "pi": pi_generator,
         "sqrt2": sqrt_refinement_generator,
         "nthroot": nth_root_sequence,
@@ -365,6 +352,10 @@ def named_generator(name: str) -> BracketGenerator:
         "swineshead": swineshead_generator,
         "chocolate": geometric_tail_generator,
     }
+
+
+def named_generator(name: str) -> BracketGenerator:
+    factories = _generator_factories()
     try:
         return factories[name]()
     except KeyError:
@@ -372,5 +363,4 @@ def named_generator(name: str) -> BracketGenerator:
                           f"choose from {sorted(factories)}") from None
 
 
-GENERATOR_NAMES = ("pi", "sqrt2", "nthroot", "power", "riemann2", "riemann3",
-                   "swineshead", "chocolate")
+GENERATOR_NAMES = tuple(_generator_factories())

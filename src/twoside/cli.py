@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import analysis_brackets as ab
 from . import divisors as dv
@@ -23,7 +22,7 @@ from . import probability_games as prob
 from .exact_core import DomainError, NonConvergenceError, rat_from_str, \
     rat_to_decimal, rat_to_str
 from .registry import SUITES, SuiteParams
-from .report import EXPECTED_FAIL, FAIL, PASS, WARN
+from .report import EXPECTED_FAIL, FAIL, PASS, WARN, row_status
 
 #: JSON shape of one check row; the check subcommand emits arrays of these.
 ROW_SCHEMA = {
@@ -114,8 +113,16 @@ def _cmd_check(args) -> int:
     params = SuiteParams(max_n=args.max_n, seed=args.seed, trials=args.trials,
                          terms=args.terms, digits=args.digits)
     rows: list[dict] = []
+    empty = []
     for suite_id in ids:
-        rows.extend(SUITES[suite_id].runner(params))
+        suite_rows = SUITES[suite_id].runner(params)
+        if not suite_rows:
+            empty.append(suite_id)
+        rows.extend(suite_rows)
+    if empty:
+        print(f"nothing to check at these parameters in: {', '.join(empty)}",
+              file=sys.stderr)
+        return 2
     columns = ["suite", "case", "lhs", "rhs", "status", "witness"]
     _emit([_flatten_row(r) for r in rows] if args.format != "json" else rows,
           columns, args.format, args.output)
@@ -124,7 +131,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_list(args) -> int:
     rows = [{"suite": s.suite_id, "tag": s.tag,
-             "expected_fail": "yes" if s.expected_fail else ""}
+             "expected_fail": "yes" if s.expected_fail is True else ""}
             for s in sorted(SUITES.values(), key=lambda s: s.suite_id)]
     _emit(rows, ["suite", "tag", "expected_fail"], args.format, args.output)
     return 0
@@ -135,6 +142,9 @@ def _cmd_converge(args) -> int:
         gen = ab.named_generator(args.generator)
     except DomainError as exc:
         print(exc, file=sys.stderr)
+        return 2
+    if args.doublings < 0:
+        print("--doublings must be non-negative", file=sys.stderr)
         return 2
     rows = []
     if args.tol is not None:
@@ -193,10 +203,10 @@ def _cmd_divisors(args) -> int:
         "harmonic_minus_1_dec": rat_to_decimal(report.lower, 12),
         "avg_dec": rat_to_decimal(report.avg, 12),
         "harmonic_dec": rat_to_decimal(report.upper, 12),
-        "status": PASS if identity.passed and report.passed else FAIL,
+        "status": row_status(identity.passed and report.passed),
     }
     _emit([row], list(row.keys()), args.format, args.output)
-    return 0 if row["status"] == PASS else 1
+    return _exit_code([row])
 
 
 def _cmd_jordan(args) -> int:
@@ -225,15 +235,16 @@ def _cmd_jordan(args) -> int:
 
 
 def _cmd_pick(args) -> int:
+    if args.seeds < 1:
+        print("--seeds must be positive", file=sys.stderr)
+        return 2
     rows = []
-    failures = 0
     for i in range(args.seeds):
         poly = lattice.random_lattice_polygon(args.seed + i, args.extent)
         report = lattice.pick_check(poly)
         tri = lattice.empty_triangulation(poly)
         ok = report.passed and tri.count_check and tri.area_check \
             and tri.all_empty and tri.all_half_area
-        failures += 0 if ok else 1
         rows.append({
             "seed": args.seed + i,
             "vertices": json.dumps(list(poly.vertices)),
@@ -241,23 +252,24 @@ def _cmd_pick(args) -> int:
             "boundary": tri.boundary,
             "interior": tri.interior,
             "triangles": tri.count,
-            "status": PASS if ok else FAIL,
+            "status": row_status(ok),
         })
     _emit(rows, ["seed", "vertices", "area", "boundary", "interior",
                  "triangles", "status"], args.format, args.output)
-    return 0 if failures == 0 else 1
+    return _exit_code(rows)
 
 
 def _cmd_prob(args) -> int:
+    if args.trials < 1:
+        print("--trials must be positive: the simulation is one of the "
+              "three routes", file=sys.stderr)
+        return 2
     if args.game == "dice":
         game = prob.dice_game(terms=args.terms, trials=args.trials,
                               seed=args.seed)
-        exact_expected = Fraction(6, 11)
     else:
         game = prob.coin_game(args.n, terms=args.terms, trials=args.trials,
                               seed=args.seed)
-        exact_expected = prob.coin_game_closed_form(args.n)
-    ok = game.exact == exact_expected and game.consistent()
     mc = game.monte_carlo
     payload = {
         "game": args.game if args.game == "dice" else f"coin(n={args.n})",
@@ -266,24 +278,17 @@ def _cmd_prob(args) -> int:
         "series_lo": rat_to_str(game.series_bracket.lo),
         "series_hi": rat_to_str(game.series_bracket.hi),
         "series_width": rat_to_str(game.series_bracket.width),
-        "status": PASS if ok else FAIL,
+        "status": game.report(f"prob.{args.game}", (args.terms,)).status(),
+        "trials": mc.trials,
+        "hits": mc.hits,
+        "estimate": rat_to_str(mc.estimate),
+        "estimate_dec": rat_to_decimal(mc.estimate, 12),
+        "deviation": rat_to_str(mc.deviation),
+        "three_sigma_hi": rat_to_str(mc.three_sigma.hi),
+        "mc_status": mc.status,
     }
-    if mc is not None:
-        payload.update({
-            "trials": mc.trials,
-            "hits": mc.hits,
-            "estimate": rat_to_str(mc.estimate),
-            "estimate_dec": rat_to_decimal(mc.estimate, 12),
-            "deviation": rat_to_str(mc.deviation),
-            "three_sigma_hi": rat_to_str(mc.three_sigma.hi),
-            "mc_status": mc.status,
-        })
-        if ok and mc.status != FAIL:
-            payload["status"] = PASS if mc.status == PASS else WARN
-        else:
-            payload["status"] = FAIL if mc.status == FAIL else payload["status"]
     _emit([payload], list(payload.keys()), args.format, args.output)
-    return 0 if payload["status"] != FAIL else 1
+    return _exit_code([payload])
 
 
 def build_parser() -> argparse.ArgumentParser:

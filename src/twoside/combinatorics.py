@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact_core import DomainError
-from .report import IdentityReport, report_equal
+from .report import IdentityReport, report_check, report_equal
 from .sums_fib import fibonacci
 
 
@@ -58,8 +58,8 @@ def binomial_enumeration_crosscheck(n: int, k: int) -> IdentityReport:
     paths = _count_paths(n, k)
     formula = binomial(n, k)
     passed = subsets == paths == formula
-    return IdentityReport("binom.crosscheck", (n, k), (subsets, paths),
-                          formula, passed, None if passed else (n, k))
+    return report_check("binom.crosscheck", (n, k), (subsets, paths),
+                        formula, passed)
 
 
 class BinomKind(enum.Enum):
@@ -207,8 +207,8 @@ def constrained_colorings(n: int) -> ColoringReport:
 def colorings_report(n: int) -> IdentityReport:
     r = constrained_colorings(n)
     passed = r.fib_check and r.binom_check
-    return IdentityReport("binom.colorings", (n,), r.count, fibonacci(n + 2),
-                          passed, None if passed else (n,))
+    return report_check("binom.colorings", (n,), r.count, fibonacci(n + 2),
+                        passed)
 
 
 # --- partitions ----------------------------------------------------------------
@@ -283,9 +283,8 @@ def _duality_report(n: int, k: int,
     mapped = {q.parts for q in small_parts}
     bijection = mapped == few_parts and len(mapped) == len(small_parts)
     passed = len(small_parts) == len(few_parts) and bijection
-    return IdentityReport("partition.duality", (n, k), len(small_parts),
-                          len(few_parts), passed, None if passed else (n, k),
-                          {"bijection": bijection})
+    return report_check("partition.duality", (n, k), len(small_parts),
+                        len(few_parts), passed, {"bijection": bijection})
 
 
 def partition_duality_check(n: int, k: int) -> IdentityReport:

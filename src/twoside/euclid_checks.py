@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_core import DomainError
-from .report import IdentityReport
+from .report import IdentityReport, report_check
 
 RatPoint = tuple[Fraction, Fraction]
 
@@ -132,8 +132,7 @@ def ceva_converse_check(cfg: CevaConfig) -> IdentityReport:
     p = line_intersection(cfg.a, x, cfg.b, y)
     z_prime = line_intersection(cfg.c, p, cfg.a, cfg.b)
     passed = z_prime == z
-    return IdentityReport("geom.ceva_converse", cfg.ratios, z_prime, z,
-                          passed, None if passed else cfg.ratios)
+    return report_check("geom.ceva_converse", cfg.ratios, z_prime, z, passed)
 
 
 @dataclass(frozen=True)
@@ -173,7 +172,5 @@ def squares_intersection_check(a, b) -> SquaresFitReport:
 
 def squares_fit_report(a, b) -> IdentityReport:
     r = squares_intersection_check(a, b)
-    return IdentityReport("geom.squares_fit", (Fraction(a), Fraction(b)),
-                          r.x, r.y, r.passed,
-                          None if r.passed else (Fraction(a), Fraction(b)),
-                          {"intersection": r.intersection})
+    return report_check("geom.squares_fit", (Fraction(a), Fraction(b)),
+                        r.x, r.y, r.passed, {"intersection": r.intersection})

@@ -346,10 +346,6 @@ class _PowComparator:
                 return (lhs > rhs) - (lhs < rhs)
 
 
-def _cmp_pow(mid: Fraction, k: int, q: Fraction) -> int:
-    return _PowComparator(k, q).cmp(mid)
-
-
 def _int_kth_root(n: int, k: int) -> int:
     """Largest r with r**k <= n, for n >= 0, k >= 1."""
     if n < 2 or k == 1:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from .exact_core import DomainError
-from .report import IdentityReport
+from .report import IdentityReport, report_check
 from .rng import SplitMix64
 
 IntPoint = tuple[int, int]
@@ -211,9 +211,8 @@ def pick_check(p: LatticePolygon) -> IdentityReport:
     b = interior_count(p)
     rhs = Fraction(h, 2) + b - 1
     passed = area == rhs
-    return IdentityReport("pick.formula", tuple(p.vertices), area, rhs,
-                          passed, None if passed else tuple(p.vertices),
-                          {"boundary": h, "interior": b})
+    return report_check("pick.formula", p.vertices, area, rhs, passed,
+                        {"boundary": h, "interior": b})
 
 
 # --- empty triangulation -----------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exact_core import DomainError, rat_to_str
-from .report import IdentityReport, report_equal
+from .report import IdentityReport, report_check, report_equal
 
 _WITNESS_COORDS = (0, 1, -1, 2, -2, 3, -3)
 
@@ -335,9 +335,8 @@ def cauchy_schwarz_check(a1, a2, b1, b2) -> IdentityReport:
     rhs = (a1 ** 2 + a2 ** 2) * (b1 ** 2 + b2 ** 2)
     equality = a1 * b2 - a2 * b1 == 0
     passed = lhs <= rhs
-    return IdentityReport("geom.cauchy_schwarz", (a1, a2, b1, b2), lhs, rhs,
-                          passed, None if passed else (a1, a2, b1, b2),
-                          {"equality": equality})
+    return report_check("geom.cauchy_schwarz", (a1, a2, b1, b2), lhs, rhs,
+                        passed, {"equality": equality})
 
 
 def mixture_concentration(m1, m2, c2, c_mix) -> Fraction:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .exact_core import Bracket, DomainError, root_bracket
 from .rng import GAMMA, MASK64, SplitMix64
-from .report import PASS, FAIL, WARN
+from .report import PASS, IdentityReport, report_check, sigma_gate
 
 __all__ = [
     "ModelError",
@@ -351,15 +351,8 @@ def _gate(exact: Fraction, hits: int, trials: int) -> MonteCarloReport:
     deviation = abs(estimate - exact)
     variance = exact * (1 - exact) / trials
     sigma = root_bracket(variance, 2, Fraction(1, 10 ** 12))
-    three_sigma = sigma.scale(3)
-    if deviation <= three_sigma.lo:
-        status = PASS
-    elif deviation <= sigma.scale(4).hi:
-        status = WARN
-    else:
-        status = FAIL
-    return MonteCarloReport(trials, hits, estimate, three_sigma, deviation,
-                            status)
+    return MonteCarloReport(trials, hits, estimate, sigma.scale(3), deviation,
+                            sigma_gate(deviation, sigma))
 
 
 def monte_carlo(game: str, trials: int, seed: int, n: int = 1) -> MonteCarloReport:
@@ -378,25 +371,34 @@ def monte_carlo(game: str, trials: int, seed: int, n: int = 1) -> MonteCarloRepo
 @dataclass(frozen=True)
 class GameReport:
     exact: Fraction
+    closed: Fraction
     series_bracket: Bracket
     monte_carlo: MonteCarloReport | None
 
     def consistent(self) -> bool:
         return self.series_bracket.contains(self.exact)
 
+    def report(self, suite: str, params: tuple) -> IdentityReport:
+        """The exact value equals the closed form and lies in the series
+        bracket; the simulation, when one ran, gates the result."""
+        gate = self.monte_carlo.status if self.monte_carlo else PASS
+        return report_check(suite, params, self.exact, self.series_bracket,
+                            self.exact == self.closed and self.consistent(),
+                            {"mc": gate}, gate)
+
 
 def dice_game(terms: int = 40, trials: int = 0, seed: int = 42) -> GameReport:
-    """Exact 6/11 by chain solve, series bracket, optional simulation."""
+    """Chain-solved value, closed form 6/11, series bracket, optional MC."""
     exact = absorbing_chain_solve(dice_chain())["S"]
     series = dice_series_bracket(terms)
     mc = _gate(exact, monte_carlo_dice(trials, seed), trials) if trials else None
-    return GameReport(exact, series, mc)
+    return GameReport(exact, Fraction(6, 11), series, mc)
 
 
 def coin_game(n: int, terms: int = 60, trials: int = 0,
               seed: int = 42) -> GameReport:
-    """Exact DP value with the (index-0) series bracket and optional MC."""
+    """Exact DP value, closed form, (index-0) series bracket, optional MC."""
     exact = coin_game_exact(n)
     series = coin_series_tail_bracket(n, 0, terms)
     mc = _gate(exact, monte_carlo_coin(n, trials, seed), trials) if trials else None
-    return GameReport(exact, series, mc)
+    return GameReport(exact, coin_game_closed_form(n), series, mc)

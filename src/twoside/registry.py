@@ -1,13 +1,27 @@
 """Static table of check suites addressable from the CLI.
 
-Every suite id maps to a runner that yields report rows; adding a new
-verified fact means adding one registry entry.  Expected failures (shipped
-misprints kept on display) are labeled here so the CLI can count them as
-passing when they fail exactly as predicted.
+A suite is declared by one `_suite` call:
+
+- its id and topic tag;
+- a **sweep**: a function of `SuiteParams` that yields the suite's
+  `IdentityReport`s.  It calls the checker modules through their module
+  attribute at run time (``comb.colorings_report(n)``), so a wrapper
+  installed on that attribute sees every call;
+- a **case label** for each row: a format string filled with the report's
+  rendered parameters (``"n={0},k={1}"``), or a function of the report.
+  Without one the row shows the parameter tuple;
+- **expected-fail**, stated once: ``True`` when every row is a shipped
+  misprint kept on display, or the set of case labels that are.
+
+`_rows` is the one path from reports to rows, and `report.row_status`
+gives every row its status, so an expected failure that fails as
+predicted counts as passing and one that passes is a FAIL.  Adding a new
+verified fact means adding one declaration.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -20,8 +34,8 @@ from . import lattice_pick as lattice
 from . import polyform
 from . import probability_games as prob
 from . import sums_fib
-from .exact_core import rat_to_str
-from .report import EXPECTED_FAIL, FAIL, PASS, IdentityReport, render_value
+from .exact_core import Bracket, rat_to_str
+from .report import IdentityReport, render_value, report_check, report_equal
 from .rng import SplitMix64
 
 
@@ -40,36 +54,45 @@ class Suite:
     suite_id: str
     tag: str
     runner: Callable[[SuiteParams], list[dict]]
-    expected_fail: bool = False
+    expected_fail: bool | frozenset[str] = False
 
 
-def _rows(reports: Iterable[IdentityReport], expected_fail: bool = False,
-          case: Callable[[IdentityReport], str] | None = None) -> list[dict]:
-    out = []
+Sweep = Callable[[SuiteParams], Iterable[IdentityReport]]
+Case = str | Callable[[IdentityReport], str] | None
+
+
+def _rows(reports: Iterable[IdentityReport], case: Case,
+          expected_fail: bool | frozenset[str]) -> list[dict]:
+    rows = []
     for r in reports:
-        label = case(r) if case else None
-        out.append(r.row(case=label, expected_fail=expected_fail))
-    return out
+        if case is None:
+            label = None
+        elif callable(case):
+            label = case(r)
+        else:
+            label = case.format(*map(render_value, r.params))
+        expected = expected_fail is True or label in (expected_fail or ())
+        rows.append(r.row(label, expected))
+    return rows
+
+
+def _suite(suite_id: str, tag: str, sweep: Sweep, case: Case = None,
+           expected_fail: bool | frozenset[str] = False) -> Suite:
+    def run(params: SuiteParams) -> list[dict]:
+        return _rows(sweep(params), case, expected_fail)
+    return Suite(suite_id, tag, run, expected_fail)
 
 
 # --- algebra ---------------------------------------------------------------------
 
-def _alg_runner(name: str):
-    def run(_: SuiteParams) -> list[dict]:
+def _identity(name: str) -> Sweep:
+    def sweep(_: SuiteParams):
         lhs, rhs, vs = polyform.builtin_identities()[name]
-        return _rows([polyform.identity_check(lhs, rhs, vs, suite=name)])
-    return run
+        return [polyform.identity_check(lhs, rhs, vs, suite=name)]
+    return sweep
 
 
-def _pythagoras_runner(_: SuiteParams) -> list[dict]:
-    return _rows([polyform.pythagoras_rearrangement_check()])
-
-
-def _pythagoras_printed_runner(_: SuiteParams) -> list[dict]:
-    return _rows([polyform.pythagoras_printed_check()], expected_fail=True)
-
-
-def _incircle_runner(params: SuiteParams) -> list[dict]:
+def _incircle(params: SuiteParams):
     reports = [polyform.incircle_tangent_symbolic()]
     rng = SplitMix64(params.seed)
     cases = [(Fraction(3), Fraction(4), Fraction(5), Fraction(2)),
@@ -81,244 +104,127 @@ def _incircle_runner(params: SuiteParams) -> list[dict]:
         ce = Fraction(rng.below(9) + 1, rng.below(3) + 1)
         if a + b > c and b + c > a and c + a > b:
             cases.append((a, b, c, ce))
-    reports += [polyform.incircle_tangent_check(*case) for case in cases]
-    return _rows(reports)
+    return reports + [polyform.incircle_tangent_check(*case) for case in cases]
 
 
-def _mixture_runner(_: SuiteParams) -> list[dict]:
-    rows = []
-    cases = [
-        (Fraction(13, 10), Fraction(8, 10), Fraction(15), Fraction(10)),
-        (Fraction(1), Fraction(0), Fraction(5), Fraction(25)),
-        (Fraction(1), Fraction(1), Fraction(10), Fraction(20)),
-    ]
-    for m1, m2, c2, c_mix in cases:
+_MIXTURES = (
+    (Fraction(13, 10), Fraction(8, 10), Fraction(15), Fraction(10)),
+    (Fraction(1), Fraction(0), Fraction(5), Fraction(25)),
+    (Fraction(1), Fraction(1), Fraction(10), Fraction(20)),
+)
+
+
+def _mixture(_: SuiteParams):
+    """The solved concentration x balances the dissolved mass exactly."""
+    for m1, m2, c2, c_mix in _MIXTURES:
         x = polyform.mixture_concentration(m1, m2, c2, c_mix)
-        solute_split = m1 * x + m2 * c2
-        solute_mix = (m1 + m2) * c_mix
-        report = IdentityReport("alg.mixture", (m1, m2, c2, c_mix),
-                                solute_split, solute_mix,
-                                solute_split == solute_mix,
-                                detail={"x": x})
-        rows.append(report.row(case=f"x={rat_to_str(x)}"))
-    return rows
-
-
-# --- sums and Fibonacci ------------------------------------------------------------
-
-def _sum_runner(kind: sums_fib.SumKind):
-    def run(params: SuiteParams) -> list[dict]:
-        return _rows(sums_fib.sum_identity_sweep(kind, params.max_n),
-                     case=lambda r: f"n={r.params[0]}")
-    return run
-
-
-def _betweenness_runner(params: SuiteParams) -> list[dict]:
-    bound = min(params.max_n, 40)
-    reports = [sums_fib.fib_betweenness_report(m, n)
-               for n in range(2, bound + 1) for m in range(1, n)]
-    return _rows(reports, case=lambda r: f"m={r.params[0]},n={r.params[1]}")
+        yield report_equal("alg.mixture", (m1, m2, c2, c_mix),
+                           m1 * x + m2 * c2, (m1 + m2) * c_mix, {"x": x})
 
 
 # --- divisors ----------------------------------------------------------------------
 
-def _divisor_identity_runner(params: SuiteParams) -> list[dict]:
+def _divisor_identity(params: SuiteParams):
     table = dv.divisor_counts(params.max_n)
-    prefix = table.prefix_sums()
-    reports = []
-    for n in range(1, params.max_n + 1):
-        reports.append(IdentityReport("divisor.identity", (n,), prefix[n],
-                                      dv.floor_sum(n),
-                                      prefix[n] == dv.floor_sum(n),
-                                      None if prefix[n] == dv.floor_sum(n)
-                                      else (n,)))
-    return _rows(reports, case=lambda r: f"n={r.params[0]}")
+    return (dv.divisor_identity_check(n, table)
+            for n in range(1, params.max_n + 1))
 
 
-def _divisor_bounds_runner(params: SuiteParams) -> list[dict]:
+def _divisor_bounds(params: SuiteParams):
     table = dv.divisor_counts(params.max_n)
     harmonics = dv.harmonic_numbers(params.max_n)
-    rows = []
     for n in range(1, params.max_n + 1):
-        report = dv.divisor_average_bounds(n, table, harmonics[n])
-        rows.append(IdentityReport(
-            "divisor.bounds", (n,),
-            f"{rat_to_str(report.lower)} < {rat_to_str(report.avg)}",
-            f"<= {rat_to_str(report.upper)}",
-            report.passed, None if report.passed else (n,),
-        ).row(case=f"n={n}"))
-    return rows
+        b = dv.divisor_average_bounds(n, table, harmonics[n])
+        yield report_check("divisor.bounds", (n,),
+                           f"{rat_to_str(b.lower)} < {rat_to_str(b.avg)}",
+                           f"<= {rat_to_str(b.upper)}", b.passed)
 
 
 # --- binomials ----------------------------------------------------------------------
 
-def _binom_single_runner(kind: comb.BinomKind, cap: int):
-    def run(params: SuiteParams) -> list[dict]:
-        bound = min(params.max_n, cap)
-        start = 1 if kind is comb.BinomKind.FIB_DIAGONAL else 0
-        reports = [comb.binom_identity_check(kind, n=n)
-                   for n in range(start, bound + 1)]
-        return _rows(reports, case=lambda r: f"n={r.params[0]}")
-    return run
+def _binom_n(kind: comb.BinomKind, start: int = 0) -> Sweep:
+    return lambda p: (comb.binom_identity_check(kind, n=n)
+                      for n in range(start, min(p.max_n, 60) + 1))
 
 
-def _binom_nk_runner(kind: comb.BinomKind, cap: int, k_lo=lambda n: 0,
-                     k_hi=lambda n: n):
-    def run(params: SuiteParams) -> list[dict]:
-        bound = min(params.max_n, cap)
-        reports = []
-        for n in range(1, bound + 1):
-            for k in range(k_lo(n), k_hi(n) + 1):
-                reports.append(comb.binom_identity_check(kind, n=n, k=k))
-        return _rows(reports,
-                     case=lambda r: f"n={r.params[0]},k={r.params[1]}")
-    return run
+def _binom_nk(kind: comb.BinomKind, k_lo=lambda n: 0,
+              k_hi=lambda n: n) -> Sweep:
+    return lambda p: (comb.binom_identity_check(kind, n=n, k=k)
+                      for n in range(1, min(p.max_n, 60) + 1)
+                      for k in range(k_lo(n), k_hi(n) + 1))
 
 
-def _split_j_runner(params: SuiteParams) -> list[dict]:
-    bound = min(params.max_n, 25)
-    reports = []
-    for n in range(0, bound + 1):
-        for k in range(0, n + 1):
-            for j in range(0, k + 1):
-                reports.append(comb.binom_identity_check(
-                    comb.BinomKind.SPLIT_J, n=n, k=k, j=j))
-    return _rows(reports, case=lambda r: "n={},k={},j={}".format(*r.params))
+def _binom_nk3(kind: comb.BinomKind, cap: int, third: str) -> Sweep:
+    """Every 0 <= third <= k <= n <= cap."""
+    return lambda p: (comb.binom_identity_check(kind, n=n, k=k, **{third: j})
+                      for n in range(min(p.max_n, cap) + 1)
+                      for k in range(n + 1) for j in range(k + 1))
 
 
-def _committee_runner(params: SuiteParams) -> list[dict]:
-    bound = min(params.max_n, 40)
-    reports = []
-    for n in range(0, bound + 1):
-        for k in range(0, n + 1):
-            for l in range(0, k + 1):
-                reports.append(comb.binom_identity_check(
-                    comb.BinomKind.COMMITTEE_PRODUCT, n=n, k=k, l=l))
-    return _rows(reports, case=lambda r: "n={},k={},l={}".format(*r.params))
-
-
-def _absorption_printed_runner(_: SuiteParams) -> list[dict]:
+def _absorption_printed(_: SuiteParams):
     report = comb.binom_identity_check(comb.BinomKind.ABSORPTION_PRINTED,
                                        n=3, k=1)
     minimal = comb.absorption_printed_minimal_witness()
-    report = IdentityReport(report.suite, report.params, report.lhs,
-                            report.rhs, report.passed, report.witness,
-                            {"minimal_witness": minimal})
-    return _rows([report], expected_fail=True)
-
-
-def _crosscheck_runner(params: SuiteParams) -> list[dict]:
-    bound = min(params.max_n, 15)
-    reports = [comb.binomial_enumeration_crosscheck(n, k)
-               for n in range(bound + 1) for k in range(n + 1)]
-    return _rows(reports, case=lambda r: f"n={r.params[0]},k={r.params[1]}")
-
-
-def _colorings_runner(params: SuiteParams) -> list[dict]:
-    bound = min(params.max_n, 30)
-    reports = [comb.colorings_report(n) for n in range(1, bound + 1)]
-    return _rows(reports, case=lambda r: f"n={r.params[0]}")
-
-
-def _duality_runner(params: SuiteParams) -> list[dict]:
-    bound = min(params.max_n, 25)
-    reports = [r for n in range(1, bound + 1)
-               for r in comb.partition_duality_reports(n)]
-    return _rows(reports, case=lambda r: f"n={r.params[0]},k={r.params[1]}")
+    return [dataclasses.replace(report, detail={"minimal_witness": minimal})]
 
 
 # --- series and brackets --------------------------------------------------------------
 
-def _chocolate_runner(params: SuiteParams) -> list[dict]:
-    rows = []
-    for n in range(0, min(params.max_n, 40) + 1):
-        g = ab.geometric_series_sum(1, Fraction(1, 10), n)
-        passed = (g.closed == Fraction(10, 9)
-                  and g.tail_bracket.contains(g.closed))
-        rows.append(IdentityReport("series.chocolate", (n,), g.tail_bracket,
-                                   g.closed, passed,
-                                   None if passed else (n,)).row(case=f"N={n}"))
-    return rows
+def _geometric(suite_id: str, a: Fraction, r: Fraction,
+               total: Fraction) -> Suite:
+    """a + ar + ar^2 + ...: the closed form is `total` and the tail bracket
+    through term N contains it."""
+    def sweep(params: SuiteParams):
+        for n in range(min(params.max_n, 40) + 1):
+            g = ab.geometric_series_sum(a, r, n)
+            yield report_check(suite_id, (n,), g.tail_bracket, g.closed,
+                               g.closed == total
+                               and g.tail_bracket.contains(g.closed))
+    return _suite(suite_id, "series", sweep, "N={0}")
 
 
-def _cake_runner(params: SuiteParams) -> list[dict]:
-    rows = []
-    for n in range(0, min(params.max_n, 40) + 1):
-        g = ab.geometric_series_sum(Fraction(1, 2), Fraction(1, 2), n)
-        passed = g.closed == 1 and g.tail_bracket.contains(g.closed)
-        rows.append(IdentityReport("series.cake", (n,), g.tail_bracket,
-                                   g.closed, passed,
-                                   None if passed else (n,)).row(case=f"N={n}"))
-    return rows
-
-
-def _swineshead_runner(params: SuiteParams) -> list[dict]:
-    rows = []
-    for n in range(0, min(params.max_n, 64) + 1):
+def _swineshead(params: SuiteParams):
+    for n in range(min(params.max_n, 64) + 1):
         s = ab.swineshead_check(n)
-        rows.append(IdentityReport("series.swineshead", (n,), s.partial,
-                                   s.closed_partial, s.passed,
-                                   None if s.passed else (n,)).row(case=f"N={n}"))
-    return rows
+        yield report_check("series.swineshead", (n,), s.partial,
+                           s.closed_partial, s.passed)
 
 
-def _rows_runner(params: SuiteParams) -> list[dict]:
-    reports = [ab.rows_rearrangement_check(n)
-               for n in range(1, min(params.max_n, 40) + 1)]
-    return _rows(reports, case=lambda r: f"N={r.params[0]}")
+def _riemann(exponent: int, target: Fraction) -> Suite:
+    """The Darboux bracket of x^exponent on [0, 1] with n strips contains
+    the integral `target` and has width 1/n."""
+    suite_id = f"riemann.x{exponent}"
 
-
-def _riemann_runner(exponent: int, target: Fraction):
-    def run(params: SuiteParams) -> list[dict]:
+    def sweep(params: SuiteParams):
         f = ab.MonomialIntegrand(Fraction(1), exponent, Fraction(1))
-        rows = []
         for n in range(1, min(params.max_n, 1024) + 1):
             bracket = ab.riemann_bracket(f, n)
-            width_ok = bracket.width == f.coefficient / n
-            passed = bracket.contains(target) and width_ok
-            rows.append(IdentityReport(f"riemann.x{exponent}", (n,), bracket,
-                                       target, passed,
-                                       None if passed else (n,)).row(case=f"n={n}"))
-        return rows
-    return run
+            yield report_check(suite_id, (n,), bracket, target,
+                               bracket.contains(target)
+                               and bracket.width == f.coefficient / n)
+    return _suite(suite_id, "integration", sweep, "n={0}")
 
 
-def _power_runner(params: SuiteParams) -> list[dict]:
-    rows = []
-    previous = None
-    for digits in range(0, min(params.digits, 8) + 1):
-        bracket = ab.real_power_bracket(2, digits)
-        nested = previous is None or previous.contains_bracket(bracket)
-        rows.append(IdentityReport("power.sqrt2", (digits,), bracket,
-                                   "nested refinement", nested,
-                                   None if nested else (digits,)).row(
-                                       case=f"digits={digits}"))
-        previous = bracket
-    return rows
+def _nested(suite_id: str, tag: str,
+            levels: Callable[[SuiteParams], Iterable[Bracket]],
+            case: str) -> Suite:
+    """Each level's bracket lies inside the one before."""
+    def sweep(params: SuiteParams):
+        previous = None
+        for level, bracket in enumerate(levels(params)):
+            yield report_check(suite_id, (level,), bracket,
+                               "nested refinement", previous is None
+                               or previous.contains_bracket(bracket))
+            previous = bracket
+    return _suite(suite_id, tag, sweep, case)
 
 
-def _pi_runner(params: SuiteParams) -> list[dict]:
-    levels = ab.pi_bracket_sequence(min(params.digits + 6, 12),
-                                    Fraction(1, 10 ** 12))
-    rows = []
-    previous = None
-    for level, bracket in enumerate(levels):
-        nested = previous is None or previous.contains_bracket(bracket)
-        rows.append(IdentityReport("pi.doubling", (level,), bracket,
-                                   "nested refinement", nested,
-                                   None if nested else (level,)).row(
-                                       case=f"doublings={level}"))
-        previous = bracket
-    return rows
-
-
-def _limit_runner(_: SuiteParams) -> list[dict]:
+def _limit(_: SuiteParams):
     result = ab.squeeze_limit(ab.nth_root_sequence(), Fraction(1, 10), 500)
-    passed = Fraction(5) <= result.bracket.lo and result.bracket.hi <= Fraction(51, 10)
-    return [IdentityReport("limit.nthroot", (result.steps,), result.bracket,
-                           "within [5, 5.1]", passed,
-                           None if passed else (result.steps,)).row(
-                               case=f"steps={result.steps}")]
+    return [report_check("limit.nthroot", (result.steps,), result.bracket,
+                         "within [5, 5.1]",
+                         Fraction(5) <= result.bracket.lo
+                         and result.bracket.hi <= Fraction(51, 10))]
 
 
 # --- euclid -------------------------------------------------------------------------
@@ -333,177 +239,162 @@ def _random_triangle(rng: SplitMix64):
             return pts
 
 
-def _ceva_runner(params: SuiteParams) -> list[dict]:
+def _ceva(params: SuiteParams):
     rng = SplitMix64(params.seed)
-    reports = []
     for _ in range(params.trials):
         a, b, c = _random_triangle(rng)
         wa, wb, wc = (rng.below(9) + 1 for _ in range(3))
         total = wa + wb + wc
         p = ((wa * a[0] + wb * b[0] + wc * c[0]) / total,
              (wa * a[1] + wb * b[1] + wc * c[1]) / total)
-        reports.append(euclid.ceva_product_report(a, b, c, p))
-    return _rows(reports, case=lambda r: f"p={render_value(r.params[3])}")
+        yield euclid.ceva_product_report(a, b, c, p)
 
 
-def _ceva_converse_runner(params: SuiteParams) -> list[dict]:
+def _ceva_converse(params: SuiteParams):
     rng = SplitMix64(params.seed)
-    reports = []
     for _ in range(params.trials):
         a, b, c = _random_triangle(rng)
         r1 = Fraction(rng.below(9) + 1, rng.below(9) + 1)
         r2 = Fraction(rng.below(9) + 1, rng.below(9) + 1)
-        cfg = euclid.CevaConfig(a, b, c, (r1, r2, 1 / (r1 * r2)))
-        reports.append(euclid.ceva_converse_check(cfg))
-    return _rows(reports, case=lambda r: "r=({},{},{})".format(
-        *(rat_to_str(x) for x in r.params)))
+        yield euclid.ceva_converse_check(
+            euclid.CevaConfig(a, b, c, (r1, r2, 1 / (r1 * r2))))
 
 
-def _squares_runner(params: SuiteParams) -> list[dict]:
+def _squares(params: SuiteParams):
     rng = SplitMix64(params.seed)
-    reports = [euclid.squares_fit_report(1, 2), euclid.squares_fit_report(3, 5)]
+    yield euclid.squares_fit_report(1, 2)
+    yield euclid.squares_fit_report(3, 5)
     for _ in range(params.trials):
         a = Fraction(rng.below(30) + 1, rng.below(9) + 1)
         b = Fraction(rng.below(30) + 1, rng.below(9) + 1)
-        reports.append(euclid.squares_fit_report(a, b))
-    return _rows(reports, case=lambda r: "a={},b={}".format(
-        *(rat_to_str(x) for x in r.params)))
+        yield euclid.squares_fit_report(a, b)
 
 
-def _cauchy_runner(params: SuiteParams) -> list[dict]:
+def _cauchy(params: SuiteParams):
     rng = SplitMix64(params.seed)
-    reports = []
     for _ in range(params.trials):
-        vals = [Fraction(rng.below(41) - 20, rng.below(9) + 1)
-                for _ in range(4)]
-        reports.append(polyform.cauchy_schwarz_check(*vals))
-    return _rows(reports, case=lambda r: "a=({},{}),b=({},{})".format(
-        *(rat_to_str(x) for x in r.params)))
-
-
-# --- lattice ------------------------------------------------------------------------
-
-def _pick_runner(params: SuiteParams) -> list[dict]:
-    reports = []
-    for seed in range(params.trials):
-        poly = lattice.random_lattice_polygon(params.seed + seed, 20)
-        reports.append(lattice.pick_check(poly))
-    return _rows(reports, case=lambda r: f"vertices={len(r.params)}")
+        yield polyform.cauchy_schwarz_check(
+            *(Fraction(rng.below(41) - 20, rng.below(9) + 1)
+              for _ in range(4)))
 
 
 # --- probability ---------------------------------------------------------------------
 
-def _dice_runner(params: SuiteParams) -> list[dict]:
+def _dice(params: SuiteParams):
     game = prob.dice_game(terms=params.terms, trials=params.trials,
                           seed=params.seed)
-    passed = game.exact == Fraction(6, 11) and game.consistent()
-    mc_status = game.monte_carlo.status if game.monte_carlo else PASS
-    row = IdentityReport("prob.dice", (params.terms,), game.exact,
-                         game.series_bracket, passed,
-                         None if passed else (params.terms,),
-                         {"mc": mc_status}).row(case="dice")
-    if row["status"] == PASS and mc_status != PASS:
-        row["status"] = mc_status
-    return [row]
+    return [game.report("prob.dice", (params.terms,))]
 
 
-def _coin_runner(params: SuiteParams) -> list[dict]:
-    reports = []
-    for n in range(1, min(params.max_n, 12) + 1):
-        dp = prob.coin_game_exact(n)
-        closed = prob.coin_game_closed_form(n)
-        reports.append(IdentityReport("prob.coin", (n,), dp, closed,
-                                      dp == closed, None if dp == closed
-                                      else (n,)))
-    return _rows(reports, case=lambda r: f"n={r.params[0]}")
-
-
-def _coin_series_runner(params: SuiteParams) -> list[dict]:
-    rows = []
+def _coin_series(params: SuiteParams):
+    """One row per candidate start index of the series for the coin game."""
     for n in range(1, min(params.max_n, 12) + 1):
         report = prob.coin_series_index_report(n)
         for l_start, matches in sorted(report.matches.items()):
-            expected_match = l_start == 0 or n != 1
-            if matches == expected_match:
-                status = PASS if matches else EXPECTED_FAIL
-            else:
-                status = FAIL
-            rows.append({
-                "suite": "prob.coin_series",
-                "case": f"n={n},l_start={l_start}",
-                "params": [str(n), str(l_start)],
-                "lhs": str(report.brackets[l_start]),
-                "rhs": rat_to_str(report.exact),
-                "status": status,
-                "witness": None if matches else [str(n), str(l_start)],
-            })
-    return rows
+            yield report_check("prob.coin_series", (n, l_start),
+                               str(report.brackets[l_start]), report.exact,
+                               matches)
 
 
 # --- the table -----------------------------------------------------------------------
 
 def _build() -> dict[str, Suite]:
-    suites: list[Suite] = []
-    for name in polyform.builtin_identities():
-        suites.append(Suite(name, "algebra", _alg_runner(name)))
+    B = comb.BinomKind
+    suites = [_suite(name, "algebra", _identity(name))
+              for name in polyform.builtin_identities()]
     suites += [
-        Suite("alg.pythagoras_trapezoid", "algebra", _pythagoras_runner),
-        Suite("alg.pythagoras_printed", "algebra", _pythagoras_printed_runner,
-              expected_fail=True),
-        Suite("alg.incircle_tangent", "euclid", _incircle_runner),
-        Suite("alg.mixture", "algebra", _mixture_runner),
+        _suite("alg.pythagoras_trapezoid", "algebra",
+               lambda _: [polyform.pythagoras_rearrangement_check()]),
+        _suite("alg.pythagoras_printed", "algebra",
+               lambda _: [polyform.pythagoras_printed_check()],
+               expected_fail=True),
+        _suite("alg.incircle_tangent", "euclid", _incircle),
+        _suite("alg.mixture", "algebra", _mixture,
+               lambda r: f"x={rat_to_str(r.detail['x'])}"),
     ]
-    for kind in sums_fib.SumKind:
-        suites.append(Suite(f"sum.{kind.value}", "sums", _sum_runner(kind)))
+    suites += [_suite(f"sum.{kind.value}", "sums",
+                      lambda p, kind=kind: sums_fib.sum_identity_sweep(
+                          kind, p.max_n), "n={0}")
+               for kind in sums_fib.SumKind]
     suites += [
-        Suite("fib.betweenness", "fibonacci", _betweenness_runner),
-        Suite("divisor.identity", "divisors", _divisor_identity_runner),
-        Suite("divisor.bounds", "divisors", _divisor_bounds_runner),
-        Suite("binom.pascal", "binomials",
-              _binom_nk_runner(comb.BinomKind.PASCAL, 60,
-                               k_hi=lambda n: n + 1)),
-        Suite("binom.square_pascal", "binomials",
-              _binom_nk_runner(comb.BinomKind.SQUARE_PASCAL, 60,
-                               k_lo=lambda n: 2)),
-        Suite("binom.split_j", "binomials", _split_j_runner),
-        Suite("binom.row_sum", "binomials",
-              _binom_single_runner(comb.BinomKind.ROW_SUM, 60)),
-        Suite("binom.weighted_3n", "binomials",
-              _binom_single_runner(comb.BinomKind.WEIGHTED_3N, 60)),
-        Suite("binom.double_3n", "binomials",
-              _binom_single_runner(comb.BinomKind.DOUBLE_3N, 60)),
-        Suite("binom.fib_diagonal", "binomials",
-              _binom_single_runner(comb.BinomKind.FIB_DIAGONAL, 60)),
-        Suite("binom.hockey_stick", "binomials",
-              _binom_nk_runner(comb.BinomKind.HOCKEY_STICK, 60)),
-        Suite("binom.absorption_printed", "binomials",
-              _absorption_printed_runner, expected_fail=True),
-        Suite("binom.absorption_standard", "binomials",
-              _binom_nk_runner(comb.BinomKind.ABSORPTION_STANDARD, 60,
-                               k_lo=lambda n: 1, k_hi=lambda n: n - 1)),
-        Suite("binom.committee_product", "binomials", _committee_runner),
-        Suite("binom.crosscheck", "binomials", _crosscheck_runner),
-        Suite("binom.colorings", "binomials", _colorings_runner),
-        Suite("partition.duality", "partitions", _duality_runner),
-        Suite("series.chocolate", "series", _chocolate_runner),
-        Suite("series.cake", "series", _cake_runner),
-        Suite("series.swineshead", "series", _swineshead_runner),
-        Suite("series.rows", "series", _rows_runner),
-        Suite("riemann.x2", "integration",
-              _riemann_runner(2, Fraction(1, 3))),
-        Suite("riemann.x3", "integration",
-              _riemann_runner(3, Fraction(1, 4))),
-        Suite("power.sqrt2", "powers", _power_runner),
-        Suite("pi.doubling", "circle", _pi_runner),
-        Suite("limit.nthroot", "limits", _limit_runner),
-        Suite("geom.ceva", "euclid", _ceva_runner),
-        Suite("geom.ceva_converse", "euclid", _ceva_converse_runner),
-        Suite("geom.squares_fit", "euclid", _squares_runner),
-        Suite("geom.cauchy_schwarz", "euclid", _cauchy_runner),
-        Suite("pick.formula", "lattice", _pick_runner),
-        Suite("prob.dice", "probability", _dice_runner),
-        Suite("prob.coin", "probability", _coin_runner),
-        Suite("prob.coin_series", "probability", _coin_series_runner),
+        _suite("fib.betweenness", "fibonacci",
+               lambda p: (sums_fib.fib_betweenness_report(m, n)
+                          for n in range(2, min(p.max_n, 40) + 1)
+                          for m in range(1, n)), "m={0},n={1}"),
+        _suite("divisor.identity", "divisors", _divisor_identity, "n={0}"),
+        _suite("divisor.bounds", "divisors", _divisor_bounds, "n={0}"),
+        _suite("binom.pascal", "binomials",
+               _binom_nk(B.PASCAL, k_hi=lambda n: n + 1), "n={0},k={1}"),
+        _suite("binom.square_pascal", "binomials",
+               _binom_nk(B.SQUARE_PASCAL, k_lo=lambda n: 2), "n={0},k={1}"),
+        _suite("binom.split_j", "binomials", _binom_nk3(B.SPLIT_J, 25, "j"),
+               "n={0},k={1},j={2}"),
+        _suite("binom.row_sum", "binomials", _binom_n(B.ROW_SUM), "n={0}"),
+        _suite("binom.weighted_3n", "binomials", _binom_n(B.WEIGHTED_3N),
+               "n={0}"),
+        _suite("binom.double_3n", "binomials", _binom_n(B.DOUBLE_3N), "n={0}"),
+        _suite("binom.fib_diagonal", "binomials",
+               _binom_n(B.FIB_DIAGONAL, start=1), "n={0}"),
+        _suite("binom.hockey_stick", "binomials", _binom_nk(B.HOCKEY_STICK),
+               "n={0},k={1}"),
+        _suite("binom.absorption_printed", "binomials", _absorption_printed,
+               expected_fail=True),
+        _suite("binom.absorption_standard", "binomials",
+               _binom_nk(B.ABSORPTION_STANDARD, k_lo=lambda n: 1,
+                         k_hi=lambda n: n - 1), "n={0},k={1}"),
+        _suite("binom.committee_product", "binomials",
+               _binom_nk3(B.COMMITTEE_PRODUCT, 40, "l"), "n={0},k={1},l={2}"),
+        _suite("binom.crosscheck", "binomials",
+               lambda p: (comb.binomial_enumeration_crosscheck(n, k)
+                          for n in range(min(p.max_n, 15) + 1)
+                          for k in range(n + 1)), "n={0},k={1}"),
+        _suite("binom.colorings", "binomials",
+               lambda p: (comb.colorings_report(n)
+                          for n in range(1, min(p.max_n, 30) + 1)), "n={0}"),
+        _suite("partition.duality", "partitions",
+               lambda p: (r for n in range(1, min(p.max_n, 25) + 1)
+                          for r in comb.partition_duality_reports(n)),
+               "n={0},k={1}"),
+        _geometric("series.chocolate", Fraction(1), Fraction(1, 10),
+                   Fraction(10, 9)),
+        _geometric("series.cake", Fraction(1, 2), Fraction(1, 2), Fraction(1)),
+        _suite("series.swineshead", "series", _swineshead, "N={0}"),
+        _suite("series.rows", "series",
+               lambda p: (ab.rows_rearrangement_check(n)
+                          for n in range(1, min(p.max_n, 40) + 1)), "N={0}"),
+        _riemann(2, Fraction(1, 3)),
+        _riemann(3, Fraction(1, 4)),
+        _nested("power.sqrt2", "powers",
+                lambda p: (ab.real_power_bracket(2, digits)
+                           for digits in range(min(p.digits, 8) + 1)),
+                "digits={0}"),
+        _nested("pi.doubling", "circle",
+                lambda p: ab.pi_bracket_sequence(min(p.digits + 6, 12),
+                                                 Fraction(1, 10 ** 12)),
+                "doublings={0}"),
+        _suite("limit.nthroot", "limits", _limit, "steps={0}"),
+        _suite("geom.ceva", "euclid", _ceva, "p={3}"),
+        _suite("geom.ceva_converse", "euclid", _ceva_converse,
+               "r=({0},{1},{2})"),
+        _suite("geom.squares_fit", "euclid", _squares, "a={0},b={1}"),
+        _suite("geom.cauchy_schwarz", "euclid", _cauchy,
+               "a=({0},{1}),b=({2},{3})"),
+        _suite("pick.formula", "lattice",
+               lambda p: (lattice.pick_check(
+                   lattice.random_lattice_polygon(p.seed + seed, 20))
+                          for seed in range(p.trials)),
+               lambda r: f"vertices={len(r.params)}"),
+        _suite("prob.dice", "probability", _dice, "dice"),
+        _suite("prob.coin", "probability",
+               lambda p: (report_equal("prob.coin", (n,),
+                                       prob.coin_game_exact(n),
+                                       prob.coin_game_closed_form(n))
+                          for n in range(1, min(p.max_n, 12) + 1)), "n={0}"),
+        # The printed series starts at L = 1 and so drops the L = 0 term,
+        # which is nonzero only for the first head.
+        _suite("prob.coin_series", "probability", _coin_series,
+               "n={0},l_start={1}",
+               expected_fail=frozenset({"n=1,l_start=1"})),
     ]
     table = {s.suite_id: s for s in suites}
     if len(table) != len(suites):
@@ -512,7 +403,3 @@ def _build() -> dict[str, Suite]:
 
 
 SUITES: dict[str, Suite] = _build()
-
-
-def run_suite(suite_id: str, params: SuiteParams) -> list[dict]:
-    return SUITES[suite_id].runner(params)

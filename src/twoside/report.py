@@ -1,12 +1,17 @@
-"""Outcome records shared by every checker module."""
+"""Outcome records shared by every checker module, and the one status rule.
+
+Every status that a row or a subcommand reports is decided here:
+:func:`row_status` for a comparison and :func:`sigma_gate` for the soft
+gate of a simulation route.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
-from .exact_core import Bracket, rat_to_str
+from .exact_core import Bracket, _int_to_str, rat_to_str
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -14,11 +19,41 @@ EXPECTED_FAIL = "EXPECTED-FAIL"
 WARN = "WARN"
 
 
+def row_status(passed: bool, expected_fail: bool = False,
+               gate: str = PASS) -> str:
+    """The status of one check.
+
+    A check expected to fail (a printed misprint kept on display) is
+    EXPECTED-FAIL when it fails and FAIL when it unexpectedly passes.  Any
+    other check is FAIL when it fails and otherwise takes the verdict of
+    its soft gate, PASS or WARN.
+    """
+    if expected_fail:
+        return FAIL if passed else EXPECTED_FAIL
+    return gate if passed else FAIL
+
+
+def sigma_gate(deviation: Fraction, sigma: Bracket) -> str:
+    """Verdict of a simulation: PASS within 3 sigma, WARN within 4, else FAIL.
+
+    ``sigma`` encloses the standard deviation, so PASS needs the deviation
+    under the lowest 3 sigma it allows and FAIL needs it over the highest
+    4 sigma.
+    """
+    if deviation <= sigma.scale(3).lo:
+        return PASS
+    if deviation <= sigma.scale(4).hi:
+        return WARN
+    return FAIL
+
+
 def render_value(v: Any) -> str:
     """Stable string form for report fields: rationals as "p/q", never floats."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, Fraction)):
+    if isinstance(v, int):
+        return _int_to_str(v)
+    if isinstance(v, Fraction):
         return rat_to_str(v)
     if isinstance(v, Bracket):
         return str(v)
@@ -33,6 +68,8 @@ class IdentityReport:
 
     ``witness`` is present exactly when the comparison failed; for numeric
     identity checks it is the parameter point at which the two sides differ.
+    ``gate`` is the verdict of a simulation that rides on a passing
+    comparison (PASS or WARN; see :func:`report_check`).
     """
 
     suite: str
@@ -42,26 +79,28 @@ class IdentityReport:
     passed: bool
     witness: tuple | None = None
     detail: Mapping[str, Any] | None = None
+    gate: str = PASS
 
     def __post_init__(self):
         if self.passed and self.witness is not None:
             raise ValueError("witness must be absent on a passing report")
         if not self.passed and self.witness is None:
             raise ValueError("failing report requires a witness")
+        if self.passed and self.gate not in (PASS, WARN):
+            raise ValueError("a report whose gate failed cannot pass")
+
+    def status(self, expected_fail: bool = False) -> str:
+        return row_status(self.passed, expected_fail, self.gate)
 
     def row(self, case: str | None = None, expected_fail: bool = False) -> dict:
         """Flatten into the CLI/JSON row shape."""
-        if self.passed:
-            status = FAIL if expected_fail else PASS
-        else:
-            status = EXPECTED_FAIL if expected_fail else FAIL
         row = {
             "suite": self.suite,
             "case": case if case is not None else render_value(self.params),
             "params": [render_value(p) for p in self.params],
             "lhs": render_value(self.lhs),
             "rhs": render_value(self.rhs),
-            "status": status,
+            "status": self.status(expected_fail),
             "witness": (None if self.witness is None
                         else [render_value(w) for w in self.witness]),
         }
@@ -73,11 +112,21 @@ class IdentityReport:
         return row
 
 
+def report_check(suite: str, params: Sequence, lhs, rhs, passed: bool,
+                 detail: Mapping[str, Any] | None = None,
+                 gate: str = PASS) -> IdentityReport:
+    """Report one comparison; when it fails, its parameters witness it.
+
+    A simulation ``gate`` of FAIL fails the report, so that every FAIL
+    carries a witness; WARN is kept for the status.
+    """
+    params = tuple(params)
+    passed = passed and gate != FAIL
+    return IdentityReport(suite, params, lhs, rhs, passed,
+                          None if passed else params, detail, gate)
+
+
 def report_equal(suite: str, params: Sequence, lhs, rhs,
-                 witness: tuple | None = None,
                  detail: Mapping[str, Any] | None = None) -> IdentityReport:
     """Report exact equality of two already-computed sides."""
-    passed = lhs == rhs
-    return IdentityReport(suite, tuple(params), lhs, rhs, passed,
-                          None if passed else (witness or tuple(params)),
-                          detail)
+    return report_check(suite, params, lhs, rhs, lhs == rhs, detail)

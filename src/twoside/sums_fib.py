@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .exact_core import DomainError
-from .report import IdentityReport, report_equal
+from .report import IdentityReport, report_check, report_equal
 
 
 class SumKind(enum.Enum):
@@ -224,6 +224,5 @@ def fib_betweenness_report(m: int, n: int) -> IdentityReport:
     r = fib_betweenness(m, n)
     lhs = (r.x, r.y)
     rhs = (r.x_neighbors, r.y_neighbors)
-    return IdentityReport("fib.betweenness", (m, n), lhs, rhs, r.passed,
-                          None if r.passed else (m, n),
-                          {"telescoped": r.telescoped_ok})
+    return report_check("fib.betweenness", (m, n), lhs, rhs, r.passed,
+                        {"telescoped": r.telescoped_ok})

@@ -2,8 +2,10 @@ import hashlib
 import json
 
 import jsonschema
+import pytest
 
 from twoside.cli import ROW_SCHEMA, main
+from twoside.registry import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +92,63 @@ class TestCheck:
             "32f50fef65b9dcf1ed3bfb9858bf9226d0118c7009d090cea7371b22f9d96408")
 
 
+    def test_suites_that_check_nothing_exit_2(self, capsys):
+        for argv, empty in (
+                (["pick.formula", "--trials", "0"], "pick.formula"),
+                (["power.sqrt2", "--digits", "-1"], "power.sqrt2"),
+                (["sum.even", "geom.ceva", "--trials", "0"], "geom.ceva")):
+            code, out, err = run_cli(capsys, "check", *argv)
+            assert code == 2
+            assert out == ""
+            assert empty in err and "sum.even" not in err
+
+    def test_check_all_with_no_trials_names_each_empty_suite(self, capsys):
+        code, out, err = run_cli(capsys, "check", "all", "--trials", "0",
+                                 "--max-n", "6")
+        assert code == 2
+        assert out == ""
+        named = err.strip().split(": ", 1)[1].split(", ")
+        assert named == ["geom.cauchy_schwarz", "geom.ceva",
+                         "geom.ceva_converse", "pick.formula"]
+
+
+# The check_scaled benchmark workload's suites.
+SCALED_SUITES = sorted(
+    s for s in SUITES
+    if s.startswith(("sum.", "divisor.", "riemann.", "series.", "geom.",
+                     "alg.")) or s == "fib.betweenness")
+
+# sha256 of the --format json output of each command, byte for byte.
+PINNED_OUTPUTS = [
+    (["list"],
+     "805f790f5d3cce2fc407f4b15ac9db846870fb17435703fc232abfbd8117ce10"),
+    (["divisors", "--n", "1000"],
+     "968e501cf58ee6657a79e2c2d891413f18889186732f153cda10f04072dfa45c"),
+    (["pick", "--seeds", "20"],
+     "8a8b842809caa0f512ab918f589e42779a703ffa84aafaf6329288c329910d21"),
+    (["prob", "dice", "--trials", "100000"],
+     "2056df8b25f0a37fef0c2144cfb2535df985879cb1c552de793978a11d67691b"),
+    (["prob", "coin", "--n", "2", "--trials", "10000"],
+     "f566ec81157a81501c299ba0ee40fe3758e9f2890f3a0f5c0e22857d98446627"),
+    (["converge", "pi", "--doublings", "8"],
+     "583940bb3e95bbc23fe47c508be2cc964dc1feb5df2a9a5213929efbb04e406a"),
+    (["check", *SCALED_SUITES, "--max-n", "300", "--trials", "100"],
+     "1de8e58801fb2c90dee565c18c523273c6806270410c6f25dc68c88b29882db9"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_OUTPUTS,
+                         ids=[argv[0] if argv[0] != "prob" else argv[1]
+                              for argv, _ in PINNED_OUTPUTS])
+def test_output_pinned(argv, digest, capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("TWOSIDE_FORMAT", raising=False)
+    target = tmp_path / "out.json"
+    code, _, _ = run_cli(capsys, *argv, "--format", "json",
+                         "--output", str(target))
+    assert code == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
 class TestConverge:
     def test_pi_csv_rows(self, capsys):
         code, out, _ = run_cli(capsys, "converge", "pi", "--doublings", "12",
@@ -114,6 +173,12 @@ class TestConverge:
         code, _, err = run_cli(capsys, "converge", "nope")
         assert code == 2
         assert "unknown generator" in err
+
+    def test_negative_doublings_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "converge", "pi", "--doublings", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--doublings" in err
 
 
 class TestDedicatedCommands:
@@ -169,6 +234,19 @@ class TestDedicatedCommands:
         payload = json.loads(out)[0]
         assert payload["exact"] == "6/11"
         assert payload["status"] in ("PASS", "WARN")
+
+    def test_prob_without_trials_exits_2(self, capsys):
+        for game in ("dice", "coin"):
+            code, out, err = run_cli(capsys, "prob", game, "--trials", "0")
+            assert code == 2
+            assert out == ""
+            assert "--trials" in err
+
+    def test_pick_without_seeds_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "pick", "--seeds", "0")
+        assert code == 2
+        assert out == ""
+        assert "--seeds" in err
 
     def test_prob_coin(self, capsys):
         code, out, _ = run_cli(capsys, "prob", "coin", "--n", "2",
