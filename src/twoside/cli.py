@@ -149,6 +149,8 @@ def _cmd_converge(args) -> int:
     rows = []
     if args.tol is not None:
         tol = rat_from_str(args.tol)
+        if tol <= 0:
+            raise DomainError("tolerance must be positive")
         converged = False
         for step, bracket in enumerate(gen):
             rows.append(_bracket_row(step, bracket))

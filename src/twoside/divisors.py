@@ -7,7 +7,7 @@ numbers are kept as exact rationals so the strict lower bound stays strict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -18,24 +18,12 @@ from .report import IdentityReport, report_equal
 
 @dataclass(frozen=True)
 class DivisorTable:
-    """d[k] = number of divisors of k for 1 <= k <= n (d[0] unused)."""
+    """d[k] = number of divisors of k for 1 <= k <= n (d[0] unused), and
+    totals[k] = d(1)+...+d(k) as an int64 cumulative sum (totals[0] = 0)."""
 
     n: int
     d: tuple[int, ...]
-
-    def count(self, k: int) -> int:
-        if not 1 <= k <= self.n:
-            raise DomainError(f"k={k} outside table range 1..{self.n}")
-        return self.d[k]
-
-    def prefix_sums(self) -> list[int]:
-        """s[k] = d(1)+...+d(k); s[0] = 0."""
-        sums = [0] * (self.n + 1)
-        running = 0
-        for k in range(1, self.n + 1):
-            running += self.d[k]
-            sums[k] = running
-        return sums
+    totals: np.ndarray = field(compare=False, repr=False)
 
 
 def divisor_counts(n: int) -> DivisorTable:
@@ -45,42 +33,26 @@ def divisor_counts(n: int) -> DivisorTable:
     d = np.zeros(n + 1, dtype=np.int64)
     for i in range(1, n + 1):
         d[i::i] += 1
-    return DivisorTable(n, tuple(int(v) for v in d))
+    return DivisorTable(n, tuple(d.tolist()), np.cumsum(d))
 
 
 def floor_sum(n: int) -> int:
-    """n + [n/2] + [n/3] + ... + [n/n] by direct division."""
+    """n + [n/2] + [n/3] + ... + [n/n] by vectorised int64 division.
+
+    Exact: the total is at most n(1 + ln n), far inside int64 for any n
+    whose n-element array fits in memory.
+    """
     if n < 1:
         raise DomainError("n must be a positive integer")
-    total = 0
-    for k in range(1, n + 1):
-        total += n // k
-    return total
+    return int(np.sum(n // np.arange(1, n + 1, dtype=np.int64)))
 
 
 def divisor_identity_check(n: int, table: DivisorTable | None = None) -> IdentityReport:
     """Sum of divisor counts equals the floor sum, exactly."""
     if table is None or table.n < n:
         table = divisor_counts(n)
-    lhs = sum(table.d[1:n + 1])
-    return report_equal("divisor.identity", (n,), lhs, floor_sum(n))
-
-
-def divisor_identity_sweep(max_n: int) -> bool:
-    """Check the identity for every n <= max_n.
-
-    The divisor side comes from one sieve's prefix sums; the floor side is
-    recomputed per n with vectorized integer division (int64 is exact at
-    this scale), so the two sides never share code.
-    """
-    table = divisor_counts(max_n)
-    prefix = table.prefix_sums()
-    ks = np.arange(1, max_n + 1, dtype=np.int64)
-    for n in range(1, max_n + 1):
-        rhs = int(np.sum(n // ks[:n], dtype=np.int64))
-        if prefix[n] != rhs:
-            return False
-    return True
+    return report_equal("divisor.identity", (n,), int(table.totals[n]),
+                        floor_sum(n))
 
 
 def harmonic_numbers(max_n: int) -> list[Fraction]:
@@ -111,28 +83,8 @@ def divisor_average_bounds(n: int, table: DivisorTable | None = None,
         table = divisor_counts(n)
     if harmonic is None:
         harmonic = harmonic_numbers(n)[n]
-    avg = Fraction(sum(table.d[1:n + 1]), n)
+    avg = Fraction(int(table.totals[n]), n)
     lower = harmonic - 1
     return AverageBoundsReport(n, lower, avg, harmonic,
                                lower < avg <= harmonic)
 
-
-def divisor_bounds_sweep(max_n: int) -> tuple[bool, list[int]]:
-    """Sandwich check for every n <= max_n.
-
-    Returns (all_passed, ns_where_upper_bound_is_attained); the upper bound
-    is an equality only at n = 1.
-    """
-    table = divisor_counts(max_n)
-    prefix = table.prefix_sums()
-    attained = []
-    running_h = Fraction(0)
-    ok = True
-    for n in range(1, max_n + 1):
-        running_h += Fraction(1, n)
-        avg = Fraction(prefix[n], n)
-        if not (running_h - 1 < avg <= running_h):
-            ok = False
-        if avg == running_h:
-            attained.append(n)
-    return ok, attained

@@ -137,25 +137,6 @@ class LatticePolygon:
         ys = [p[1] for p in self.vertices]
         return min(xs), min(ys), max(xs), max(ys)
 
-    def contains_strictly(self, p: IntPoint) -> bool:
-        """Exact crossing-number test; p must not lie on the boundary."""
-        px, py = p
-        count = 0
-        for (x1, y1), (x2, y2) in self.edges():
-            if (y1 > py) != (y2 > py):
-                dx, dy = x2 - x1, y2 - y1
-                lhs = x1 * dy + (py - y1) * dx  # crossing x times dy
-                if dy > 0:
-                    if lhs > px * dy:
-                        count += 1
-                else:
-                    if lhs < px * dy:
-                        count += 1
-        return count % 2 == 1
-
-    def on_boundary(self, p: IntPoint) -> bool:
-        return any(_on_segment(p, a, b) for a, b in self.edges())
-
 
 def shoelace_area(p: LatticePolygon) -> Fraction:
     """Exact positive area from the vertex cross products."""

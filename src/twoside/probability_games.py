@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .analysis_brackets import geometric_series_sum
 from .exact_core import Bracket, DomainError, root_bracket
 from .rng import GAMMA, MASK64, SplitMix64
 from .report import PASS, IdentityReport, report_check, sigma_gate
@@ -129,14 +130,8 @@ def dice_series_bracket(terms: int) -> Bracket:
     """Partial sum of (1/6)(25/36)^k plus the exact geometric tail."""
     if terms < 0:
         raise DomainError("term count must be non-negative")
-    ratio = Fraction(25, 36)
-    partial = Fraction(0)
-    power = Fraction(1)
-    for _ in range(terms + 1):
-        partial += Fraction(1, 6) * power
-        power *= ratio
-    tail = Fraction(1, 6) * power / (1 - ratio)
-    return Bracket(partial, partial + tail)
+    return geometric_series_sum(Fraction(1, 6), Fraction(25, 36),
+                                terms).tail_bracket
 
 
 # --- the n-th head coin game -----------------------------------------------------

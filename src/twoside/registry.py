@@ -125,12 +125,16 @@ def _mixture(_: SuiteParams):
 # --- divisors ----------------------------------------------------------------------
 
 def _divisor_identity(params: SuiteParams):
+    if params.max_n < 1:  # nothing to sieve: `check` names the empty suite
+        return
     table = dv.divisor_counts(params.max_n)
-    return (dv.divisor_identity_check(n, table)
-            for n in range(1, params.max_n + 1))
+    for n in range(1, params.max_n + 1):
+        yield dv.divisor_identity_check(n, table)
 
 
 def _divisor_bounds(params: SuiteParams):
+    if params.max_n < 1:
+        return
     table = dv.divisor_counts(params.max_n)
     harmonics = dv.harmonic_numbers(params.max_n)
     for n in range(1, params.max_n + 1):

@@ -2,7 +2,8 @@
 
 Everything here recomputes a target value by a route disjoint from the
 package code: Machin's formula for pi, plain bisection for roots, trial
-division for divisor counts, the pentagonal recurrence for partitions,
+division for divisor counts, one Python division per term for floor sums,
+sums written out term by term, the pentagonal recurrence for partitions,
 matrix powers for Fibonacci.  Tests compare package output against these,
 never against the package's own formulas.
 """
@@ -61,6 +62,47 @@ def trial_division_divisor_count(k: int) -> int:
             count += 1 if d * d == k else 2
         d += 1
     return count
+
+
+def floor_sum_loop(n: int) -> int:
+    """n + [n/2] + ... + [n/n], one Python division per term."""
+    total = 0
+    for k in range(1, n + 1):
+        total += n // k
+    return total
+
+
+def literal_sum(kind: str, n: int) -> int:
+    """The counting side of the `sum.<kind>` identity at n, written out
+    term by term from scratch."""
+    if kind in ("triangular", "triangular_binom"):
+        return sum(range(1, n + 1))
+    if kind == "odd_square":
+        return sum(2 * i - 1 for i in range(1, n + 1))
+    if kind == "even":
+        return sum(2 * i for i in range(1, n + 1))
+    if kind == "updown":
+        return sum(range(1, n + 1)) + sum(range(n - 1, 0, -1))
+    if kind == "squares":
+        return sum(i * i for i in range(1, n + 1))
+    if kind == "cubes":
+        return sum(i ** 3 for i in range(1, n + 1))
+    if kind == "fib_squares":
+        total = 0
+        a, b = 1, 1
+        for _ in range(n):
+            total += a * a
+            a, b = b, a + b
+        return total
+    if kind == "adj_triangular":
+        return sum(range(1, n + 1)) + sum(range(1, n + 2))
+    if kind == "palindrome_odd":
+        return (sum(2 * i + 1 for i in range(0, n + 1))
+                + sum(2 * i + 1 for i in range(n - 1, -1, -1)))
+    if kind == "cube_layers":
+        return (sum(n * i for i in range(1, n + 1))
+                + sum(n * i for i in range(n - 1, 0, -1)))
+    raise ValueError(f"unknown sum kind {kind!r}")
 
 
 def fibonacci_matrix(n: int) -> int:

@@ -84,9 +84,15 @@ def test_criterion_03_pi_circle_cylinder():
 
 def test_criterion_04_divisors():
     with criterion(4, "divisor identity and harmonic sandwich", 5.0):
-        assert dv.divisor_identity_sweep(10 ** 4)
-        ok, attained = dv.divisor_bounds_sweep(10 ** 4)
-        assert ok
+        n_max = 10 ** 4
+        table = dv.divisor_counts(n_max)
+        harmonics = dv.harmonic_numbers(n_max)
+        for n in range(1, n_max + 1):
+            assert dv.divisor_identity_check(n, table).passed
+        bounds = [dv.divisor_average_bounds(n, table, harmonics[n])
+                  for n in range(1, n_max + 1)]
+        assert all(b.passed for b in bounds)
+        attained = [b.n for b in bounds if b.avg == b.upper]
         assert attained == [1, 2]  # upper bound attained only when all k | n
 
 

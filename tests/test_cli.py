@@ -102,6 +102,15 @@ class TestCheck:
             assert out == ""
             assert empty in err and "sum.even" not in err
 
+    def test_zero_max_n_names_each_empty_suite(self, capsys):
+        code, out, err = run_cli(capsys, "check", "sum.even",
+                                 "divisor.identity", "binom.colorings",
+                                 "--max-n", "0")
+        assert code == 2
+        assert out == ""
+        named = err.strip().split(": ", 1)[1].split(", ")
+        assert named == ["sum.even", "divisor.identity", "binom.colorings"]
+
     def test_check_all_with_no_trials_names_each_empty_suite(self, capsys):
         code, out, err = run_cli(capsys, "check", "all", "--trials", "0",
                                  "--max-n", "6")
@@ -179,6 +188,13 @@ class TestConverge:
         assert code == 2
         assert out == ""
         assert "--doublings" in err
+
+    @pytest.mark.parametrize("tol", [["--tol", "0"], ["--tol=-1/10"]])
+    def test_tolerance_not_positive_exit_2(self, capsys, tol):
+        code, out, err = run_cli(capsys, "converge", "pi", *tol)
+        assert code == 2
+        assert out == ""
+        assert "tolerance must be positive" in err
 
 
 class TestDedicatedCommands:

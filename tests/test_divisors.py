@@ -2,12 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from twoside.divisors import (divisor_average_bounds, divisor_bounds_sweep,
-                              divisor_counts, divisor_identity_check,
-                              divisor_identity_sweep, floor_sum,
+from twoside.divisors import (divisor_average_bounds, divisor_counts,
+                              divisor_identity_check, floor_sum,
                               harmonic_numbers)
 from twoside.exact_core import DomainError
-from oracles import trial_division_divisor_count
+from oracles import floor_sum_loop, trial_division_divisor_count
 
 
 class TestDivisorCounts:
@@ -18,7 +17,7 @@ class TestDivisorCounts:
         assert divisor_counts(6).d[1:] == (1, 2, 2, 3, 2, 4)
 
     def test_twelve(self):
-        assert divisor_counts(12).count(12) == 6
+        assert divisor_counts(12).d[12] == 6
 
     def test_sieve_equals_trial_division(self):
         table = divisor_counts(2000)
@@ -43,9 +42,18 @@ class TestIdentity:
     def test_floor_sum_direct(self):
         assert floor_sum(6) == 14
         assert floor_sum(1) == 1
+        with pytest.raises(DomainError):
+            floor_sum(0)
+
+    def test_floor_sum_matches_loop(self):
+        for n in range(1, 3001):
+            assert floor_sum(n) == floor_sum_loop(n)
+        assert floor_sum(300_000) == floor_sum_loop(300_000)
 
     def test_sweep_small(self):
-        assert divisor_identity_sweep(2000)
+        table = divisor_counts(2000)
+        for n in range(1, 2001):
+            assert divisor_identity_check(n, table).passed
 
 
 class TestAverageBounds:
@@ -67,8 +75,12 @@ class TestAverageBounds:
         assert hs[1] == 1
 
     def test_sandwich_to_1000(self):
-        ok, attained = divisor_bounds_sweep(1000)
-        assert ok
+        table = divisor_counts(1000)
+        harmonics = harmonic_numbers(1000)
+        reports = [divisor_average_bounds(n, table, harmonics[n])
+                   for n in range(1, 1001)]
+        assert all(r.passed for r in reports)
+        attained = [r.n for r in reports if r.avg == r.upper]
         # Equality in the upper bound needs every k <= n to divide n, which
         # happens at n = 1 and n = 2 and never again.
         assert attained == [1, 2]

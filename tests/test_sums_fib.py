@@ -3,7 +3,7 @@ import pytest
 from twoside.exact_core import DomainError
 from twoside.sums_fib import (SumKind, fib_betweenness, fibonacci,
                               sum_identity_check, sum_identity_sweep)
-from oracles import fibonacci_matrix
+from oracles import fibonacci_matrix, literal_sum
 
 
 class TestFibonacci:
@@ -52,13 +52,18 @@ class TestSumIdentities:
 
     @pytest.mark.parametrize("kind", list(SumKind))
     def test_sweep_matches_single_checks(self, kind):
-        reports = sum_identity_sweep(kind, 50)
-        assert len(reports) == 50
-        for n in (1, 2, 17, 50):
+        reports = sum_identity_sweep(kind, 100)
+        assert len(reports) == 100
+        for n, swept in enumerate(reports, start=1):
             single = sum_identity_check(kind, n)
-            swept = reports[n - 1]
-            assert swept.lhs == single.lhs and swept.rhs == single.rhs
+            assert swept.params == single.params == (n,)
+            assert swept.lhs == single.lhs == literal_sum(kind.value, n)
+            assert swept.rhs == single.rhs
             assert swept.passed and single.passed
+
+    @pytest.mark.parametrize("max_n", [0, -3])
+    def test_empty_sweep(self, max_n):
+        assert sum_identity_sweep(SumKind.EVEN, max_n) == []
 
     def test_palindrome_matches_listed_rows(self):
         # 1+3+1 = 1^2+2^2, 1+3+5+3+1 = 2^2+3^2, 1+3+5+7+5+3+1 = 3^2+4^2
