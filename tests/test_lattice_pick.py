@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,52 @@ class TestTriangulation:
     def test_unknown_order(self):
         with pytest.raises(DomainError):
             empty_triangulation(UNIT_SQUARE, order="random")
+
+
+#: sha256 of repr(report.triangles) per (polygon, order), recorded before the
+#: split-point choice and the emptiness count were rewritten; any change in
+#: which triangles come out, or in their order, changes a digest.
+TRIANGLE_PINS = {
+    ("figure", "boundary_first"):
+        "08d92efedc9d0ae77d0e5f12628d3425cf12db8aac9bf568735fe56cf73dd1eb",
+    ("figure", "interior_first"):
+        "6e43dd14c37041285f7d4e43252d36886f7e2c78e75d9bc279e38e015d58c22c",
+    ((42, 20), "boundary_first"):
+        "267c9018f5602c2b1f70482a752a7bb9f70fc86b2d7652b4e83d89dc16aee975",
+    ((42, 20), "interior_first"):
+        "1ef7618814b2f1a22ad02cc80f127ac0b62faa8f84dd65f9618bbd4840db98f3",
+    ((777, 20), "boundary_first"):
+        "589834aea8ec71cccd3a8ec904e3a2c82a3009b8b9ca893393b7d49f21fd6831",
+    ((777, 20), "interior_first"):
+        "85a44de2a5812db91186a700b39a35255bf7ae7705eaa2cc33697bcd2102513e",
+    ((2024, 20), "boundary_first"):
+        "9d466e221cf6949d5b1282fad31a8b494023953b5bebbaa7c11f12401b03e749",
+    ((2024, 20), "interior_first"):
+        "2ba93a345924186c011dd9765b65046651c64fb739f827147252532d58585a79",
+    ((1, 8), "boundary_first"):
+        "2b3b9193bcb6e67d865b1c9adb3637789bd6f1ed1bb76a29998ebd6abd263b3f",
+    ((1, 8), "interior_first"):
+        "1e4a1169812d0c48d162a637b9a25ac4c0e663d19be013a47b2bf93a593e7ca2",
+    ((9, 8), "boundary_first"):
+        "30cd48670e98e20582991d81e23aea816f1bf0358820671aed5c5d36b29d5600",
+    ((9, 8), "interior_first"):
+        "79cce4f5e4d19a7057c4cdcff11d8a0475f4232e5ef0183026f70666d87c594f",
+    ((31, 8), "boundary_first"):
+        "9e2e4414ec0b5bb3b08c086c770e88e19538b5aa2b5b4d58681bb65b02605477",
+    ((31, 8), "interior_first"):
+        "69e4ac40987d1506a9362cedadbbd3842d33652bdc04b1d5cf34b21947373f72",
+}
+
+
+@pytest.mark.parametrize("source, order", TRIANGLE_PINS,
+                         ids=[f"{s if s == 'figure' else '%d@%d' % s}-{o}"
+                              for s, o in TRIANGLE_PINS])
+def test_triangles_pinned(source, order):
+    poly = (LatticePolygon(FIGURE_VERTICES) if source == "figure"
+            else random_lattice_polygon(*source))
+    report = empty_triangulation(poly, order)
+    digest = hashlib.sha256(repr(report.triangles).encode()).hexdigest()
+    assert digest == TRIANGLE_PINS[source, order]
 
 
 class TestGenerator:
