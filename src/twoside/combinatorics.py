@@ -302,15 +302,3 @@ def partition_duality_reports(n: int) -> list[IdentityReport]:
     """`partition_duality_check(n, k)` for k = 1..n from one enumeration."""
     pairs = _conjugate_pairs(n)
     return [_duality_report(n, k, pairs) for k in range(1, n + 1)]
-
-
-def partition_count(n: int) -> int:
-    """p(n) by the bounded-part recurrence, independent of enumeration."""
-    if n < 0:
-        raise DomainError("n must be non-negative")
-    # ways[m] = partitions of m with parts <= current bound
-    ways = [1] + [0] * n
-    for part in range(1, n + 1):
-        for m in range(part, n + 1):
-            ways[m] += ways[m - part]
-    return ways[n]

@@ -1,12 +1,15 @@
 """Divisor-count identity and exact harmonic average bounds.
 
-The divisor table is built by a sieve (each i increments its multiples);
-the identity side sums floor(n/k) by an independent code path.  Harmonic
+The divisor table is built by a sieve over divisor pairs: each i <= sqrt(n)
+counts itself and its cofactor m/i for every multiple m >= i*i, so each
+divisor of m is counted once; the identity side sums floor(n/k) by an
+independent code path.  Harmonic
 numbers are kept as exact rationals so the strict lower bound stays strict.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,12 +30,17 @@ class DivisorTable:
 
 
 def divisor_counts(n: int) -> DivisorTable:
-    """Sieve of divisor counts: for each i, bump d[i], d[2i], ..."""
+    """Sieve of divisor counts in isqrt(n) slice operations.
+
+    A multiple m >= i*i of i has the divisor pair (i, m/i) with i <= m/i;
+    the pair adds 2 to d[m], or 1 when m = i*i and both are the same.
+    """
     if n < 1:
         raise DomainError("n must be a positive integer")
     d = np.zeros(n + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        d[i::i] += 1
+    for i in range(1, math.isqrt(n) + 1):
+        d[i * i::i] += 2
+        d[i * i] -= 1
     return DivisorTable(n, tuple(d.tolist()), np.cumsum(d))
 
 

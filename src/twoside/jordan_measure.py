@@ -2,11 +2,13 @@
 
 A region's bounding box is cut into an n-per-unit grid anchored at the
 box's lower-left corner.  Cells lying entirely in the open interior feed
-the inner sum; cells meeting the closed region feed the outer sum.  All
-classification happens in exact rational arithmetic, row by row: within one
-row of cells the admissible column indices form an interval whose ends are
-found with integer square roots (disk) or exact line intersections
-(polygon), so no cell is ever tested with approximate geometry.
+the inner sum; cells meeting the closed region feed the outer sum.  Rows
+are classified in scaled integers: each call multiplies the region's
+coordinates, taken relative to the box corner, by n times the lcm of their
+denominators, so every vertex, centre and radius is an integer.  Within one
+row the admissible column indices form an interval whose ends come from
+integer floor/ceil division and `math.isqrt` (disk) or exact line
+crossings (polygon), so no cell is ever tested with approximate geometry.
 """
 
 from __future__ import annotations
@@ -80,165 +82,111 @@ class ConvexPolygon:
 Region = Disk | ConvexPolygon
 
 
-# --- exact index-range helpers -------------------------------------------------
+# --- row classification in scaled integers --------------------------------------
+#
+# Scaled by n*L from the bounding-box corner, cell (i, j) is the square
+# [L*i, L*(i+1)] x [L*j, L*(j+1)] and row j the slab L*j <= Y <= L*(j+1).
 
-def _int_above(x: Fraction) -> int:
-    """Smallest integer strictly greater than x."""
-    return x.numerator // x.denominator + 1
-
-
-def _int_below(x: Fraction) -> int:
-    """Largest integer strictly less than x."""
-    return -((-x).numerator // (-x).denominator) - 1
-
-
-def _floor_add_sqrt(u: Fraction, b: Fraction) -> int:
-    """floor(u + sqrt(b)) for rational u and rational b >= 0, exact.
-
-    An integer-sqrt guess is corrected by the exact predicate
-    i <= u + sqrt(b)  <=>  i <= u or (i - u)^2 <= b.
-    """
-    if b < 0:
-        raise DomainError("negative radicand")
-    s = math.isqrt(b.numerator * b.denominator)
-    cand = (u.numerator * b.denominator
-            + u.denominator * s) // (u.denominator * b.denominator)
-
-    def ok(i: int) -> bool:
-        diff = i - u
-        return diff <= 0 or diff * diff <= b
-
-    while ok(cand + 1):
-        cand += 1
-    while not ok(cand):
-        cand -= 1
-    return cand
+def _scale(values, n: int) -> tuple[list[int], int]:
+    """The rationals times n*L as integers, and L."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) * n for v in values], scale
 
 
-def _ceil_sub_sqrt(u: Fraction, b: Fraction) -> int:
-    """Smallest integer >= u - sqrt(b)."""
-    return -_floor_add_sqrt(-u, b)
-
-
-# --- row classification ---------------------------------------------------------
-
-def _disk_row_counts(disk: Disk, n: int, x0: Fraction, cols: int,
-                     y_lo: Fraction, y_hi: Fraction) -> tuple[int, int]:
-    (cx, cy), r = disk.center, disk.radius
+def _disk_counts(disk: Disk, n: int) -> tuple[int, int]:
+    (r,), scale = _scale([disk.radius], n)
+    c = r                        # the centre sits at (r, r) from the corner
     r_sq = r * r
-    if cy < y_lo:
-        near = y_lo - cy
-    elif cy > y_hi:
-        near = cy - y_hi
-    else:
-        near = Fraction(0)
-    far = max(abs(y_lo - cy), abs(y_hi - cy))
-    # Column indices in grid units: cell i spans [i, i+1] of scaled x.
-    u = (cx - x0) * n
-    outer = 0
-    reach_sq = (r_sq - near * near) * n * n
-    if reach_sq >= 0:
-        i_hi = min(cols - 1, _floor_add_sqrt(u, reach_sq))
-        i_lo = max(0, _ceil_sub_sqrt(u, reach_sq) - 1)
-        if i_hi >= i_lo:
-            outer = i_hi - i_lo + 1
-    inner = 0
-    core_sq = (r_sq - far * far) * n * n
-    if core_sq > 0:
-        lo_guess = _floor_add_sqrt(-u, core_sq)   # floor(sqrt - u) bounds -i
-        i_min = max(0, -lo_guess)
-        i_max = min(cols - 1, _floor_add_sqrt(u, core_sq))
-
-        def strictly_inside(i: int) -> bool:
-            return ((i - u) * (i - u) < core_sq
-                    and (i + 1 - u) * (i + 1 - u) < core_sq)
-
-        while i_min <= i_max and not strictly_inside(i_min):
-            i_min += 1
-        while i_max >= i_min and not strictly_inside(i_max):
-            i_max -= 1
-        if i_max >= i_min:
-            inner = i_max - i_min + 1
-    return inner, outer
-
-
-def _slab_x_extent(poly: ConvexPolygon, y_lo: Fraction,
-                   y_hi: Fraction) -> tuple[Fraction, Fraction] | None:
-    """x-range of the polygon clipped to the closed slab y in [y_lo, y_hi]."""
-    pts = list(poly.vertices)
-    for keep_low in (True, False):
-        bound = y_lo if keep_low else y_hi
-        clipped: list[Point] = []
-        m = len(pts)
-        for i in range(m):
-            ax, ay = pts[i]
-            bx, by = pts[(i + 1) % m]
-            a_in = ay >= bound if keep_low else ay <= bound
-            b_in = by >= bound if keep_low else by <= bound
-            if a_in:
-                clipped.append((ax, ay))
-            if a_in != b_in:
-                t = (bound - ay) / (by - ay)
-                clipped.append((ax + t * (bx - ax), bound))
-        pts = clipped
-        if not pts:
-            return None
-    xs = [p[0] for p in pts]
-    return min(xs), max(xs)
-
-
-def _open_cross_section(poly: ConvexPolygon,
-                        y: Fraction) -> tuple[Fraction, Fraction] | None:
-    """Open interval (l, r) with (x, y) strictly inside iff l < x < r."""
-    lower: Fraction | None = None
-    upper: Fraction | None = None
-    pts = poly.vertices
-    m = len(pts)
-    for i in range(m):
-        px, py = pts[i]
-        qx, qy = pts[(i + 1) % m]
-        dy = qy - py
-        # strict interior requires (qx-px)(y-py) - dy(x-px) > 0
-        if dy == 0:
-            if (qx - px) * (y - py) <= 0:
-                return None
-            continue
-        x_cross = px + (qx - px) * (y - py) / dy
-        if dy > 0:
-            upper = x_cross if upper is None else min(upper, x_cross)
-        else:
-            lower = x_cross if lower is None else max(lower, x_cross)
-    if lower is None or upper is None or lower >= upper:
-        return None
-    return lower, upper
-
-
-def _poly_row_counts(poly: ConvexPolygon, n: int, x0: Fraction, cols: int,
-                     y_lo: Fraction, y_hi: Fraction) -> tuple[int, int]:
-    outer = 0
-    extent = _slab_x_extent(poly, y_lo, y_hi)
-    if extent is not None:
-        a = (extent[0] - x0) * n
-        b = (extent[1] - x0) * n
-        # cell [i, i+1] meets [a, b] iff i <= b and i + 1 >= a
-        i_lo = max(0, math.ceil(a) - 1)
-        i_hi = min(cols - 1, math.floor(b))
-        if i_hi >= i_lo:
-            outer = i_hi - i_lo + 1
-    inner = 0
-    top = _open_cross_section(poly, y_hi)
-    bottom = _open_cross_section(poly, y_lo)
-    if top is not None and bottom is not None:
-        left = max(top[0], bottom[0])
-        right = min(top[1], bottom[1])
-        if left < right:
-            a = (left - x0) * n
-            b = (right - x0) * n
-            i_min = max(0, _int_above(a))          # need i > a
-            i_max = min(cols - 1, _int_below(b) - 1)  # need i + 1 < b
+    cols = rows = -(-2 * r // scale)
+    inner_cells = outer_cells = 0
+    for j in range(rows):
+        y_lo = scale * j - c
+        y_hi = y_lo + scale
+        near = y_lo if y_lo > 0 else (-y_hi if y_hi < 0 else 0)
+        far = max(-y_lo, y_hi)
+        reach_sq = r_sq - near * near
+        if reach_sq >= 0:
+            # cell i meets the disk iff L*i <= c + s and L*(i+1) >= c - s,
+            # s = sqrt(reach_sq); floor(c + s) = c + isqrt(reach_sq)
+            s = math.isqrt(reach_sq)
+            i_hi = min(cols - 1, (c + s) // scale)
+            i_lo = max(0, -((s - c) // scale) - 1)
+            if i_hi >= i_lo:
+                outer_cells += i_hi - i_lo + 1
+        core_sq = r_sq - far * far
+        if core_sq > 0:
+            # integer w has w^2 < core_sq iff |w| <= isqrt(core_sq - 1)
+            t = math.isqrt(core_sq - 1)
+            i_min = max(0, -((t - c) // scale))
+            i_max = min(cols - 1, (c + t) // scale - 1)
             if i_max >= i_min:
-                inner = i_max - i_min + 1
-    return inner, outer
+                inner_cells += i_max - i_min + 1
+    return inner_cells, outer_cells
+
+
+def _poly_counts(poly: ConvexPolygon, n: int) -> tuple[int, int]:
+    x0, y0, _, _ = poly.bounding_box()
+    coords, scale = _scale([v - o for p in poly.vertices
+                            for v, o in zip(p, (x0, y0))], n)
+    xs, ys = coords[0::2], coords[1::2]
+    width, height = max(xs), max(ys)
+    cols = -(-width // scale)
+    rows = -(-height // scale)
+    m = len(xs)
+    # A non-horizontal edge, taken upwards from (px, py) to (qx, qy), meets
+    # the line Y = y at X = (a + b*y) / (qy - py); its entry keeps
+    # d = (qy - py) * L, so that (a + b*y) / d is X in cell widths.
+    edges = []
+    for k in range(m):
+        px, py, qx, qy = xs[k], ys[k], xs[(k + 1) % m], ys[(k + 1) % m]
+        if py > qy:
+            px, py, qx, qy = qx, qy, px, py
+        if py < qy:
+            edges.append((py, qy, px * (qy - py) - (qx - px) * py, qx - px,
+                          (qy - py) * scale))
+
+    def cross_section(y: int) -> tuple[int, int, int, int]:
+        """floor(l/L), ceil(l/L), floor(r/L), ceil(r/L) for the closed
+        cross-section [l, r] on the line Y = y."""
+        floors, ceils = [], []
+        for lo, hi, a, b, d in edges:
+            if lo <= y <= hi:
+                num = a + b * y
+                floors.append(num // d)
+                ceils.append(-(-num // d))
+        return min(floors), min(ceils), max(floors), max(ceils)
+
+    # Vertices strictly between two grid lines, by row: they may reach
+    # further out than either line.
+    between: dict[int, list[int]] = {}
+    for x, y in zip(xs, ys):
+        if y % scale:
+            between.setdefault(y // scale, []).append(x)
+    inner_cells = outer_cells = 0
+    below = cross_section(0)
+    for j in range(rows):
+        # row j's closed slab runs from the line Y = L*j to Y = L*(j+1),
+        # the top one clipped to the polygon
+        above = cross_section(min(scale * (j + 1), height))
+        ceil_left = min(below[1], above[1])
+        floor_right = max(below[2], above[2])
+        for x in between.get(j, ()):
+            ceil_left = min(ceil_left, -(-x // scale))
+            floor_right = max(floor_right, x // scale)
+        # outer: cell i meets the slab's [l, r] iff L*(i+1) >= l, L*i <= r
+        i_lo = max(0, ceil_left - 1)
+        i_hi = min(cols - 1, floor_right)
+        if i_hi >= i_lo:
+            outer_cells += i_hi - i_lo + 1
+        # inner: both lines cut the open interior, and the cell lies
+        # strictly inside both cross-sections: L*i > l, L*(i+1) < r
+        if 0 < scale * j and scale * (j + 1) < height:
+            i_min = max(0, max(below[0], above[0]) + 1)
+            i_max = min(cols - 1, min(below[3], above[3]) - 2)
+            if i_max >= i_min:
+                inner_cells += i_max - i_min + 1
+        below = above
+    return inner_cells, outer_cells
 
 
 # --- public operations -----------------------------------------------------------
@@ -247,20 +195,10 @@ def jordan_bracket(region: Region, n: int) -> Bracket:
     """[inner grid area, outer grid area] on the 1/n grid."""
     if n < 1:
         raise DomainError("grid refinement n must be a positive integer")
-    x0, y0, x1, y1 = region.bounding_box()
-    cols = math.ceil((x1 - x0) * n)
-    rows = math.ceil((y1 - y0) * n)
-    inner_cells = 0
-    outer_cells = 0
-    for j in range(rows):
-        y_lo = y0 + Fraction(j, n)
-        y_hi = y0 + Fraction(j + 1, n)
-        if isinstance(region, Disk):
-            inner, outer = _disk_row_counts(region, n, x0, cols, y_lo, y_hi)
-        else:
-            inner, outer = _poly_row_counts(region, n, x0, cols, y_lo, y_hi)
-        inner_cells += inner
-        outer_cells += outer
+    if isinstance(region, Disk):
+        inner_cells, outer_cells = _disk_counts(region, n)
+    else:
+        inner_cells, outer_cells = _poly_counts(region, n)
     cell_area = Fraction(1, n * n)
     return Bracket(inner_cells * cell_area, outer_cells * cell_area)
 

@@ -3,6 +3,12 @@
 Every predicate is exact integer arithmetic (orientation by cross products,
 point-on-segment by collinearity plus box tests); there are no epsilons and
 no floats anywhere.  Areas are rationals with denominator at most 2.
+
+The empty triangulation keeps each triangle's lattice points sorted onto
+its three edges and its interior, so the next split point is read off those
+lists and a split re-tests only the points it can move.  Whether the
+finished triangles are empty is then counted, column by column in integer
+floor/ceil division, never inferred from their areas.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import product
 
 from .exact_core import DomainError
 from .report import IdentityReport, report_check
@@ -222,44 +229,118 @@ def _points_in_triangle(t: Triangle, candidates) -> list[IntPoint]:
     return out
 
 
-def _distribute(pieces: list[Triangle], points) -> list[list[IntPoint]]:
-    """Assign each point to every closed piece containing it.
+#: A triangle's lattice points other than its vertices: those on its edges
+#: a-b, b-c and c-a, then those strictly inside it.
+Contained = tuple[list[IntPoint], list[IntPoint], list[IntPoint],
+                  list[IntPoint]]
 
-    A point strictly inside one piece cannot touch any other, so the scan
-    short-circuits there; points on shared edges land in both neighbors.
-    """
-    sides = []
-    for (ax, ay), (bx, by), (cx, cy) in pieces:
-        sides.append((ax, ay, bx - ax, by - ay, bx, by, cx - bx, cy - by,
-                      cx, cy, ax - cx, ay - cy))
-    buckets: list[list[IntPoint]] = [[] for _ in pieces]
-    for pt in points:
+
+def _classify(t: Triangle) -> Contained:
+    """The triangle's points, found by testing every point of its box."""
+    (ax, ay), (bx, by), (cx, cy) = t
+    contained: Contained = ([], [], [], [])
+    box = product(range(min(ax, bx, cx), max(ax, bx, cx) + 1),
+                  range(min(ay, by, cy), max(ay, by, cy) + 1))
+    for pt in box:
         px, py = pt
-        for idx, (ax, ay, abx, aby, bx, by, bcx, bcy,
-                  cx, cy, cax, cay) in enumerate(sides):
-            d1 = abx * (py - ay) - aby * (px - ax)
-            if d1 < 0:
-                continue
-            d2 = bcx * (py - by) - bcy * (px - bx)
-            if d2 < 0:
-                continue
-            d3 = cax * (py - cy) - cay * (px - cx)
-            if d3 < 0:
-                continue
-            if pt not in pieces[idx]:
-                buckets[idx].append(pt)
-            if d1 > 0 and d2 > 0 and d3 > 0:
-                break
-    return buckets
+        d0 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+        d1 = (cx - bx) * (py - by) - (cy - by) * (px - bx)
+        d2 = (ax - cx) * (py - cy) - (ay - cy) * (px - cx)
+        if d0 < 0 or d1 < 0 or d2 < 0:
+            continue
+        if d0 and d1 and d2:
+            contained[3].append(pt)
+        elif (d0 == 0) + (d1 == 0) + (d2 == 0) == 1:   # a vertex has two
+            contained[0 if d0 == 0 else 1 if d1 == 0 else 2].append(pt)
+    return contained
 
 
-def _triangle_lattice_points(t: Triangle) -> list[IntPoint]:
-    xs = [v[0] for v in t]
-    ys = [v[1] for v in t]
-    candidates = [(x, y)
-                  for x in range(min(xs), max(xs) + 1)
-                  for y in range(min(ys), max(ys) + 1)]
-    return _points_in_triangle(t, candidates)
+def _split(t: Triangle, contained: Contained, p: IntPoint,
+           edge: int | None) -> list[tuple[Triangle, Contained]]:
+    """The pieces of t split at its point p, each with its own points.
+
+    A point on edge `edge` splits that edge into two pieces; an interior
+    point (edge None) fans t into three.  The parent's edge points pass to
+    the piece sharing that edge, so only its interior points, and the edge
+    points beside p, are tested again.
+    """
+    px, py = p
+    if edge is None:
+        # piece k = (v_k, v_k+1, p) holds q iff u_k >= 0 >= u_k+1, where
+        # u_k = cross(p, v_k, q); u_k+1 = 0 puts q on the piece's edge
+        # v_k+1-p, u_k = 0 on its edge p-v_k
+        fans: list[Contained] = [(contained[k], [], [], []) for k in range(3)]
+        (w0x, w0y), (w1x, w1y), (w2x, w2y) = [(vx - px, vy - py)
+                                              for vx, vy in t]
+        for q in contained[3]:
+            if q == p:
+                continue
+            qx, qy = q[0] - px, q[1] - py
+            u0 = w0x * qy - w0y * qx
+            u1 = w1x * qy - w1y * qx
+            u2 = w2x * qy - w2y * qx
+            if u0 >= 0 >= u1:
+                fans[0][1 if u1 == 0 else 2 if u0 == 0 else 3].append(q)
+            if u1 >= 0 >= u2:
+                fans[1][1 if u2 == 0 else 2 if u1 == 0 else 3].append(q)
+            if u2 >= 0 >= u0:
+                fans[2][1 if u0 == 0 else 2 if u2 == 0 else 3].append(q)
+        return [((t[k], t[(k + 1) % 3], p), fans[k]) for k in range(3)]
+    # p on edge u-v of (u, v, w): pieces (u, p, w) and (p, v, w)
+    u, v, w = t[edge], t[(edge + 1) % 3], t[(edge + 2) % 3]
+    first: Contained = ([], [], contained[(edge + 2) % 3], [])
+    second: Contained = ([], contained[(edge + 1) % 3], [], [])
+    ux, uy = u[0] - px, u[1] - py
+    for q in contained[edge]:
+        if q != p:
+            toward_u = (q[0] - px) * ux + (q[1] - py) * uy > 0
+            (first if toward_u else second)[0].append(q)
+    wx, wy = w[0] - px, w[1] - py
+    for q in contained[3]:
+        side = wx * (q[1] - py) - wy * (q[0] - px)
+        if side > 0:
+            first[3].append(q)
+        elif side < 0:
+            second[3].append(q)
+        else:                              # on the new edge p-w
+            first[1].append(q)
+            second[2].append(q)
+    return [((u, p, w), first), ((p, v, w), second)]
+
+
+def _contained_count(t: Triangle) -> int:
+    """Lattice points in the closed triangle, its three vertices excluded.
+
+    Counted column by column: with the vertices sorted a <= b <= c, column
+    x holds the integers y between the line a-c and the chain a-b-c, from
+    the ceiling of the lower line to the floor of the upper one.  Each
+    crossing is a numerator over a positive x-step, kept in Python ints.
+    """
+    (ax, ay), (bx, by), (cx, cy) = sorted(t)
+    long_dx, long_dy = cx - ax, cy - ay
+    chain_above = long_dx * (by - ay) - long_dy * (bx - ax) > 0
+    # a-b covers columns [ax, bx); b-c covers [bx, cx], or a-b does when
+    # b-c is vertical
+    second = (bx, by, cx, cy) if bx < cx else (ax, ay, bx, by)
+    total = 0
+    for (px, py, qx, qy), x_from, x_to in (((ax, ay, bx, by), ax, bx),
+                                           (second, bx, cx + 1)):
+        # y on the line a-c is long_num / long_dx, on p-q it is num / dx
+        long_num = ay * long_dx + long_dy * (x_from - ax)
+        dx, dy = qx - px, qy - py
+        num = py * dx + dy * (x_from - px)
+        if chain_above:
+            lo, lo_dx, lo_dy, hi, hi_dx, hi_dy = (long_num, long_dx, long_dy,
+                                                  num, dx, dy)
+        else:
+            lo, lo_dx, lo_dy, hi, hi_dx, hi_dy = (num, dx, dy,
+                                                  long_num, long_dx, long_dy)
+        for _ in range(x_from, x_to):
+            # floor(upper) - ceil(lower) + 1 >= 0 as upper >= lower
+            total += hi // hi_dx + (-lo // lo_dx) + 1
+            lo += lo_dy
+            hi += hi_dy
+    return total - 3
 
 
 def _ear_clip(poly: LatticePolygon) -> list[Triangle]:
@@ -290,17 +371,6 @@ def _ear_clip(poly: LatticePolygon) -> list[Triangle]:
     return triangles
 
 
-def _split_triangle(t: Triangle, p: IntPoint) -> list[Triangle]:
-    a, b, c = t
-    if _cross(a, b, p) == 0:
-        return [(a, p, c), (p, b, c)]
-    if _cross(b, c, p) == 0:
-        return [(b, p, a), (p, c, a)]
-    if _cross(c, a, p) == 0:
-        return [(c, p, b), (p, a, b)]
-    return [(a, b, p), (b, c, p), (c, a, p)]
-
-
 @dataclass(frozen=True)
 class TriangulationReport:
     triangles: tuple[Triangle, ...]
@@ -324,34 +394,33 @@ def empty_triangulation(p: LatticePolygon,
     point is chosen by `order` ("boundary_first": boundary points before
     interior, lexicographically smallest first; "interior_first": the
     reverse) and the final count must not depend on that choice.
+    `all_empty` counts the lattice points of every finished triangle.
     """
     if order not in ("boundary_first", "interior_first"):
         raise DomainError(f"unknown refinement order {order!r}")
-    work = [(t, _triangle_lattice_points(t)) for t in _ear_clip(p)]
+    work = [(t, _classify(t)) for t in _ear_clip(p)]
     finished: list[Triangle] = []
     while work:
         triangle, contained = work.pop()
-        if not contained:
+        on_edges = [(points, k) for k, points in enumerate(contained[:3])
+                    if points]
+        inside = contained[3]
+        if not on_edges and not inside:
             finished.append(triangle)
             continue
-        def keyed(pt):
-            on_edge = (_cross(triangle[0], triangle[1], pt) == 0
-                       or _cross(triangle[1], triangle[2], pt) == 0
-                       or _cross(triangle[2], triangle[0], pt) == 0)
-            return (not on_edge, pt)
         if order == "boundary_first":
-            split_at = min(contained, key=keyed)
+            split_at, edge = (min((min(points), k) for points, k in on_edges)
+                              if on_edges else (min(inside), None))
         else:
-            split_at = max(contained, key=keyed)
-        rest = [q for q in contained if q != split_at]
-        pieces = _split_triangle(triangle, split_at)
-        work.extend(zip(pieces, _distribute(pieces, rest)))
+            split_at, edge = (max(inside), None) if inside else max(
+                (max(points), k) for points, k in on_edges)
+        work.extend(_split(triangle, contained, split_at, edge))
     h = boundary_count(p)
     b = interior_count(p)
     expected = h + 2 * b - 2
     doubled = [_doubled_area(t) for t in finished]
     all_half = all(d == 1 for d in doubled)
-    all_empty = all(not _triangle_lattice_points(t) for t in finished)
+    all_empty = not any(map(_contained_count, finished))
     area_total = Fraction(sum(doubled), 2)
     area_check = area_total == shoelace_area(p)
     return TriangulationReport(tuple(finished), len(finished), expected,

@@ -286,11 +286,6 @@ def builtin_identities() -> dict[str, tuple[Expr, Expr, tuple[str, ...]]]:
     }
 
 
-def run_builtin_suite() -> list[IdentityReport]:
-    return [identity_check(lhs, rhs, vs, suite=name)
-            for name, (lhs, rhs, vs) in builtin_identities().items()]
-
-
 # --- geometry-flavoured algebra checks ---------------------------------------
 
 def pythagoras_rearrangement_check() -> IdentityReport:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .analysis_brackets import geometric_series_sum
 from .exact_core import Bracket, DomainError, root_bracket
-from .rng import GAMMA, MASK64, SplitMix64
+from .rng import GAMMA, MASK64
 from .report import PASS, IdentityReport, report_check, sigma_gate
 
 __all__ = [
@@ -298,35 +298,6 @@ def monte_carlo_coin(n: int, trials: int, seed: int) -> int:
             if starter_turn:
                 hits += int(np.count_nonzero(done))
             active = active[~done]
-            starter_turn = not starter_turn
-    return hits
-
-
-def reference_monte_carlo_dice(trials: int, seed: int) -> int:
-    """Pure-Python restatement of monte_carlo_dice, for crosschecking."""
-    hits = 0
-    for t in range(trials):
-        rng = SplitMix64((seed & MASK64) ^ t)
-        starter_turn = True
-        while True:
-            if rng.below(6) == 5:
-                hits += starter_turn
-                break
-            starter_turn = not starter_turn
-    return hits
-
-
-def reference_monte_carlo_coin(n: int, trials: int, seed: int) -> int:
-    hits = 0
-    for t in range(trials):
-        rng = SplitMix64((seed & MASK64) ^ t)
-        heads = 0
-        starter_turn = True
-        while True:
-            heads += rng.coin_bit()
-            if heads == n:
-                hits += starter_turn
-                break
             starter_turn = not starter_turn
     return hits
 

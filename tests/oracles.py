@@ -2,15 +2,24 @@
 
 Everything here recomputes a target value by a route disjoint from the
 package code: Machin's formula for pi, plain bisection for roots, trial
-division for divisor counts, one Python division per term for floor sums,
-sums written out term by term, the pentagonal recurrence for partitions,
-matrix powers for Fibonacci.  Tests compare package output against these,
-never against the package's own formulas.
+division and a one-slice-per-divisor sieve for divisor counts, one Python
+division per term for floor sums, sums written out term by term, the
+pentagonal and bounded-part recurrences for partitions, matrix powers for
+Fibonacci, Jordan rows classified in Fractions, triangles scanned point by
+point, and pure-Python restatements of the numpy simulations.  Tests
+compare package output against these, never against the package's own
+formulas.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+import numpy as np
+
+from twoside.polyform import builtin_identities, identity_check
+from twoside.rng import MASK64, SplitMix64
 
 
 def arctan_bracket(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
@@ -168,3 +177,255 @@ def shoelace_rational(vertices) -> Fraction:
         x2, y2 = vertices[(i + 1) % n]
         total += Fraction(x1) * Fraction(y2) - Fraction(x2) * Fraction(y1)
     return abs(total) / 2
+
+
+# --- Jordan grid brackets in rational arithmetic -------------------------------
+#
+# The row classifier jordan_measure used before it moved to scaled integers:
+# every row is cut out in Fraction arithmetic, by clipping the polygon to the
+# row's slab or by exact square-root bounds for the disk.
+
+def _int_above(x: Fraction) -> int:
+    """Smallest integer strictly greater than x."""
+    return x.numerator // x.denominator + 1
+
+
+def _int_below(x: Fraction) -> int:
+    """Largest integer strictly less than x."""
+    return -((-x).numerator // (-x).denominator) - 1
+
+
+def _floor_add_sqrt(u: Fraction, b: Fraction) -> int:
+    """floor(u + sqrt(b)) for rational u and rational b >= 0, exact.
+
+    An integer-sqrt guess is corrected by the exact predicate
+    i <= u + sqrt(b)  <=>  i <= u or (i - u)^2 <= b.
+    """
+    assert b >= 0
+    s = math.isqrt(b.numerator * b.denominator)
+    cand = (u.numerator * b.denominator
+            + u.denominator * s) // (u.denominator * b.denominator)
+
+    def ok(i: int) -> bool:
+        diff = i - u
+        return diff <= 0 or diff * diff <= b
+
+    while ok(cand + 1):
+        cand += 1
+    while not ok(cand):
+        cand -= 1
+    return cand
+
+
+def _ceil_sub_sqrt(u: Fraction, b: Fraction) -> int:
+    """Smallest integer >= u - sqrt(b)."""
+    return -_floor_add_sqrt(-u, b)
+
+
+def _disk_row_counts(disk, n: int, x0: Fraction, cols: int,
+                     y_lo: Fraction, y_hi: Fraction) -> tuple[int, int]:
+    (cx, cy), r = disk.center, disk.radius
+    r_sq = r * r
+    if cy < y_lo:
+        near = y_lo - cy
+    elif cy > y_hi:
+        near = cy - y_hi
+    else:
+        near = Fraction(0)
+    far = max(abs(y_lo - cy), abs(y_hi - cy))
+    # Column indices in grid units: cell i spans [i, i+1] of scaled x.
+    u = (cx - x0) * n
+    outer = 0
+    reach_sq = (r_sq - near * near) * n * n
+    if reach_sq >= 0:
+        i_hi = min(cols - 1, _floor_add_sqrt(u, reach_sq))
+        i_lo = max(0, _ceil_sub_sqrt(u, reach_sq) - 1)
+        if i_hi >= i_lo:
+            outer = i_hi - i_lo + 1
+    inner = 0
+    core_sq = (r_sq - far * far) * n * n
+    if core_sq > 0:
+        lo_guess = _floor_add_sqrt(-u, core_sq)   # floor(sqrt - u) bounds -i
+        i_min = max(0, -lo_guess)
+        i_max = min(cols - 1, _floor_add_sqrt(u, core_sq))
+
+        def strictly_inside(i: int) -> bool:
+            return ((i - u) * (i - u) < core_sq
+                    and (i + 1 - u) * (i + 1 - u) < core_sq)
+
+        while i_min <= i_max and not strictly_inside(i_min):
+            i_min += 1
+        while i_max >= i_min and not strictly_inside(i_max):
+            i_max -= 1
+        if i_max >= i_min:
+            inner = i_max - i_min + 1
+    return inner, outer
+
+
+def _slab_x_extent(vertices, y_lo: Fraction,
+                   y_hi: Fraction) -> tuple[Fraction, Fraction] | None:
+    """x-range of the polygon clipped to the closed slab y in [y_lo, y_hi]."""
+    pts = list(vertices)
+    for keep_low in (True, False):
+        bound = y_lo if keep_low else y_hi
+        clipped = []
+        m = len(pts)
+        for i in range(m):
+            ax, ay = pts[i]
+            bx, by = pts[(i + 1) % m]
+            a_in = ay >= bound if keep_low else ay <= bound
+            b_in = by >= bound if keep_low else by <= bound
+            if a_in:
+                clipped.append((ax, ay))
+            if a_in != b_in:
+                t = (bound - ay) / (by - ay)
+                clipped.append((ax + t * (bx - ax), bound))
+        pts = clipped
+        if not pts:
+            return None
+    xs = [p[0] for p in pts]
+    return min(xs), max(xs)
+
+
+def _open_cross_section(vertices,
+                        y: Fraction) -> tuple[Fraction, Fraction] | None:
+    """Open interval (l, r) with (x, y) strictly inside iff l < x < r."""
+    lower = upper = None
+    m = len(vertices)
+    for i in range(m):
+        px, py = vertices[i]
+        qx, qy = vertices[(i + 1) % m]
+        dy = qy - py
+        # strict interior requires (qx-px)(y-py) - dy(x-px) > 0
+        if dy == 0:
+            if (qx - px) * (y - py) <= 0:
+                return None
+            continue
+        x_cross = px + (qx - px) * (y - py) / dy
+        if dy > 0:
+            upper = x_cross if upper is None else min(upper, x_cross)
+        else:
+            lower = x_cross if lower is None else max(lower, x_cross)
+    if lower is None or upper is None or lower >= upper:
+        return None
+    return lower, upper
+
+
+def _poly_row_counts(poly, n: int, x0: Fraction, cols: int,
+                     y_lo: Fraction, y_hi: Fraction) -> tuple[int, int]:
+    outer = 0
+    extent = _slab_x_extent(poly.vertices, y_lo, y_hi)
+    if extent is not None:
+        a = (extent[0] - x0) * n
+        b = (extent[1] - x0) * n
+        # cell [i, i+1] meets [a, b] iff i <= b and i + 1 >= a
+        i_lo = max(0, math.ceil(a) - 1)
+        i_hi = min(cols - 1, math.floor(b))
+        if i_hi >= i_lo:
+            outer = i_hi - i_lo + 1
+    inner = 0
+    top = _open_cross_section(poly.vertices, y_hi)
+    bottom = _open_cross_section(poly.vertices, y_lo)
+    if top is not None and bottom is not None:
+        left = max(top[0], bottom[0])
+        right = min(top[1], bottom[1])
+        if left < right:
+            a = (left - x0) * n
+            b = (right - x0) * n
+            i_min = max(0, _int_above(a))          # need i > a
+            i_max = min(cols - 1, _int_below(b) - 1)  # need i + 1 < b
+            if i_max >= i_min:
+                inner = i_max - i_min + 1
+    return inner, outer
+
+
+def jordan_bracket_fraction(region, n: int) -> tuple[Fraction, Fraction]:
+    """(inner, outer) grid area on the 1/n grid, each row in Fractions.
+
+    `region` is a jordan_measure Disk (it has a `radius`) or ConvexPolygon.
+    """
+    x0, y0, x1, y1 = region.bounding_box()
+    cols = math.ceil((x1 - x0) * n)
+    rows = math.ceil((y1 - y0) * n)
+    row_counts = (_disk_row_counts if hasattr(region, "radius")
+                  else _poly_row_counts)
+    inner_cells = outer_cells = 0
+    for j in range(rows):
+        inner, outer = row_counts(region, n, x0, cols, y0 + Fraction(j, n),
+                                  y0 + Fraction(j + 1, n))
+        inner_cells += inner
+        outer_cells += outer
+    return Fraction(inner_cells, n * n), Fraction(outer_cells, n * n)
+
+
+def divisor_counts_per_i(n: int) -> list[int]:
+    """d[k] for 0 <= k <= n by one slice per i: each i bumps its multiples."""
+    d = np.zeros(n + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        d[i::i] += 1
+    return d.tolist()
+
+
+def partition_count(n: int) -> int:
+    """p(n) by the bounded-part recurrence, independent of enumeration."""
+    # ways[m] = partitions of m with parts <= current bound
+    ways = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            ways[m] += ways[m - part]
+    return ways[n]
+
+
+def run_builtin_suite():
+    """`identity_check` of every built-in polyform identity."""
+    return [identity_check(lhs, rhs, vs, suite=name)
+            for name, (lhs, rhs, vs) in builtin_identities().items()]
+
+
+def reference_monte_carlo_dice(trials: int, seed: int) -> int:
+    """Pure-Python restatement of monte_carlo_dice: one splitmix64 stream
+    per trial, rolled until a six."""
+    hits = 0
+    for t in range(trials):
+        rng = SplitMix64((seed & MASK64) ^ t)
+        starter_turn = True
+        while True:
+            if rng.below(6) == 5:
+                hits += starter_turn
+                break
+            starter_turn = not starter_turn
+    return hits
+
+
+def reference_monte_carlo_coin(n: int, trials: int, seed: int) -> int:
+    """Pure-Python restatement of monte_carlo_coin: flips until the n-th
+    head, one splitmix64 stream per trial."""
+    hits = 0
+    for t in range(trials):
+        rng = SplitMix64((seed & MASK64) ^ t)
+        heads = 0
+        starter_turn = True
+        while True:
+            heads += rng.coin_bit()
+            if heads == n:
+                hits += starter_turn
+                break
+            starter_turn = not starter_turn
+    return hits
+
+
+def triangle_points_scan(t) -> int:
+    """Lattice points in the closed triangle t, vertices excluded, by
+    testing every point of its bounding box against the three edges."""
+    a, b, c = t
+    if (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) < 0:
+        b, c = c, b
+    count = 0
+    for x in range(min(a[0], b[0], c[0]), max(a[0], b[0], c[0]) + 1):
+        for y in range(min(a[1], b[1], c[1]), max(a[1], b[1], c[1]) + 1):
+            if (x, y) in (a, b, c):
+                continue
+            if all((q[0] - p[0]) * (y - p[1]) - (q[1] - p[1]) * (x - p[0]) >= 0
+                   for p, q in ((a, b), (b, c), (c, a))):
+                count += 1
+    return count

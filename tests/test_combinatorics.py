@@ -10,13 +10,13 @@ from twoside.combinatorics import (BinomKind, Partition,
                                    binom_identity_check, binomial,
                                    binomial_enumeration_crosscheck,
                                    colorings_report, constrained_colorings,
-                                   partition_conjugate, partition_count,
+                                   partition_conjugate,
                                    partition_duality_check,
                                    partition_duality_reports,
                                    partitions_enumerate)
 from twoside.exact_core import DomainError
 from twoside.sums_fib import fibonacci
-from oracles import partition_count_pentagonal
+from oracles import partition_count, partition_count_pentagonal
 
 
 @st.composite

@@ -6,7 +6,8 @@ from twoside.divisors import (divisor_average_bounds, divisor_counts,
                               divisor_identity_check, floor_sum,
                               harmonic_numbers)
 from twoside.exact_core import DomainError
-from oracles import floor_sum_loop, trial_division_divisor_count
+from oracles import (divisor_counts_per_i, floor_sum_loop,
+                     trial_division_divisor_count)
 
 
 class TestDivisorCounts:
@@ -23,6 +24,13 @@ class TestDivisorCounts:
         table = divisor_counts(2000)
         for k in range(1, 2001):
             assert table.d[k] == trial_division_divisor_count(k)
+
+    def test_pair_sieve_equals_per_i_sieve(self):
+        reference = divisor_counts_per_i(3000)
+        for n in range(1, 3001):
+            assert divisor_counts(n).d == tuple(reference[:n + 1])
+        assert divisor_counts(300_000).d == tuple(
+            divisor_counts_per_i(300_000))
 
     def test_invalid_n(self):
         with pytest.raises(DomainError):

@@ -2,11 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from twoside.exact_core import DomainError, NonConvergenceError
 from twoside.jordan_measure import (ConvexPolygon, Disk, jordan_bracket,
                                     jordan_refine, parse_region)
-from oracles import machin_pi_bracket, shoelace_rational
+from oracles import (jordan_bracket_fraction, machin_pi_bracket,
+                     shoelace_rational)
 
 
 def brute_force_counts(region, n):
@@ -131,6 +133,76 @@ class TestJordanBracket:
         while n <= 512:
             assert jordan_bracket(disk, n).width <= Fraction(16, n)
             n *= 4
+
+
+def small_rationals(lo, hi):
+    """Rationals in [lo, hi] with denominators up to 6."""
+    return st.integers(1, 6).flatmap(
+        lambda d: st.integers(lo * d, hi * d).map(lambda k: Fraction(k, d)))
+
+
+def convex_hull(points):
+    """Counterclockwise hull without collinear vertices (monotone chain)."""
+    pts = sorted(set(points))
+
+    def half(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and (
+                    (chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
+                    - (chain[-1][1] - chain[-2][1]) * (p[0] - chain[-2][0])
+                    <= 0):
+                chain.pop()
+            chain.append(p)
+        return chain[:-1]
+
+    return half(pts) + half(reversed(pts))
+
+
+points = st.tuples(small_rationals(-3, 3), small_rationals(-3, 3))
+disks = st.builds(Disk, points, small_rationals(0, 3).filter(lambda r: r > 0))
+
+
+class TestScaledIntegerRows:
+    """The integer row classifier against the Fraction one it replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(disks, st.integers(1, 16))
+    def test_disk_matches_fraction_rows(self, disk, n):
+        b = jordan_bracket(disk, n)
+        assert (b.lo, b.hi) == jordan_bracket_fraction(disk, n)
+
+    @pytest.mark.parametrize("vertices", [
+        # widest along a horizontal top edge
+        ((1, 0), (2, 0), (3, 1), (0, 1)),
+        ((0, 0), (1, 0), (Fraction(5, 2), Fraction(5, 2)),
+         (Fraction(-1, 3), Fraction(5, 2))),
+        # widest at a vertex strictly inside a row
+        ((0, 0), (Fraction(7, 3), Fraction(5, 4)), (1, 3),
+         (Fraction(-1, 2), Fraction(4, 3))),
+        # collinear vertices along the bottom edge
+        ((0, 0), (1, 0), (2, 0), (1, 1)),
+    ])
+    def test_polygon_cases_match_fraction_rows(self, vertices):
+        poly = ConvexPolygon(vertices)
+        for n in range(1, 13):
+            b = jordan_bracket(poly, n)
+            assert (b.lo, b.hi) == jordan_bracket_fraction(poly, n)
+        for n in (1, 2, 3):
+            inner, outer = brute_force_counts(poly, n)
+            b = jordan_bracket(poly, n)
+            assert (b.lo, b.hi) == (Fraction(inner, n * n),
+                                    Fraction(outer, n * n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(points, min_size=3, max_size=8), st.integers(1, 16))
+    def test_polygon_matches_fraction_rows(self, corners, n):
+        hull = convex_hull(corners)
+        assume(len(hull) >= 3)
+        poly = ConvexPolygon(tuple(hull))
+        b = jordan_bracket(poly, n)
+        assert (b.lo, b.hi) == jordan_bracket_fraction(poly, n)
+        assert b.lo <= shoelace_rational(hull) <= b.hi
 
 
 class TestRefine:

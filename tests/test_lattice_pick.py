@@ -2,13 +2,16 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from twoside import lattice_pick
 from twoside.exact_core import DomainError
-from twoside.lattice_pick import (LatticePolygon, boundary_count,
-                                  empty_triangulation, interior_count,
-                                  pick_check, random_lattice_polygon,
-                                  shoelace_area)
-from oracles import segment_lattice_points, shoelace_rational
+from twoside.lattice_pick import (LatticePolygon, _contained_count,
+                                  boundary_count, empty_triangulation,
+                                  interior_count, pick_check,
+                                  random_lattice_polygon, shoelace_area)
+from oracles import (segment_lattice_points, shoelace_rational,
+                     triangle_points_scan)
 
 UNIT_SQUARE = LatticePolygon(((0, 0), (1, 0), (1, 1), (0, 1)))
 SQUARE3 = LatticePolygon(((0, 0), (3, 0), (3, 3), (0, 3)))
@@ -137,6 +140,13 @@ class TestTriangulation:
         with pytest.raises(DomainError):
             empty_triangulation(UNIT_SQUARE, order="random")
 
+    def test_all_empty_is_counted(self, monkeypatch):
+        # every finished triangle has doubled area 1; all_empty must still
+        # come from counting their points, not from that area
+        monkeypatch.setattr(lattice_pick, "_contained_count", lambda t: 1)
+        report = empty_triangulation(SQUARE3)
+        assert report.all_half_area and not report.all_empty
+
 
 #: sha256 of repr(report.triangles) per (polygon, order), recorded before the
 #: split-point choice and the emptiness count were rewritten; any change in
@@ -182,6 +192,36 @@ def test_triangles_pinned(source, order):
     report = empty_triangulation(poly, order)
     digest = hashlib.sha256(repr(report.triangles).encode()).hexdigest()
     assert digest == TRIANGLE_PINS[source, order]
+
+
+lattice_points = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
+BIG = 1 << 40
+
+
+class TestContainedCount:
+    """The column count that decides `all_empty`, against a box scan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(lattice_points, lattice_points, lattice_points))
+    def test_matches_box_scan(self, t):
+        a, b, c = t
+        assume((b[0] - a[0]) * (c[1] - a[1]) != (b[1] - a[1]) * (c[0] - a[0]))
+        assert _contained_count(t) == triangle_points_scan(t)
+
+    @pytest.mark.parametrize("t, count", [
+        (((0, 0), (1, 0), (0, 1)), 0),
+        (((0, 0), (5, 1), (4, 1)), 0),
+        (((0, 0), (2, 1), (1, 2)), 1),        # (1, 1) strictly inside
+        (((0, 0), (4, 2), (3, 2)), 1),        # (2, 1) on an edge
+        (((0, 0), (0, 4), (3, 0)), 8),        # vertical edges
+        (((0, 0), (3, 0), (3, 4)), 8),
+        (((2, -1), (2, 5), (-3, 1)), 17),
+        (((BIG, -BIG), (BIG + 1, -BIG), (BIG + 7, 1 - BIG)), 0),
+        (((BIG - 3, -BIG - 2), (BIG + 4, -BIG), (BIG, 5 - BIG)), 21),
+    ])
+    def test_cases(self, t, count):
+        assert _contained_count(t) == _contained_count(t[::-1]) == count
+        assert triangle_points_scan(t) == count
 
 
 class TestGenerator:

@@ -12,10 +12,9 @@ from twoside.probability_games import (AbsorbingChain, GameReport, ModelError,
                                        coin_series_tail_bracket, dice_chain,
                                        dice_game, dice_series_bracket,
                                        monte_carlo, monte_carlo_coin,
-                                       monte_carlo_dice,
-                                       reference_monte_carlo_coin,
-                                       reference_monte_carlo_dice, _gate)
+                                       monte_carlo_dice, _gate)
 from twoside.report import FAIL, PASS, WARN
+from oracles import reference_monte_carlo_coin, reference_monte_carlo_dice
 
 
 class TestChainSolve:
