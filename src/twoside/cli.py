@@ -146,6 +146,9 @@ def _cmd_converge(args) -> int:
     if args.doublings < 0:
         print("--doublings must be non-negative", file=sys.stderr)
         return 2
+    if args.max_steps < 1:
+        print("--max-steps must be positive", file=sys.stderr)
+        return 2
     rows = []
     if args.tol is not None:
         tol = rat_from_str(args.tol)

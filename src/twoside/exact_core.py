@@ -10,6 +10,7 @@ in ``b``, then x op y is in ``bracket_combine(a, b, op)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -184,19 +185,31 @@ def bracket_combine(a: Bracket, b: Bracket, op: str) -> Bracket:
 
 
 # ---------------------------------------------------------------------------
-# k-th roots by bisection with exact comparisons.
+# k-th roots in closed form, with exact comparisons.
 #
-# The only predicate bisection needs is the exact sign of mid**k - q.  For
-# small exponents the integer cross-product is computed outright.  For large
-# exponents (root indices up to 10**8 appear when powers with many-digit
-# rational exponents are enclosed) the sign is decided by evaluating mid**k
-# as a dyadic interval with directed rounding at increasing precision; the
-# answer is exact because the loop only ever reports a sign it has proven,
-# and falls back to the full integer product when the operands are small
-# enough that "full" is cheap.
+# Bisection of a unit bracket that stops once the width is <= eps halves it
+# m times, m the least integer with 2**-m <= eps, so its answer is fixed in
+# advance: [x/2**m, (x+1)/2**m] with x = floor(2**m * q**(1/k)), collapsed to
+# the point x/2**m when that is the root exactly.  x is computed directly.
+# For small root indices x is the integer k-th root of the written-out
+# floor(qn * 2**(m*k) / qd).  For large ones (indices up to 10**8 appear
+# when powers with many-digit rational exponents are enclosed) that integer
+# has billions of bits, and x is found by a binary search over the integers
+# whose only predicate is the exact sign of x**k * qd - qn * 2**(m*k).  That
+# sign is decided by evaluating the powers as dyadic intervals with
+# directed rounding at increasing precision; the answer is exact because the
+# loop only ever reports a sign it has proven, and falls back to the full
+# integer product when the operands are small enough that "full" is cheap.
 # ---------------------------------------------------------------------------
 
 _EXACT_BITS = 1 << 14  # full integer powers allowed up to this many bits
+# From this root index up the dyadic search is the cheaper route to x.  A
+# search step's relative gap of about k * 2**-m is resolved at low precision
+# when k is large, while the written-out integer grows k-fold.  Timed on
+# 2**14 to 2**18-bit integers (CPython 3.11, one core of a 2-vCPU VM), both
+# routes cost the same at k = 500; the written-out root is 20-40x faster at
+# k = 30, the search 40x faster at k = 5000.
+_SEARCH_INDEX = 512
 
 
 def _ipow(base: int, exp: int) -> int:
@@ -284,23 +297,26 @@ def _round_down(m: int, prec: int) -> tuple[int, int]:
 
 
 def _round_up(m: int, prec: int) -> tuple[int, int]:
+    # One unit above the truncation: an upper bound that reads only the top
+    # bits, where a ceiling shift would negate (copy) all of a huge m.
     shift = m.bit_length() - prec
     if shift > 0:
-        return -((-m) >> shift), shift
+        return (m >> shift) + 1, shift
     return m, 0
 
 
 class _PowComparator:
-    """Repeated exact comparisons of mid**k against a fixed rational q.
+    """Repeated exact comparisons of (a/b)**k against a fixed q = qn/qd.
 
-    Rounded dyadic images of q's numerator and denominator are cached per
-    precision level, so bisection never rescans a large radicand twice.
+    qn >= 0 and qd >= 1 must be coprime.  Rounded dyadic images of qn and qd
+    are cached per precision level, so a search never rescans a large
+    radicand twice.
     """
 
-    def __init__(self, k: int, q: Fraction):
+    def __init__(self, k: int, qn: int, qd: int):
         self.k = k
-        self.qn = q.numerator
-        self.qd = q.denominator
+        self.qn = qn
+        self.qd = qd
         self._cache: dict[int, tuple] = {}
 
     def _rounded(self, prec: int) -> tuple:
@@ -311,11 +327,11 @@ class _PowComparator:
             self._cache[prec] = cached
         return cached
 
-    def cmp(self, mid: Fraction) -> int:
-        """Exact sign of mid**k - q for mid >= 0, q >= 0."""
-        a, b = mid.numerator, mid.denominator
+    def cmp(self, a: int, b: int) -> int:
+        """Exact sign of a**k * qd - qn * b**k for a >= 0, b >= 1."""
         k, qn, qd = self.k, self.qn, self.qd
-        # Sign of a**k * qd - qn * b**k.
+        g = math.gcd(a, b)  # a search's points x/2**m come unreduced
+        a, b = a // g, b // g
         lhs_bits = k * a.bit_length() + qd.bit_length()
         rhs_bits = k * b.bit_length() + qn.bit_length()
         if max(lhs_bits, rhs_bits) <= _EXACT_BITS:
@@ -346,62 +362,92 @@ class _PowComparator:
                 return (lhs > rhs) - (lhs < rhs)
 
 
-def _int_kth_root(n: int, k: int) -> int:
-    """Largest r with r**k <= n, for n >= 0, k >= 1."""
-    if n < 2 or k == 1:
+def _iroot(n: int, k: int) -> int:
+    """Largest x with x**k <= n, for n >= 0 and k >= 1."""
+    if k == 1 or n < 2:
         return n
-    comparator = _PowComparator(k, Fraction(n))
-    bits = n.bit_length()
-    lo = 1 << max(0, (bits - 1) // k)   # lo**k <= 2**(bits-1) <= n
-    hi = 1 << ((bits + k - 1) // k)     # hi**k >= 2**bits > n
+    if k == 2:
+        return math.isqrt(n)
+    bits = (n.bit_length() - 1) // k + 1    # 2**(bits-1) <= x < 2**bits
+    lead = k.bit_length() + 2
+    if bits <= 2 * lead:
+        lo, hi = 1 << (bits - 1), 1 << bits
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if mid ** k <= n:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+    # The root of n's leading bits gives x's leading `lead` or more bits, so
+    # the start below exceeds x by a factor under 1 + 1/(2k), where integer
+    # Newton from above converges quadratically down to x.
+    shift = bits - max(lead, bits // 2)
+    x = (_iroot(n >> (k * shift), k) + 1) << shift
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _root_floor(qn: int, qd: int, k: int, m: int) -> tuple[int, bool]:
+    """x = floor(2**m * (qn/qd)**(1/k)), and whether x/2**m is the root."""
+    if k < _SEARCH_INDEX:
+        y, rem = divmod(qn << (m * k), qd)
+        x = _iroot(y, k)
+        return x, rem == 0 and x ** k == y
+    comparator = _PowComparator(k, qn, qd)
+    b = 1 << m
+    # 2**(top-1) < qn * 2**(m*k) / qd < 2**(top+1); lo**k <= 2**(top-1) and
+    # hi**k >= 2**(top+1) put x in [lo, hi), and lo is never the root.
+    top = qn.bit_length() - qd.bit_length() + m * k
+    lo = 1 << ((top - 1) // k) if top > 0 else 0
+    hi = 1 << max(0, -(-(top + 1) // k))
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        c = comparator.cmp(Fraction(mid))
+        c = comparator.cmp(mid, b)
         if c == 0:
-            return mid
+            return mid, True
         if c < 0:
             lo = mid
         else:
             hi = mid
-    return lo
+    return lo, False
+
+
+def _root_bracket(qn: int, qd: int, k: int, eps: RationalLike) -> Bracket:
+    """root_bracket of q = qn/qd, for coprime qn >= 0 and qd >= 1."""
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise DomainError("eps must be positive")
+    if qn == 0:
+        return bracket_point(0)
+    # the least m with 2**m >= ceil(1/eps), that is 2**-m <= eps
+    m = (-(-eps.denominator // eps.numerator) - 1).bit_length()
+    x, exact = _root_floor(qn, qd, k, m)
+    if exact:
+        return bracket_point(Fraction(x, 1 << m))
+    return Bracket(Fraction(x, 1 << m), Fraction(x + 1, 1 << m))
 
 
 def root_bracket(q: RationalLike, k: int, eps: RationalLike) -> Bracket:
-    """Enclose the k-th root of q >= 0 to width <= eps by pure bisection.
+    """Enclose the k-th root of q >= 0 to width <= eps, as bisection would.
 
-    The returned bracket [lo, hi] satisfies lo**k <= q <= hi**k exactly; if
-    q is a perfect k-th power of a dyadic rational the bracket collapses to
-    that point.  Endpoints are dyadic refinements of an integer bracket, so
-    repeated calls with smaller eps always nest.
+    The result is the bracket that bisection of [floor(r), floor(r) + 1]
+    (or of [0, 1] for q < 1) reaches at the first width <= eps, r = q**(1/k):
+    [x/2**m, (x+1)/2**m] with m the least integer such that 2**-m <= eps and
+    x = floor(2**m * r), computed in closed form rather than step by step.
+    It satisfies lo**k <= q <= hi**k exactly; if r is a dyadic rational with
+    denominator at most 2**m the bracket collapses to that point.  Repeated
+    calls with smaller eps always nest.
     """
     q = Fraction(q)
-    eps = Fraction(eps)
     if k < 1:
         raise DomainError("root index must be a positive integer")
     if q < 0:
         raise DomainError("negative radicand")
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    if q == 0:
-        return bracket_point(0)
-    comparator = _PowComparator(k, q)
-    if q >= 1:
-        r = _int_kth_root(q.numerator // q.denominator, k)
-        if comparator.cmp(Fraction(r)) == 0:
-            return bracket_point(r)
-        lo, hi = Fraction(r), Fraction(r + 1)
-    else:
-        lo, hi = Fraction(0), Fraction(1)
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        c = comparator.cmp(mid)
-        if c == 0:
-            return bracket_point(mid)
-        if c < 0:
-            lo = mid
-        else:
-            hi = mid
-    return Bracket(lo, hi)
+    return _root_bracket(q.numerator, q.denominator, k, eps)
 
 
 def rational_power_bracket(a: RationalLike, p: int, q: int,
@@ -409,7 +455,10 @@ def rational_power_bracket(a: RationalLike, p: int, q: int,
     """Enclose a**(p/q) for rational a > 0 with bracket width <= eps.
 
     Negative exponents are reduced to positive ones on the exact reciprocal
-    base, so no interval division is ever needed.
+    base, so no interval division is ever needed.  The power's numerator
+    and denominator go to the root search as they are: powers of a fraction
+    in lowest terms stay coprime, so no gcd is taken of a many-megabyte
+    integer.
     """
     a = Fraction(a)
     if a <= 0:
@@ -418,7 +467,7 @@ def rational_power_bracket(a: RationalLike, p: int, q: int,
         raise DomainError("exponent denominator must be a positive integer")
     if p == 0:
         return bracket_point(1)
-    base = a if p > 0 else 1 / a
-    power = Fraction(_ipow(base.numerator, abs(p)),
-                     _ipow(base.denominator, abs(p)))
-    return root_bracket(power, q, eps)
+    num, den = a.numerator, a.denominator
+    if p < 0:
+        num, den = den, num
+    return _root_bracket(_ipow(num, abs(p)), _ipow(den, abs(p)), q, eps)

@@ -48,7 +48,10 @@ class ConvexPolygon:
     vertices: tuple[Point, ...]
 
     def __post_init__(self):
-        pts = tuple(_as_point(p) for p in self.vertices)
+        # A vertex equal to the next one (cyclically) starts a zero-length
+        # edge: it is dropped, so every edge has a direction.
+        pts = [_as_point(p) for p in self.vertices]
+        pts = tuple(p for p, q in zip(pts, pts[1:] + pts[:1]) if p != q)
         object.__setattr__(self, "vertices", pts)
         if len(pts) < 3:
             raise DomainError("need at least three vertices")
@@ -216,6 +219,8 @@ def jordan_refine(region: Region, tol: RationalLike,
     tol = Fraction(tol)
     if tol <= 0:
         raise DomainError("tolerance must be positive")
+    if max_n < 1:
+        raise DomainError("max_n must be a positive integer")
     n = 1
     steps: list[tuple[int, Bracket]] = []
     last = None

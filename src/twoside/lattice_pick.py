@@ -440,8 +440,15 @@ def random_lattice_polygon(seed: int, half_extent: int,
     """
     if half_extent < 1:
         raise DomainError("half_extent must be at least 1")
-    rng = SplitMix64(seed)
+    if n_vertices is not None and n_vertices < 3:
+        raise DomainError("a polygon needs at least 3 vertices")
     span = 2 * half_extent + 1
+    most = 12 if n_vertices is None else n_vertices  # the default draws 6..12
+    if most > span * span:
+        raise DomainError(f"cannot place {most} distinct vertices among the "
+                          f"{span * span} lattice points of "
+                          f"[-{half_extent}, {half_extent}]^2")
+    rng = SplitMix64(seed)
     for _ in range(10_000):
         k = n_vertices if n_vertices is not None else 6 + rng.below(7)
         points: set[IntPoint] = set()

@@ -1,9 +1,9 @@
 """Independent oracles used only by the tests.
 
 Everything here recomputes a target value by a route disjoint from the
-package code: Machin's formula for pi, plain bisection for roots, trial
-division and a one-slice-per-divisor sieve for divisor counts, one Python
-division per term for floor sums, sums written out term by term, the
+package code: Machin's formula for pi, step-by-step bisection for roots,
+trial division and a one-slice-per-divisor sieve for divisor counts, one
+Python division per term for floor sums, sums written out term by term, the
 pentagonal and bounded-part recurrences for partitions, matrix powers for
 Fibonacci, Jordan rows classified in Fractions, triangles scanned point by
 point, and pure-Python restatements of the numpy simulations.  Tests
@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from twoside.exact_core import Bracket, _PowComparator, bracket_point
 from twoside.polyform import builtin_identities, identity_check
 from twoside.rng import MASK64, SplitMix64
 
@@ -61,6 +62,61 @@ def bisect_root(value: Fraction, k: int, steps: int,
         else:
             hi = mid
     return lo, hi
+
+
+def root_bracket_bisection(q: Fraction, k: int, eps: Fraction) -> Bracket:
+    """The k-th root bracket of q >= 0 by bisection, one Fraction step per bit.
+
+    Starts from [floor(q**(1/k)), floor(q**(1/k)) + 1], or [0, 1] for q < 1,
+    and halves until the width is <= eps, stopping early at an exact root.
+    Signs of mid**k - q come from exact_core's comparator, which its own
+    property test checks against the full integer product.
+    """
+    q, eps = Fraction(q), Fraction(eps)
+    if q == 0:
+        return bracket_point(0)
+    comparator = _PowComparator(k, q.numerator, q.denominator)
+
+    def cmp(mid: Fraction) -> int:
+        return comparator.cmp(mid.numerator, mid.denominator)
+
+    if q >= 1:
+        r = _int_kth_root(q.numerator // q.denominator, k)
+        if cmp(Fraction(r)) == 0:
+            return bracket_point(r)
+        lo, hi = Fraction(r), Fraction(r + 1)
+    else:
+        lo, hi = Fraction(0), Fraction(1)
+    while hi - lo > eps:
+        mid = (lo + hi) / 2
+        c = cmp(mid)
+        if c == 0:
+            return bracket_point(mid)
+        if c < 0:
+            lo = mid
+        else:
+            hi = mid
+    return Bracket(lo, hi)
+
+
+def _int_kth_root(n: int, k: int) -> int:
+    """Largest r with r**k <= n, for n >= 0, k >= 1, by bisection."""
+    if n < 2 or k == 1:
+        return n
+    comparator = _PowComparator(k, n, 1)
+    bits = n.bit_length()
+    lo = 1 << max(0, (bits - 1) // k)   # lo**k <= 2**(bits-1) <= n
+    hi = 1 << ((bits + k - 1) // k)     # hi**k >= 2**bits > n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        c = comparator.cmp(mid, 1)
+        if c == 0:
+            return mid
+        if c < 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def trial_division_divisor_count(k: int) -> int:

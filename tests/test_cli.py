@@ -196,6 +196,15 @@ class TestConverge:
         assert out == ""
         assert "tolerance must be positive" in err
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_max_steps_not_positive_exit_2(self, capsys, steps):
+        code, out, err = run_cli(capsys, "converge", "sqrt2", "--tol",
+                                 "1/1000", "--max-steps", steps)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "--max-steps" in err
+
 
 class TestDedicatedCommands:
     def test_divisors(self, capsys):
@@ -217,6 +226,23 @@ class TestDedicatedCommands:
     def test_jordan_bad_region(self, capsys):
         code, _, err = run_cli(capsys, "jordan", "--region", "blob:1")
         assert code == 2
+
+    def test_jordan_zero_max_n_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "jordan", "--region", "disk:1",
+                                 "--max-n", "0")
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "max_n" in err
+
+    def test_jordan_repeated_vertex(self, capsys):
+        code, out, _ = run_cli(capsys, "jordan", "--region",
+                               "poly:0,0;0,0;1,0;0,1", "--tol", "1/4")
+        assert code == 0
+        assert out == run_cli(capsys, "jordan", "--region",
+                              "poly:0,0;1,0;0,1", "--tol", "1/4")[1]
+        assert out.splitlines()[-1].split()[:3] == ["32", "203/512",
+                                                     "559/1024"]
 
     def test_jordan_malformed_numbers_exit_2(self, capsys):
         for spec in ("disk:abc", "poly:0,0;1"):
@@ -257,6 +283,14 @@ class TestDedicatedCommands:
             assert code == 2
             assert out == ""
             assert "--trials" in err
+
+    def test_pick_box_too_small_exits_2(self, capsys):
+        # 3x3 lattice points cannot hold the up-to-12 vertices drawn
+        code, out, err = run_cli(capsys, "pick", "--extent", "1")
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "9 lattice points" in err
 
     def test_pick_without_seeds_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "pick", "--seeds", "0")

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twoside.exact_core import (Bracket, DomainError, bracket_combine,
+from twoside.exact_core import (_EXACT_BITS, _SEARCH_INDEX, Bracket,
+                                DomainError, _PowComparator, bracket_combine,
                                 bracket_point, rat_from_str, rat_to_decimal,
                                 rat_to_str, rational_normalize,
                                 rational_power_bracket, root_bracket)
-from oracles import bisect_root
+from oracles import bisect_root, root_bracket_bisection
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 
@@ -181,6 +182,94 @@ class TestRootBracket:
         b = root_bracket(q, k, eps)
         assert b.width <= eps
         assert b.lo ** k <= q <= b.hi ** k
+
+
+# Small indices take the written-out integer root, large ones the comparator
+# search; both must give bisection's bracket.
+root_indices = st.one_of(st.integers(1, 12),
+                         st.integers(_SEARCH_INDEX, 3 * _SEARCH_INDEX))
+# eps >= 1 (no halving), powers of two, and 60-digit denominators
+root_eps = st.one_of(
+    st.fractions(min_value=1, max_value=20, max_denominator=7),
+    st.integers(0, 40).map(lambda j: Fraction(1, 2 ** j)),
+    st.builds(Fraction, st.integers(1, 10 ** 59),
+              st.integers(10 ** 59, 10 ** 60 - 1)))
+
+
+class TestRootBracketMatchesBisection:
+    """The closed-form bracket against the per-step bisection it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.fractions(min_value=0, max_value=1, max_denominator=10 ** 9),
+        st.fractions(min_value=1, max_value=10 ** 9, max_denominator=1000)),
+        root_indices, root_eps)
+    def test_matches_bisection(self, q, k, eps):
+        b = root_bracket(q, k, eps)
+        oracle = root_bracket_bisection(q, k, eps)
+        assert (b.lo, b.hi) == (oracle.lo, oracle.hi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 10 ** 4), st.integers(0, 12), root_indices,
+           root_eps)
+    def test_dyadic_powers(self, p, j, k, eps):
+        root = Fraction(p, 2 ** j)
+        b = root_bracket(root ** k, k, eps)
+        oracle = root_bracket_bisection(root ** k, k, eps)
+        assert (b.lo, b.hi) == (oracle.lo, oracle.hi)
+        if Fraction(1, 2 ** j) >= eps:  # bisection reaches the root's level
+            assert b == bracket_point(root)
+
+    @pytest.mark.parametrize("a, p, q, eps", [
+        (2, 1414, 1000, Fraction(1, 1000)),
+        (2, 173205080, 10 ** 8, Fraction(1, 10 ** 10)),
+    ])
+    def test_rational_power_matches_bisection(self, a, p, q, eps):
+        b = rational_power_bracket(a, p, q, eps)
+        oracle = root_bracket_bisection(Fraction(a) ** p, q, eps)
+        assert (b.lo, b.hi) == (oracle.lo, oracle.hi)
+
+
+def _sign(n: int) -> int:
+    return (n > 0) - (n < 0)
+
+
+class TestPowComparator:
+    """cmp(a, b) is the sign of a**k * qd - qn * b**k computed in full."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3000), st.integers(0, 2 ** 40),
+           st.integers(1, 2 ** 40),
+           st.fractions(min_value=0, max_value=10 ** 12,
+                        max_denominator=10 ** 12))
+    def test_sign_matches_full_product(self, k, a, b, q):
+        qn, qd = q.numerator, q.denominator
+        comparator = _PowComparator(k, qn, qd)
+        assert comparator.cmp(a, b) == _sign(a ** k * qd - qn * b ** k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3000), st.integers(1, 2 ** 30),
+           st.integers(1, 2 ** 30), st.integers(1, 1000),
+           st.integers(-1, 1))
+    def test_equal_and_adjacent_powers(self, k, c, d, g, nudge):
+        # q is (c/d)**k, or next to it; a/b = c/d is not in lowest terms
+        q = Fraction(max(1, c ** k + nudge), d ** k)
+        qn, qd = q.numerator, q.denominator
+        a, b = c * g, d * g
+        comparator = _PowComparator(k, qn, qd)
+        assert comparator.cmp(a, b) == _sign(a ** k * qd - qn * b ** k)
+
+    def test_both_sides_of_exact_bits(self):
+        # (3/2)**k against (3**k - 1, 3**k, 3**k + 1) / 2**k, with the
+        # products a**k * qd and qn * b**k on either side of the limit
+        sides = set()
+        for k in (4000, 5000):
+            sides.add(2 * k + (3 ** k).bit_length() <= _EXACT_BITS)
+            for nudge in (-1, 0, 1):
+                comparator = _PowComparator(k, 3 ** k + nudge, 2 ** k)
+                assert comparator.cmp(3, 2) == -nudge
+                assert comparator.cmp(6, 4) == -nudge
+        assert sides == {True, False}
 
 
 class TestRationalPowerBracket:

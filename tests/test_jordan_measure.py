@@ -195,14 +195,34 @@ class TestScaledIntegerRows:
                                     Fraction(outer, n * n))
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(points, min_size=3, max_size=8), st.integers(1, 16))
-    def test_polygon_matches_fraction_rows(self, corners, n):
+    @given(st.lists(points, min_size=3, max_size=8), st.integers(1, 16),
+           st.none() | st.integers(0, 7))
+    def test_polygon_matches_fraction_rows(self, corners, n, doubled):
         hull = convex_hull(corners)
         assume(len(hull) >= 3)
-        poly = ConvexPolygon(tuple(hull))
+        vertices = list(hull)
+        if doubled is not None:  # one vertex given twice in a row
+            doubled %= len(hull)
+            vertices.insert(doubled, hull[doubled])
+        poly = ConvexPolygon(tuple(vertices))
+        assert poly.vertices == tuple(hull)
         b = jordan_bracket(poly, n)
         assert (b.lo, b.hi) == jordan_bracket_fraction(poly, n)
         assert b.lo <= shoelace_rational(hull) <= b.hi
+
+    def test_repeated_vertex_dropped(self):
+        triangle = ((0, 0), (1, 0), (0, 1))
+        for vertices in (((0, 0),) + triangle, triangle + ((0, 0),),
+                         ((0, 0), (1, 0), (1, 0), (1, 0), (0, 1))):
+            poly = ConvexPolygon(vertices)
+            assert poly.vertices == triangle
+            inner, outer = brute_force_counts(poly, 7)
+            b = jordan_bracket(poly, 7)
+            assert (b.lo, b.hi) == jordan_bracket_fraction(poly, 7) == \
+                (Fraction(inner, 49), Fraction(outer, 49))
+            assert b.lo == Fraction(6, 49)
+        with pytest.raises(DomainError):
+            ConvexPolygon(((0, 0), (0, 0), (1, 0), (1, 0)))
 
 
 class TestRefine:

@@ -244,3 +244,13 @@ class TestGenerator:
     def test_extent_validated(self):
         with pytest.raises(DomainError):
             random_lattice_polygon(1, 0)
+
+    def test_vertex_count_validated(self):
+        # rejected before sampling: a 3x3 box has 9 points, and a
+        # polygon needs 3 vertices
+        for n_vertices in (10, 2):
+            with pytest.raises(DomainError):
+                random_lattice_polygon(0, 1, n_vertices=n_vertices)
+        with pytest.raises(DomainError):
+            random_lattice_polygon(0, 1)  # the default draws up to 12
+        assert len(random_lattice_polygon(0, 2).vertices) >= 3
