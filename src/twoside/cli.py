@@ -269,6 +269,10 @@ def _cmd_prob(args) -> int:
         print("--trials must be positive: the simulation is one of the "
               "three routes", file=sys.stderr)
         return 2
+    if args.terms < 0:
+        print("--terms must be non-negative: it counts series terms",
+              file=sys.stderr)
+        return 2
     if args.game == "dice":
         game = prob.dice_game(terms=args.terms, trials=args.trials,
                               seed=args.seed)

@@ -4,7 +4,9 @@ The exact values come from rational linear algebra or dynamic programming;
 the series route produces a bracket (partial sum plus a proven tail bound)
 that must contain the exact value; the Monte Carlo route is a seeded
 splitmix64 simulation compared against the exact value on a 3-sigma soft
-gate (WARN, not FAIL, between 3 and 4 sigma).
+gate (WARN, not FAIL, between 3 and 4 sigma).  The simulation takes trials
+in cache-sized blocks and advances each block's splitmix states in place,
+so its working memory is O(block), not O(trials).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .analysis_brackets import geometric_series_sum
 from .exact_core import Bracket, DomainError, root_bracket
-from .rng import GAMMA, MASK64
+from .rng import GAMMA, MASK64, MIX_1, MIX_2
 from .report import PASS, IdentityReport, report_check, sigma_gate
 
 __all__ = [
@@ -233,16 +235,37 @@ def coin_series_index_report(n: int, candidates: Sequence[int] = (0, 1),
 # --- seeded Monte Carlo ------------------------------------------------------------
 
 _DICE_LIMIT = (1 << 64) - ((1 << 64) % 6)
+# Trials simulated together: each block's state, draw and scratch words
+# (8 bytes a trial each) stay cache-sized whatever the trial count.
+_MC_BLOCK = 1 << 16
 
 
-def _mix64_np(z):
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _mix64_np(z, out=None, tmp=None):
+    """splitmix64 output of every word of z, written into out.
+
+    out and tmp are scratch arrays of z's length, made here when not
+    given; z itself is not changed.
+    """
+    if out is None:
+        out, tmp = np.empty_like(z), np.empty_like(z)
+    np.right_shift(z, np.uint64(30), out=out)
+    out ^= z
+    out *= np.uint64(MIX_1)
+    np.right_shift(out, np.uint64(27), out=tmp)
+    out ^= tmp
+    out *= np.uint64(MIX_2)
+    np.right_shift(out, np.uint64(31), out=tmp)
+    out ^= tmp
+    return out
 
 
-def _draws_np(states, counters):
-    return _mix64_np(states + counters * np.uint64(GAMMA))
+def _blocks(trials: int, seed: int):
+    """(z, out, tmp) per block of trials: z holds trial t's splitmix state
+    seed XOR t, out and tmp are uninitialised scratch of the same length."""
+    for start in range(0, trials, _MC_BLOCK):
+        z = np.arange(start, min(start + _MC_BLOCK, trials), dtype=np.uint64)
+        z ^= np.uint64(seed & MASK64)
+        yield z, np.empty_like(z), np.empty_like(z)
 
 
 def monte_carlo_dice(trials: int, seed: int) -> int:
@@ -250,54 +273,59 @@ def monte_carlo_dice(trials: int, seed: int) -> int:
 
     Trial t reads its own splitmix64 substream seeded with seed XOR t; die
     rolls reject raw 64-bit draws at or above the top multiple of six.
+    Trials run in blocks of ``_MC_BLOCK``: a block's states advance in
+    place by GAMMA per draw and are compacted as trials finish, so working
+    memory is O(block), not O(trials).
     """
     if trials < 1:
         raise DomainError("trials must be positive")
-    states = np.uint64(seed & MASK64) ^ np.arange(trials, dtype=np.uint64)
-    counters = np.zeros(trials, dtype=np.uint64)
-    active = np.arange(trials)
     hits = 0
-    starter_turn = True
-    with np.errstate(over="ignore"):
-        while active.size:
-            counters[active] += np.uint64(1)
-            draws = _draws_np(states[active], counters[active])
-            bad = draws >= np.uint64(_DICE_LIMIT)
-            while bad.any():
-                idx = active[bad]
-                counters[idx] += np.uint64(1)
-                draws[bad] = _draws_np(states[idx], counters[idx])
+    for z, out, tmp in _blocks(trials, seed):
+        starter_turn = True
+        while z.size:
+            z += np.uint64(GAMMA)
+            draws = _mix64_np(z, out[:z.size], tmp[:z.size])
+            while draws.max() >= np.uint64(_DICE_LIMIT):
                 bad = draws >= np.uint64(_DICE_LIMIT)
-            six = (draws % np.uint64(6)) == np.uint64(5)
+                z[bad] += np.uint64(GAMMA)
+                draws[bad] = _mix64_np(z[bad])
+            # draws % 6 in place: numpy's uint64 remainder by a scalar is
+            # several times slower than its floor division.
+            multiple = tmp[:z.size]
+            np.floor_divide(draws, np.uint64(6), out=multiple)
+            multiple *= np.uint64(6)
+            draws -= multiple
+            go_on = draws != np.uint64(5)
             if starter_turn:
-                hits += int(np.count_nonzero(six))
-            active = active[~six]
+                hits += z.size - int(np.count_nonzero(go_on))
+            z = z[go_on]
             starter_turn = not starter_turn
     return hits
 
 
 def monte_carlo_coin(n: int, trials: int, seed: int) -> int:
-    """Starter wins in the n-th head coin game; one bit per flip."""
+    """Starter wins in the n-th head coin game; one bit per flip.
+
+    Substreams as in ``monte_carlo_dice``, in blocks of ``_MC_BLOCK`` whose
+    states advance in place; a block's head counts are compacted with its
+    states, so working memory is O(block), not O(trials).
+    """
     if trials < 1:
         raise DomainError("trials must be positive")
     if n < 1:
         raise DomainError("n must be a positive integer")
-    states = np.uint64(seed & MASK64) ^ np.arange(trials, dtype=np.uint64)
-    counters = np.zeros(trials, dtype=np.uint64)
-    heads = np.zeros(trials, dtype=np.int64)
-    active = np.arange(trials)
     hits = 0
-    starter_turn = True
-    with np.errstate(over="ignore"):
-        while active.size:
-            counters[active] += np.uint64(1)
-            draws = _draws_np(states[active], counters[active])
-            is_head = (draws >> np.uint64(63)) == np.uint64(1)
-            heads[active[is_head]] += 1
-            done = heads[active] == n
+    for z, out, tmp in _blocks(trials, seed):
+        heads = np.zeros(z.size, dtype=np.min_scalar_type(n))
+        starter_turn = True
+        while z.size:
+            z += np.uint64(GAMMA)
+            draws = _mix64_np(z, out[:z.size], tmp[:z.size])
+            heads += draws >= np.uint64(1 << 63)
+            go_on = heads != n
             if starter_turn:
-                hits += int(np.count_nonzero(done))
-            active = active[~done]
+                hits += z.size - int(np.count_nonzero(go_on))
+            z, heads = z[go_on], heads[go_on]
             starter_turn = not starter_turn
     return hits
 

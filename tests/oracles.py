@@ -438,15 +438,21 @@ def run_builtin_suite():
             for name, (lhs, rhs, vs) in builtin_identities().items()]
 
 
-def reference_monte_carlo_dice(trials: int, seed: int) -> int:
+def reference_monte_carlo_dice(trials: int, seed: int,
+                               limit: int = (1 << 64) - ((1 << 64) % 6)
+                               ) -> int:
     """Pure-Python restatement of monte_carlo_dice: one splitmix64 stream
-    per trial, rolled until a six."""
+    per trial, rolled until a six.  A roll redraws raw words at or above
+    limit, a multiple of six (the top one by default)."""
     hits = 0
     for t in range(trials):
         rng = SplitMix64((seed & MASK64) ^ t)
         starter_turn = True
         while True:
-            if rng.below(6) == 5:
+            u = rng.next_u64()
+            while u >= limit:
+                u = rng.next_u64()
+            if u % 6 == 5:
                 hits += starter_turn
                 break
             starter_turn = not starter_turn

@@ -158,6 +158,22 @@ def test_output_pinned(argv, digest, capsys, tmp_path, monkeypatch):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
+# 10^6-trial simulations: README's dice run and a coin run, sixteen
+# Monte Carlo blocks each.
+PINNED_MILLION_TRIALS = [
+    (["prob", "dice", "--trials", "1000000", "--seed", "42", "--terms", "40"],
+     "7f2a16cdfb3424b60745c3e97285ef4c6712263d8c45c4784b1995d19cf7dace"),
+    (["prob", "coin", "--n", "2", "--trials", "1000000"],
+     "63e7f8642cd98060bc29ab53fbb48213f501303fe7293a75104c881792cd853f"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_MILLION_TRIALS,
+                         ids=["dice", "coin"])
+def test_million_trials_pinned(argv, digest, capsys, tmp_path, monkeypatch):
+    test_output_pinned(argv, digest, capsys, tmp_path, monkeypatch)
+
+
 class TestConverge:
     def test_pi_csv_rows(self, capsys):
         code, out, _ = run_cli(capsys, "converge", "pi", "--doublings", "12",
@@ -283,6 +299,14 @@ class TestDedicatedCommands:
             assert code == 2
             assert out == ""
             assert "--trials" in err
+
+    def test_prob_negative_terms_exits_2(self, capsys):
+        for argv in (["dice"], ["coin", "--n", "2"]):
+            code, out, err = run_cli(capsys, "prob", *argv, "--terms", "-5")
+            assert code == 2
+            assert out == ""
+            assert len(err.strip().splitlines()) == 1
+            assert "--terms" in err
 
     def test_pick_box_too_small_exits_2(self, capsys):
         # 3x3 lattice points cannot hold the up-to-12 vertices drawn

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from twoside import probability_games
 from twoside.exact_core import DomainError
 from twoside.probability_games import (AbsorbingChain, GameReport, ModelError,
                                        absorbing_chain_solve, coin_game,
@@ -14,6 +15,7 @@ from twoside.probability_games import (AbsorbingChain, GameReport, ModelError,
                                        monte_carlo, monte_carlo_coin,
                                        monte_carlo_dice, _gate)
 from twoside.report import FAIL, PASS, WARN
+from twoside.rng import GAMMA, MASK64, MIX_1, MIX_2, mix64
 from oracles import reference_monte_carlo_coin, reference_monte_carlo_dice
 
 
@@ -131,6 +133,19 @@ class TestCoinSeries:
             assert later.matches[0] and later.matches[1]
 
 
+def unmix64(y: int) -> int:
+    """The word z with mix64(z) == y: each xorshift and odd multiply of
+    splitmix64's output function undone in reverse order."""
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+    y = unshift(y, 31) * pow(MIX_2, -1, 1 << 64) & MASK64
+    y = unshift(y, 27) * pow(MIX_1, -1, 1 << 64) & MASK64
+    return unshift(y, 30)
+
+
 class TestMonteCarlo:
     def test_deterministic(self):
         assert monte_carlo_dice(10, 7) == monte_carlo_dice(10, 7)
@@ -140,6 +155,45 @@ class TestMonteCarlo:
         assert monte_carlo_dice(400, 11) == reference_monte_carlo_dice(400, 11)
         assert monte_carlo_coin(3, 400, 11) == \
             reference_monte_carlo_coin(3, 400, 11)
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("seed", [1, 2**63 + 5, -3])
+    def test_dice_rejections_match_reference(self, seed, block, monkeypatch):
+        # A limit of 6 * 2^61 rejects a quarter of all raw draws; the real
+        # limit rejects 4 in 2^64, so no other test reaches the redraw.
+        limit = 6 << 61
+        monkeypatch.setattr(probability_games, "_DICE_LIMIT", limit)
+        if block is not None:
+            monkeypatch.setattr(probability_games, "_MC_BLOCK", block)
+        for trials in (1, 50, 300):
+            assert monte_carlo_dice(trials, seed) == \
+                reference_monte_carlo_dice(trials, seed, limit)
+
+    @pytest.mark.parametrize("word", [-1, 0, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_dice_draw_at_the_limit(self, k, word):
+        # Seed the one trial so that its k-th raw draw is limit + word:
+        # redrawn at and above the limit, kept just below it.
+        limit = probability_games._DICE_LIMIT
+        assert mix64(unmix64(limit + word)) == limit + word
+        seed = (unmix64(limit + word) - k * GAMMA) & MASK64
+        assert monte_carlo_dice(1, seed) == reference_monte_carlo_dice(1, seed)
+        if word == 0:
+            # keeping that draw would change the winner
+            assert reference_monte_carlo_dice(1, seed) != \
+                reference_monte_carlo_dice(1, seed, limit + 6)
+
+    @pytest.mark.parametrize("block", [7, 16])
+    def test_block_boundaries_match_reference(self, block, monkeypatch):
+        monkeypatch.setattr(probability_games, "_MC_BLOCK", block)
+        # below one block, exactly one, a multiple, and across several
+        for trials in (1, block - 1, block, 2 * block, 5 * block + 3):
+            for seed in (11, 2**63 + 5):
+                assert monte_carlo_dice(trials, seed) == \
+                    reference_monte_carlo_dice(trials, seed)
+                for n in (1, 2, 3):
+                    assert monte_carlo_coin(n, trials, seed) == \
+                        reference_monte_carlo_coin(n, trials, seed)
 
     def test_dice_estimate_close(self):
         report = monte_carlo("dice", 40_000, 42)
