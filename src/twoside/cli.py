@@ -273,6 +273,10 @@ def _cmd_prob(args) -> int:
         print("--terms must be non-negative: it counts series terms",
               file=sys.stderr)
         return 2
+    if args.game == "coin" and args.terms < args.n:
+        print(f"--terms must be at least --n = {args.n}: the coin series "
+              f"bounds its tail only from the n-th term on", file=sys.stderr)
+        return 2
     if args.game == "dice":
         game = prob.dice_game(terms=args.terms, trials=args.trials,
                               seed=args.seed)

@@ -1,8 +1,13 @@
-"""Coordinate verifications in exact rational arithmetic: Ceva and fittings.
+"""Coordinate verifications in exact integer arithmetic: Ceva and fittings.
 
-Points are pairs of fractions; line intersections are solved exactly, so
-"the three cevians meet" and "the two segments cross on BG" are certified
-by literal coordinate equality rather than tolerance comparisons.
+A point is a homogeneous integer triple (X, Y, W) with W > 0, standing for
+the rational point (X/W, Y/W).  The line through two points is their cross
+product, and the meet of two lines is the cross product of the lines, with
+W = 0 exactly when they are parallel.  Orientation and collinearity are
+3x3 determinants, whose signs are those of the affine cross products
+because every W is positive.  So "the three cevians meet" and "the two
+segments cross on BG" are certified by integer identities rather than
+tolerance comparisons; a Fraction is built only for a reported value.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from .exact_core import DomainError
 from .report import IdentityReport, report_check
 
 RatPoint = tuple[Fraction, Fraction]
+HomPoint = tuple[int, int, int]
 
 
 def _pt(p) -> RatPoint:
@@ -21,30 +27,62 @@ def _pt(p) -> RatPoint:
     return (Fraction(x), Fraction(y))
 
 
-def _cross(o: RatPoint, a: RatPoint, b: RatPoint) -> Fraction:
-    return ((a[0] - o[0]) * (b[1] - o[1])
-            - (a[1] - o[1]) * (b[0] - o[0]))
+def _rational(v) -> tuple[int, int]:
+    """(numerator, denominator > 0) of a rational number or string."""
+    if not isinstance(v, (int, Fraction)):
+        v = Fraction(v)
+    return v.numerator, v.denominator
 
 
-def line_intersection(p1: RatPoint, p2: RatPoint,
-                      p3: RatPoint, p4: RatPoint) -> RatPoint:
-    """Intersection of lines p1p2 and p3p4; parallel pairs are an error."""
-    d1x, d1y = p2[0] - p1[0], p2[1] - p1[1]
-    d2x, d2y = p4[0] - p3[0], p4[1] - p3[1]
-    denom = d1x * d2y - d1y * d2x
-    if denom == 0:
+def _hom(p) -> HomPoint:
+    """The rational point p as (X, Y, W) with W > 0."""
+    x, y = p
+    (xn, xd), (yn, yd) = _rational(x), _rational(y)
+    return (xn * yd, yn * xd, xd * yd)
+
+
+def _affine(h: HomPoint) -> RatPoint:
+    return (Fraction(h[0], h[2]), Fraction(h[1], h[2]))
+
+
+def _cross(u, v) -> tuple[int, int, int]:
+    """The line through two points, or the meet of two lines."""
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _meet(l1, l2) -> HomPoint:
+    """The common point of two lines, scaled to W > 0."""
+    x, y, w = _cross(l1, l2)
+    if w == 0:
         raise DomainError("parallel lines do not intersect")
-    t = ((p3[0] - p1[0]) * d2y - (p3[1] - p1[1]) * d2x) / denom
-    return (p1[0] + t * d1x, p1[1] + t * d1y)
+    return (x, y, w) if w > 0 else (-x, -y, -w)
 
 
-def _strictly_inside(p: RatPoint, a: RatPoint, b: RatPoint,
-                     c: RatPoint) -> bool:
-    orient = _cross(a, b, c)
+def _det(o: HomPoint, a: HomPoint, b: HomPoint) -> int:
+    """det[o; a; b]: the sign of the turn o -> a -> b."""
+    line = _cross(a, b)
+    return o[0] * line[0] + o[1] * line[1] + o[2] * line[2]
+
+
+def _same_point(u: HomPoint, v: HomPoint) -> bool:
+    return u[0] * v[2] == v[0] * u[2] and u[1] * v[2] == v[1] * u[2]
+
+
+def line_intersection(p1, p2, p3, p4) -> RatPoint:
+    """Intersection of lines p1p2 and p3p4; parallel pairs are an error."""
+    return _affine(_meet(_cross(_hom(p1), _hom(p2)),
+                         _cross(_hom(p3), _hom(p4))))
+
+
+def _strictly_inside(p: HomPoint, a: HomPoint, b: HomPoint,
+                     c: HomPoint) -> bool:
+    orient = _det(a, b, c)
     if orient == 0:
         raise DomainError("degenerate triangle")
     sign = 1 if orient > 0 else -1
-    return all(sign * _cross(u, v, p) > 0
+    return all(sign * _det(u, v, p) > 0
                for u, v in ((a, b), (b, c), (c, a)))
 
 
@@ -68,47 +106,51 @@ class CevaConfig:
         object.__setattr__(self, "c", _pt(self.c))
         object.__setattr__(self, "ratios",
                            tuple(Fraction(r) for r in self.ratios))
-        if _cross(self.a, self.b, self.c) == 0:
+        if _det(_hom(self.a), _hom(self.b), _hom(self.c)) == 0:
             raise DomainError("triangle vertices are collinear")
         if any(r <= 0 for r in self.ratios):
             raise DomainError("division ratios must be positive")
 
-    def side_points(self) -> tuple[RatPoint, RatPoint, RatPoint]:
-        r1, r2, r3 = self.ratios
-        return (_divide(self.b, self.c, r1),
-                _divide(self.c, self.a, r2),
-                _divide(self.a, self.b, r3))
+
+def _divide(p: HomPoint, q: HomPoint, num: int, den: int) -> HomPoint:
+    """Point splitting pq internally with p-side/q-side = num/den > 0."""
+    return (den * p[0] * q[2] + num * q[0] * p[2],
+            den * p[1] * q[2] + num * q[1] * p[2],
+            (num + den) * p[2] * q[2])
 
 
-def _divide(p: RatPoint, q: RatPoint, ratio: Fraction) -> RatPoint:
-    """Point splitting pq internally with p-side/q-side = ratio."""
-    t = ratio / (1 + ratio)
-    return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+def _ratio_along(p: HomPoint, q: HomPoint, x: HomPoint) -> tuple[int, int]:
+    """px/xq as (num, den) for x on line pq, on the dominant coordinate.
 
-
-def _ratio_along(p: RatPoint, q: RatPoint, x: RatPoint) -> Fraction:
-    """px/xq for x on segment pq, computed on the dominant coordinate."""
-    dx, dy = q[0] - p[0], q[1] - p[1]
+    With t = px/pq = num/den and den > 0, x is interior to the segment
+    exactly when 0 < num < den, and px/xq = t/(1 - t).
+    """
+    dx = q[0] * p[2] - p[0] * q[2]
+    dy = q[1] * p[2] - p[1] * q[2]
     if abs(dx) >= abs(dy):
-        t = (x[0] - p[0]) / dx
+        num, den = (x[0] * p[2] - p[0] * x[2]) * q[2], dx * x[2]
     else:
-        t = (x[1] - p[1]) / dy
-    if not 0 < t < 1:
+        num, den = (x[1] * p[2] - p[1] * x[2]) * q[2], dy * x[2]
+    if den < 0:
+        num, den = -num, -den
+    if not 0 < num < den:
         raise DomainError("cevian foot is not interior to the side")
-    return t / (1 - t)
+    return num, den - num
 
 
-def ceva_product(a: RatPoint, b: RatPoint, c: RatPoint,
-                 p: RatPoint) -> Fraction:
-    """BX/XC * CY/YA * AZ/ZB for the cevians through an interior point p."""
-    a, b, c, p = _pt(a), _pt(b), _pt(c), _pt(p)
+def ceva_product(a, b, c, p) -> Fraction:
+    """BX/XC * CY/YA * AZ/ZB for the cevians through an interior point p.
+
+    Each foot is the meet of a cevian with its side, and each ratio is
+    measured along that side.
+    """
+    a, b, c, p = _hom(a), _hom(b), _hom(c), _hom(p)
     if not _strictly_inside(p, a, b, c):
         raise DomainError("point must be strictly inside the triangle")
-    x = line_intersection(a, p, b, c)
-    y = line_intersection(b, p, c, a)
-    z = line_intersection(c, p, a, b)
-    return (_ratio_along(b, c, x) * _ratio_along(c, a, y)
-            * _ratio_along(a, b, z))
+    n1, d1 = _ratio_along(b, c, _meet(_cross(a, p), _cross(b, c)))
+    n2, d2 = _ratio_along(c, a, _meet(_cross(b, p), _cross(c, a)))
+    n3, d3 = _ratio_along(a, b, _meet(_cross(c, p), _cross(a, b)))
+    return Fraction(n1 * n2 * n3, d1 * d2 * d3)
 
 
 def ceva_product_report(a, b, c, p) -> IdentityReport:
@@ -125,14 +167,16 @@ def ceva_converse_check(cfg: CevaConfig) -> IdentityReport:
     P is the intersection of AX and BY; the check computes Z' = CP /\\ AB
     and certifies Z' = Z coordinate by coordinate.
     """
-    r1, r2, r3 = cfg.ratios
-    if r1 * r2 * r3 != 1:
+    (n1, d1), (n2, d2), (n3, d3) = map(_rational, cfg.ratios)
+    if n1 * n2 * n3 != d1 * d2 * d3:
         raise DomainError("ratio product must be exactly 1")
-    x, y, z = cfg.side_points()
-    p = line_intersection(cfg.a, x, cfg.b, y)
-    z_prime = line_intersection(cfg.c, p, cfg.a, cfg.b)
-    passed = z_prime == z
-    return report_check("geom.ceva_converse", cfg.ratios, z_prime, z, passed)
+    a, b, c = _hom(cfg.a), _hom(cfg.b), _hom(cfg.c)
+    x, y = _divide(b, c, n1, d1), _divide(c, a, n2, d2)
+    z = _divide(a, b, n3, d3)
+    p = _meet(_cross(a, x), _cross(b, y))
+    z_prime = _meet(_cross(c, p), _cross(a, b))
+    return report_check("geom.ceva_converse", cfg.ratios, _affine(z_prime),
+                        _affine(z), _same_point(z_prime, z))
 
 
 @dataclass(frozen=True)
@@ -152,22 +196,22 @@ def squares_intersection_check(a, b) -> SquaresFitReport:
     ratios x/a = b/(a+b) and y/b = a/(a+b) both give ab/(a+b), and the
     exact segment intersection confirms the common point.
     """
-    a, b = Fraction(a), Fraction(b)
-    if a <= 0 or b <= 0:
+    (an, ad), (bn, bd) = _rational(a), _rational(b)
+    if an <= 0 or bn <= 0:
         raise DomainError("square sides must be positive")
-    pt_a = (-a, Fraction(0))
-    pt_d = (-a, a)
-    pt_e = (b, Fraction(0))
-    pt_f = (b, b)
-    pt_g = (Fraction(0), b)
-    h = line_intersection(_pt(pt_a), _pt(pt_f), _pt(pt_g), (Fraction(0), Fraction(0)))
-    i = line_intersection(_pt(pt_d), _pt(pt_e), _pt(pt_g), (Fraction(0), Fraction(0)))
-    x_sim = a * b / (a + b)
-    y_sim = b * a / (a + b)
-    on_bg = h[0] == 0 and 0 < h[1] < b
-    passed = (h == i and on_bg and h[1] == x_sim and i[1] == y_sim
-              and x_sim == y_sim)
-    return SquaresFitReport(x_sim, y_sim, h, on_bg, passed)
+    # Over the common denominator w the sides are a = sa/w and b = sb/w.
+    sa, sb, w = an * bd, bn * ad, ad * bd
+    bg = _cross((0, sb, w), (0, 0, 1))
+    h = _meet(_cross((-sa, 0, w), (sb, sb, w)), bg)
+    i = _meet(_cross((-sa, sa, w), (sb, 0, w)), bg)
+    # x = a*b/(a+b) and y = b*a/(a+b), each over the denominator ad*bd.
+    xn, xd = an * bn, an * bd + bn * ad
+    yn, yd = bn * an, bn * ad + an * bd
+    on_bg = h[0] == 0 and 0 < h[1] and h[1] * w < sb * h[2]
+    passed = (_same_point(h, i) and on_bg and h[1] * xd == xn * h[2]
+              and i[1] * yd == yn * i[2] and xn * yd == yn * xd)
+    return SquaresFitReport(Fraction(xn, xd), Fraction(yn, yd), _affine(h),
+                            on_bg, passed)
 
 
 def squares_fit_report(a, b) -> IdentityReport:

@@ -190,11 +190,13 @@ def coin_series_tail_bracket(n: int, l_start: int, l_max: int) -> Bracket:
 
     The term ratio (2L+1)(2L+2) / (4 (2L+1-m)(2L+2-m)) with m = n-1
     decreases in L, so once it is below 1 at L = l_max the remaining terms
-    are dominated by a geometric series with that ratio.
+    are dominated by a geometric series with that ratio, which needs
+    l_max >= max(n, l_start).
     """
     m = n - 1
     if l_max < max(n, l_start):
-        l_max = max(n, l_start)
+        raise DomainError(f"l_max must be at least max(n, l_start) = "
+                          f"{max(n, l_start)}, not {l_max}")
     partial = coin_game_series_partial(n, l_start, l_max)
     two_l = 2 * l_max
     ratio = Fraction((two_l + 1) * (two_l + 2),

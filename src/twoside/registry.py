@@ -235,8 +235,7 @@ def _limit(_: SuiteParams):
 
 def _random_triangle(rng: SplitMix64):
     while True:
-        pts = [(Fraction(rng.below(19)) - 9, Fraction(rng.below(19)) - 9)
-               for _ in range(3)]
+        pts = [(rng.below(19) - 9, rng.below(19) - 9) for _ in range(3)]
         area2 = ((pts[1][0] - pts[0][0]) * (pts[2][1] - pts[0][1])
                  - (pts[1][1] - pts[0][1]) * (pts[2][0] - pts[0][0]))
         if area2 != 0:
@@ -249,8 +248,8 @@ def _ceva(params: SuiteParams):
         a, b, c = _random_triangle(rng)
         wa, wb, wc = (rng.below(9) + 1 for _ in range(3))
         total = wa + wb + wc
-        p = ((wa * a[0] + wb * b[0] + wc * c[0]) / total,
-             (wa * a[1] + wb * b[1] + wc * c[1]) / total)
+        p = (Fraction(wa * a[0] + wb * b[0] + wc * c[0], total),
+             Fraction(wa * a[1] + wb * b[1] + wc * c[1], total))
         yield euclid.ceva_product_report(a, b, c, p)
 
 

@@ -6,7 +6,8 @@ trial division and a one-slice-per-divisor sieve for divisor counts, one
 Python division per term for floor sums, sums written out term by term, the
 pentagonal and bounded-part recurrences for partitions, matrix powers for
 Fibonacci, Jordan rows classified in Fractions, triangles scanned point by
-point, and pure-Python restatements of the numpy simulations.  Tests
+point, pure-Python restatements of the numpy simulations, and the Ceva and
+two-squares checks solved in Fractions.  Tests
 compare package output against these, never against the package's own
 formulas.
 """
@@ -18,8 +19,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from twoside.exact_core import Bracket, _PowComparator, bracket_point
+from twoside.euclid_checks import SquaresFitReport
+from twoside.exact_core import (Bracket, DomainError, _PowComparator,
+                                bracket_point)
 from twoside.polyform import builtin_identities, identity_check
+from twoside.report import IdentityReport, report_check
 from twoside.rng import MASK64, SplitMix64
 
 
@@ -491,3 +495,90 @@ def triangle_points_scan(t) -> int:
                    for p, q in ((a, b), (b, c), (c, a))):
                 count += 1
     return count
+
+
+# --- Euclid checks in Fractions ----------------------------------------------
+
+def _cross_fraction(o, a, b) -> Fraction:
+    return ((a[0] - o[0]) * (b[1] - o[1])
+            - (a[1] - o[1]) * (b[0] - o[0]))
+
+
+def _fraction_point(p) -> tuple[Fraction, Fraction]:
+    x, y = p
+    return (Fraction(x), Fraction(y))
+
+
+def line_intersection_fraction(p1, p2, p3, p4) -> tuple[Fraction, Fraction]:
+    """Lines p1p2 and p3p4 met by solving p1 + t*(p2 - p1) in Fractions."""
+    p1, p2, p3, p4 = map(_fraction_point, (p1, p2, p3, p4))
+    d1x, d1y = p2[0] - p1[0], p2[1] - p1[1]
+    d2x, d2y = p4[0] - p3[0], p4[1] - p3[1]
+    denom = d1x * d2y - d1y * d2x
+    if denom == 0:
+        raise DomainError("parallel lines do not intersect")
+    t = ((p3[0] - p1[0]) * d2y - (p3[1] - p1[1]) * d2x) / denom
+    return (p1[0] + t * d1x, p1[1] + t * d1y)
+
+
+def _ratio_along_fraction(p, q, x) -> Fraction:
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    if abs(dx) >= abs(dy):
+        t = (x[0] - p[0]) / dx
+    else:
+        t = (x[1] - p[1]) / dy
+    if not 0 < t < 1:
+        raise DomainError("cevian foot is not interior to the side")
+    return t / (1 - t)
+
+
+def ceva_product_fraction(a, b, c, p) -> Fraction:
+    """BX/XC * CY/YA * AZ/ZB with every coordinate a Fraction."""
+    a, b, c, p = map(_fraction_point, (a, b, c, p))
+    orient = _cross_fraction(a, b, c)
+    if orient == 0:
+        raise DomainError("degenerate triangle")
+    sign = 1 if orient > 0 else -1
+    if not all(sign * _cross_fraction(u, v, p) > 0
+               for u, v in ((a, b), (b, c), (c, a))):
+        raise DomainError("point must be strictly inside the triangle")
+    x = line_intersection_fraction(a, p, b, c)
+    y = line_intersection_fraction(b, p, c, a)
+    z = line_intersection_fraction(c, p, a, b)
+    return (_ratio_along_fraction(b, c, x) * _ratio_along_fraction(c, a, y)
+            * _ratio_along_fraction(a, b, z))
+
+
+def _divide_fraction(p, q, ratio: Fraction):
+    t = ratio / (1 + ratio)
+    return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+
+
+def ceva_converse_check_fraction(cfg) -> IdentityReport:
+    """Z' = CP /\\ AB against Z for a CevaConfig, in Fractions."""
+    r1, r2, r3 = cfg.ratios
+    if r1 * r2 * r3 != 1:
+        raise DomainError("ratio product must be exactly 1")
+    x = _divide_fraction(cfg.b, cfg.c, r1)
+    y = _divide_fraction(cfg.c, cfg.a, r2)
+    z = _divide_fraction(cfg.a, cfg.b, r3)
+    p = line_intersection_fraction(cfg.a, x, cfg.b, y)
+    z_prime = line_intersection_fraction(cfg.c, p, cfg.a, cfg.b)
+    return report_check("geom.ceva_converse", cfg.ratios, z_prime, z,
+                        z_prime == z)
+
+
+def squares_intersection_check_fraction(a, b) -> SquaresFitReport:
+    """AF and DE met with BG in Fractions, against ab/(a+b) by similarity."""
+    a, b = Fraction(a), Fraction(b)
+    if a <= 0 or b <= 0:
+        raise DomainError("square sides must be positive")
+    origin = (Fraction(0), Fraction(0))
+    h = line_intersection_fraction((-a, 0), (b, b), (0, b), origin)
+    i = line_intersection_fraction((-a, a), (b, 0), (0, b), origin)
+    x_sim = a * b / (a + b)
+    y_sim = b * a / (a + b)
+    on_bg = h[0] == 0 and 0 < h[1] < b
+    passed = (h == i and on_bg and h[1] == x_sim and i[1] == y_sim
+              and x_sim == y_sim)
+    return SquaresFitReport(x_sim, y_sim, h, on_bg, passed)

@@ -1,8 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twoside.cli import ROW_SCHEMA, main
 from twoside.registry import SUITES
@@ -174,6 +177,23 @@ def test_million_trials_pinned(argv, digest, capsys, tmp_path, monkeypatch):
     test_output_pinned(argv, digest, capsys, tmp_path, monkeypatch)
 
 
+# The Euclid suites at 1000 trials and the cube-layer stack at n = 3000:
+# the sizes of the check_scaled benchmark workload.
+PINNED_SCALED = [
+    (["check", "geom.ceva", "geom.ceva_converse", "geom.squares_fit",
+      "--trials", "1000"],
+     "8179eed684d257cbec91921159f1f4107129357a91578f68ac76136603944483"),
+    (["check", "sum.cube_layers", "--max-n", "3000"],
+     "c75b89420f483fd77171c3317e7bc76ed54570071ad0ed781ad81816eba06807"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_SCALED,
+                         ids=["geom", "cube_layers"])
+def test_scaled_suites_pinned(argv, digest, capsys, tmp_path, monkeypatch):
+    test_output_pinned(argv, digest, capsys, tmp_path, monkeypatch)
+
+
 class TestConverge:
     def test_pi_csv_rows(self, capsys):
         code, out, _ = run_cli(capsys, "converge", "pi", "--doublings", "12",
@@ -308,6 +328,17 @@ class TestDedicatedCommands:
             assert len(err.strip().splitlines()) == 1
             assert "--terms" in err
 
+    def test_prob_coin_terms_below_n_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "prob", "coin", "--n", "10",
+                                 "--terms", "3", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "--terms must be at least --n = 10" in err
+        code, out, _ = run_cli(capsys, "prob", "coin", "--n", "10",
+                               "--terms", "10", "--trials", "100")
+        assert code == 0
+
     def test_pick_box_too_small_exits_2(self, capsys):
         # 3x3 lattice points cannot hold the up-to-12 vertices drawn
         code, out, err = run_cli(capsys, "pick", "--extent", "1")
@@ -356,3 +387,84 @@ class TestOutputPlumbing:
                                "--output", "/nonexistent/dir/rows.txt")
         assert code == 3
         assert "i/o error" in err
+
+
+# --- argv fuzzing ------------------------------------------------------------
+
+def _flag(name, values):
+    """[name, value] or nothing; the value is a str for argparse."""
+    return st.one_of(st.just([]),
+                     values.map(lambda v: [name, str(v)]))
+
+
+def _sized(name, values):
+    """[name, value]: a size flag is always given, since its default is
+    large."""
+    return values.map(lambda v: [name, str(v)])
+
+
+_SEEDS = st.integers(-5, 2 ** 70)
+_FORMATS = st.sampled_from(["table", "json", "csv", "xml"])
+_RATIONALS = st.sampled_from(["1/10", "1/1000", "1/10^6", "1", "2", "0",
+                              "-1/3", "1/0", "1e-3", "abc", "0.5", ""])
+_REGIONS = st.sampled_from([
+    "disk:1", "disk:2/3", "disk:1,-1,3/2", "disk:0", "disk:-1", "disk:a",
+    "disk:1,2", "poly:0,0;3,1;2,3;-1,2", "poly:0,0;1,0;0,1",
+    "poly:0,0;0,0;1,0;0,1", "poly:0,0;1,1;2,2", "poly:0,0;1,1",
+    "poly:", "bogus", ""])
+
+
+def _argv(command, positional, *flags):
+    return st.tuples(st.just([command]), positional, *flags).map(
+        lambda parts: [token for part in parts for token in part])
+
+
+_CHECK_IDS = st.lists(st.sampled_from(sorted(SUITES) + ["all", "no.such"]),
+                      min_size=1, max_size=3)
+
+ARGVS = st.one_of(
+    _argv("check", _CHECK_IDS,
+          _sized("--max-n", st.integers(-2, 20)),
+          _sized("--trials", st.integers(-2, 20)),
+          _flag("--terms", st.integers(-2, 40)),
+          _flag("--digits", st.integers(-2, 6)),
+          _flag("--seed", _SEEDS), _flag("--format", _FORMATS)),
+    _argv("list", st.just([]), _flag("--format", _FORMATS)),
+    _argv("converge",
+          st.sampled_from(["sqrt2", "pi", "power", "nthroot", "bogus"])
+          .map(lambda g: [g]),
+          st.one_of(_flag("--tol", _RATIONALS),
+                    _flag("--doublings", st.integers(-2, 8))),
+          _flag("--max-steps", st.integers(-2, 40)),
+          _flag("--format", _FORMATS)),
+    _argv("divisors", st.integers(-3, 3000).map(lambda n: ["--n", str(n)]),
+          _flag("--format", _FORMATS)),
+    _argv("jordan", _REGIONS.map(lambda r: ["--region", r]),
+          _flag("--tol", _RATIONALS), _sized("--max-n", st.integers(-2, 20)),
+          _flag("--format", _FORMATS)),
+    _argv("pick", st.just([]), _sized("--seeds", st.integers(-1, 3)),
+          _flag("--extent", st.integers(-1, 8)), _flag("--seed", _SEEDS),
+          _flag("--format", _FORMATS)),
+    _argv("prob", st.sampled_from([["dice"], ["coin"], ["craps"]]),
+          _flag("--n", st.integers(-2, 12)),
+          _flag("--terms", st.integers(-2, 40)),
+          _sized("--trials", st.integers(-2, 20)), _flag("--seed", _SEEDS),
+          _flag("--format", _FORMATS)),
+    st.lists(st.sampled_from(["check", "list", "--max-n", "-1", "x", "--help",
+                              "prob", "--format", "json", "--bogus"]),
+             max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ARGVS)
+def test_argv_fuzz_exits_cleanly(argv):
+    """Every small invocation ends with exit 0-3 and no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

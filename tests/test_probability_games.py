@@ -124,6 +124,12 @@ class TestCoinSeries:
             bracket = coin_series_tail_bracket(n, 0, 60)
             assert bracket.contains(coin_game_exact(n))
 
+    def test_tail_bracket_needs_l_max_past_n(self):
+        for n, l_start, l_max in ((10, 0, 3), (3, 0, 2), (2, 5, 4), (1, 0, 0)):
+            with pytest.raises(DomainError, match="l_max must be at least"):
+                coin_series_tail_bracket(n, l_start, l_max)
+        assert coin_series_tail_bracket(3, 0, 3).contains(coin_game_exact(3))
+
     def test_index_report(self):
         report = coin_series_index_report(1)
         assert report.matches[0] is True
