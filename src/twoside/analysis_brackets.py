@@ -8,10 +8,11 @@ refining a computation can only shrink a bracket, never lose its target.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Callable, Iterator
+from itertools import count, islice, repeat
+from typing import Callable, Iterable, Iterator
 
 from .exact_core import (Bracket, DomainError, NonConvergenceError,
                          RationalLike, root_bracket, rational_power_bracket)
@@ -26,26 +27,34 @@ class SqueezeResult:
     steps: int
 
 
-def squeeze_limit(gen: BracketGenerator, tol: RationalLike,
-                  max_steps: int) -> SqueezeResult:
-    """Run a bracket generator until one bracket has width <= tol."""
+def refine(brackets: Iterable[Bracket], tol: RationalLike,
+           max_steps: int) -> BracketGenerator:
+    """Yield brackets up to and including the first of width <= tol.
+
+    When `max_steps` brackets pass without one, or the brackets run out
+    first, raise NonConvergenceError after the last bracket yielded, so a
+    caller keeps every bracket it received.
+    """
     tol = Fraction(tol)
     if tol <= 0:
         raise DomainError("tolerance must be positive")
     if max_steps < 1:
         raise DomainError("max_steps must be at least 1")
-    last = None
-    steps = 0
-    for bracket in gen:
-        steps += 1
-        last = bracket
-        if bracket.width <= tol:
-            return SqueezeResult(bracket, steps)
-        if steps >= max_steps:
-            break
+    last, steps = None, 0
+    for steps, last in enumerate(islice(brackets, max_steps), 1):
+        yield last
+        if last.width <= tol:
+            return
     raise NonConvergenceError(
         f"no bracket of width <= {tol} within {steps} steps",
         last_bracket=last, steps=steps)
+
+
+def squeeze_limit(gen: BracketGenerator, tol: RationalLike,
+                  max_steps: int) -> SqueezeResult:
+    """Run a bracket generator until one bracket has width <= tol."""
+    brackets = list(refine(gen, tol, max_steps))
+    return SqueezeResult(brackets[-1], len(brackets))
 
 
 def _sqrt_bracket(b: Bracket, eps: Fraction) -> Bracket:
@@ -66,30 +75,18 @@ def nth_root_sequence_bracket(n: int) -> Bracket:
     return Bracket(Fraction(5), hi)
 
 
-def nth_root_sequence() -> BracketGenerator:
-    n = 1
-    while True:
-        yield nth_root_sequence_bracket(n)
-        n += 1
-
-
 # --- real-exponent powers -------------------------------------------------------
 
 def sqrt2_truncation(digits: int) -> tuple[int, int]:
     """(d, scale) with d/scale <= sqrt(2) <= (d+1)/scale, scale = 10^digits.
 
-    The lower endpoint comes from a root enclosure two digits finer than
-    requested; both inequalities are then re-verified by exact squaring.
+    d is the integer square root of 2 * scale^2, so d^2 <= 2 * scale^2 <
+    (d+1)^2 holds exactly.
     """
     if digits < 0:
         raise DomainError("digits must be non-negative")
     scale = 10 ** digits
-    enclosure = root_bracket(2, 2, Fraction(1, 10 ** (digits + 2)))
-    d = enclosure.lo.numerator * scale // enclosure.lo.denominator
-    while (d + 1) ** 2 < 2 * scale * scale:
-        d += 1
-    assert d * d <= 2 * scale * scale
-    return d, scale
+    return math.isqrt(2 * scale * scale), scale
 
 
 def real_power_bracket(a: RationalLike, digits: int) -> Bracket:
@@ -109,11 +106,6 @@ def real_power_bracket(a: RationalLike, digits: int) -> Bracket:
     if a > 1:
         return Bracket(low_exp.lo, high_exp.hi)
     return Bracket(high_exp.lo, low_exp.hi)
-
-
-def real_power_generator(a: RationalLike = 2, max_digits: int = 8) -> BracketGenerator:
-    for digits in range(max_digits + 1):
-        yield real_power_bracket(a, digits)
 
 
 # --- series with exact tails ---------------------------------------------------
@@ -163,21 +155,6 @@ def swineshead_check(n_terms: int) -> SwinesheadReport:
     bracket = Bracket(partial, partial + remainder)
     return SwinesheadReport(partial, closed_partial, bracket,
                             partial == closed_partial and bracket.contains(2))
-
-
-def swineshead_generator() -> BracketGenerator:
-    n = 0
-    while True:
-        yield swineshead_check(n).bracket
-        n += 1
-
-
-def geometric_tail_generator(a: RationalLike = 1,
-                             r: RationalLike = Fraction(1, 10)) -> BracketGenerator:
-    n = 0
-    while True:
-        yield geometric_series_sum(a, r, n).tail_bracket
-        n += 1
 
 
 def rows_rearrangement_check(n_rows: int) -> IdentityReport:
@@ -243,13 +220,6 @@ def riemann_bracket(f: MonomialIntegrand, n: int) -> Bracket:
     cell = f.upper / n
     factor = f.coefficient * cell ** (f.exponent + 1)
     return Bracket(factor * power_sum(n - 1), factor * power_sum(n))
-
-
-def riemann_generator(f: MonomialIntegrand) -> BracketGenerator:
-    n = 1
-    while True:
-        yield riemann_bracket(f, n)
-        n *= 2
 
 
 # --- pi by polygon doubling -------------------------------------------------------
@@ -332,25 +302,24 @@ def cylinder_volume_bracket(r: RationalLike, m: RationalLike, doublings: int,
 
 # --- generator registry for the CLI ----------------------------------------------
 
-def sqrt_refinement_generator(radicand: RationalLike = 2) -> BracketGenerator:
-    step = 0
-    while True:
-        yield root_bracket(radicand, 2, Fraction(1, 2 ** step))
-        step += 1
-
-
 def _generator_factories() -> dict[str, Callable[[], BracketGenerator]]:
+    """Each name's ladder of brackets, coarsest first.
+
+    Bracket functions are looked up when a ladder is made, so a wrapper
+    installed on a module attribute sees every call.
+    """
+    x2, x3 = (MonomialIntegrand(Fraction(1), k, Fraction(1)) for k in (2, 3))
     return {
         "pi": pi_generator,
-        "sqrt2": sqrt_refinement_generator,
-        "nthroot": nth_root_sequence,
-        "power": real_power_generator,
-        "riemann2": lambda: riemann_generator(
-            MonomialIntegrand(Fraction(1), 2, Fraction(1))),
-        "riemann3": lambda: riemann_generator(
-            MonomialIntegrand(Fraction(1), 3, Fraction(1))),
-        "swineshead": swineshead_generator,
-        "chocolate": geometric_tail_generator,
+        "sqrt2": lambda: (root_bracket(2, 2, Fraction(1, 2 ** step))
+                          for step in count()),
+        "nthroot": lambda: map(nth_root_sequence_bracket, count(1)),
+        "power": lambda: map(real_power_bracket, repeat(2), range(9)),
+        "riemann2": lambda: (riemann_bracket(x2, 1 << i) for i in count()),
+        "riemann3": lambda: (riemann_bracket(x3, 1 << i) for i in count()),
+        "swineshead": lambda: (swineshead_check(n).bracket for n in count()),
+        "chocolate": lambda: (geometric_series_sum(1, Fraction(1, 10), n)
+                              .tail_bracket for n in count()),
     }
 
 

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from . import analysis_brackets as ab
 from . import divisors as dv
@@ -149,32 +150,20 @@ def _cmd_converge(args) -> int:
     if args.max_steps < 1:
         print("--max-steps must be positive", file=sys.stderr)
         return 2
+    if args.tol is None:
+        gen = islice(gen, args.doublings + 1)
+    else:
+        gen = ab.refine(gen, rat_from_str(args.tol), args.max_steps)
     rows = []
-    if args.tol is not None:
-        tol = rat_from_str(args.tol)
-        if tol <= 0:
-            raise DomainError("tolerance must be positive")
-        converged = False
+    code = 0
+    try:
         for step, bracket in enumerate(gen):
             rows.append(_bracket_row(step, bracket))
-            if bracket.width <= tol:
-                converged = True
-                break
-            if step + 1 >= args.max_steps:
-                break
-        if not converged:
-            print(f"no convergence to width {args.tol} within "
-                  f"{len(rows)} steps", file=sys.stderr)
-            _emit(rows, _BRACKET_COLUMNS, args.format, args.output)
-            return 1
-    else:
-        for step in range(args.doublings + 1):
-            try:
-                rows.append(_bracket_row(step, next(gen)))
-            except StopIteration:
-                break
+    except NonConvergenceError as exc:
+        print(exc, file=sys.stderr)
+        code = 1
     _emit(rows, _BRACKET_COLUMNS, args.format, args.output)
-    return 0
+    return code
 
 
 _BRACKET_COLUMNS = ["step", "lo", "hi", "width", "lo_dec", "hi_dec",

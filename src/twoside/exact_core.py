@@ -221,26 +221,6 @@ def _ipow(base: int, exp: int) -> int:
     return base ** exp
 
 
-def _int_pow_equals(x: int, k: int, target: int) -> bool:
-    """Exact test x**k == target without materializing x**k if avoidable."""
-    if x == 1 or target == 1:
-        return x == 1 and target == 1
-    bits = target.bit_length()
-    if not k * (x.bit_length() - 1) + 1 <= bits <= k * x.bit_length():
-        return False
-    if x & (x - 1) == 0:
-        return target == 1 << ((x.bit_length() - 1) * k)
-    if target & (target - 1) == 0:
-        return False
-    # A power with any residue mismatch cannot be equal; random-looking odd
-    # moduli make a false positive astronomically unlikely, and a final
-    # exact comparison removes even that.
-    for modulus in (2 ** 61 - 1, 2 ** 64 - 59, 2 ** 89 - 1):
-        if pow(x, k, modulus) != target % modulus:
-            return False
-    return _ipow(x, k) == target
-
-
 def _mul_down_up(alo, ahi, blo, bhi, prec):
     # Interval product of nonnegative dyadic intervals (mant_lo, mant_hi, exp)
     # pairs collapsed to mantissas at a shared exponent, renormalized so the
@@ -352,11 +332,7 @@ class _PowComparator:
                 return 1
             prec *= 2
             if prec > _EXACT_BITS:
-                # Persistent ambiguity after thousands of agreeing leading
-                # bits is almost surely equality, which factors
-                # coordinatewise because gcd(a, b) = gcd(qn, qd) = 1.
-                if _int_pow_equals(a, k, qn) and _int_pow_equals(b, k, qd):
-                    return 0
+                # Thousands of leading bits agree: compare exactly.
                 lhs = _ipow(a, k) * qd
                 rhs = qn * _ipow(b, k)
                 return (lhs > rhs) - (lhs < rhs)

@@ -16,8 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from .exact_core import (Bracket, DomainError, NonConvergenceError,
-                         RationalLike, rat_from_str)
+
+from .analysis_brackets import refine
+from .exact_core import Bracket, DomainError, RationalLike, rat_from_str
 
 Point = tuple[Fraction, Fraction]
 
@@ -216,24 +217,14 @@ class RefineResult:
 def jordan_refine(region: Region, tol: RationalLike,
                   max_n: int = 1 << 12) -> RefineResult:
     """Double the grid density from n=1 until the bracket width is <= tol."""
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
     if max_n < 1:
         raise DomainError("max_n must be a positive integer")
-    n = 1
-    steps: list[tuple[int, Bracket]] = []
-    last = None
-    while n <= max_n:
-        bracket = jordan_bracket(region, n)
-        steps.append((n, bracket))
-        last = bracket
-        if bracket.width <= tol:
-            return RefineResult(bracket, n, tuple(steps))
-        n *= 2
-    raise NonConvergenceError(
-        f"grid width did not reach {tol} by n={max_n}",
-        last_bracket=last, steps=len(steps))
+    rungs = max_n.bit_length()  # n = 1, 2, 4, ... <= max_n
+    ladder = (jordan_bracket(region, 1 << i) for i in range(rungs))
+    steps = tuple((1 << i, bracket) for i, bracket
+                  in enumerate(refine(ladder, tol, rungs)))
+    n, bracket = steps[-1]
+    return RefineResult(bracket, n, steps)
 
 
 def parse_region(spec: str) -> Region:

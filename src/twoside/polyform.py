@@ -179,15 +179,6 @@ class Polynomial:
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
 
-    def evaluate(self, env: Mapping[str, Fraction]) -> Fraction:
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            term = coeff
-            for name, e in zip(self.vars, mono):
-                term *= Fraction(env[name]) ** e
-            total += term
-        return total
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

@@ -36,7 +36,6 @@ __all__ = [
     "coin_game_series_partial",
     "coin_series_tail_bracket",
     "coin_series_index_report",
-    "monte_carlo",
     "GameReport",
     "MonteCarloReport",
 ]
@@ -349,19 +348,6 @@ def _gate(exact: Fraction, hits: int, trials: int) -> MonteCarloReport:
     sigma = root_bracket(variance, 2, Fraction(1, 10 ** 12))
     return MonteCarloReport(trials, hits, estimate, sigma.scale(3), deviation,
                             sigma_gate(deviation, sigma))
-
-
-def monte_carlo(game: str, trials: int, seed: int, n: int = 1) -> MonteCarloReport:
-    """Run the named game and gate the estimate against its exact value."""
-    if game == "dice":
-        exact = absorbing_chain_solve(dice_chain())["S"]
-        hits = monte_carlo_dice(trials, seed)
-    elif game == "coin":
-        exact = coin_game_exact(n)
-        hits = monte_carlo_coin(n, trials, seed)
-    else:
-        raise DomainError(f"unknown game {game!r}")
-    return _gate(exact, hits, trials)
 
 
 @dataclass(frozen=True)

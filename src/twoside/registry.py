@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable
 
 from . import analysis_brackets as ab
@@ -224,7 +225,8 @@ def _nested(suite_id: str, tag: str,
 
 
 def _limit(_: SuiteParams):
-    result = ab.squeeze_limit(ab.nth_root_sequence(), Fraction(1, 10), 500)
+    result = ab.squeeze_limit(ab.named_generator("nthroot"), Fraction(1, 10),
+                              500)
     return [report_check("limit.nthroot", (result.steps,), result.bracket,
                          "within [5, 5.1]",
                          Fraction(5) <= result.bracket.lo
@@ -284,6 +286,9 @@ def _cauchy(params: SuiteParams):
 # --- probability ---------------------------------------------------------------------
 
 def _dice(params: SuiteParams):
+    """No report without a simulation: it is one of the three routes."""
+    if params.trials < 1:
+        return []
     game = prob.dice_game(terms=params.terms, trials=params.trials,
                           seed=params.seed)
     return [game.report("prob.dice", (params.terms,))]
@@ -368,8 +373,8 @@ def _build() -> dict[str, Suite]:
         _riemann(2, Fraction(1, 3)),
         _riemann(3, Fraction(1, 4)),
         _nested("power.sqrt2", "powers",
-                lambda p: (ab.real_power_bracket(2, digits)
-                           for digits in range(min(p.digits, 8) + 1)),
+                lambda p: islice(ab.named_generator("power"),
+                                 max(0, p.digits + 1)),
                 "digits={0}"),
         _nested("pi.doubling", "circle",
                 lambda p: ab.pi_bracket_sequence(min(p.digits + 6, 12),

@@ -7,10 +7,9 @@ from twoside.exact_core import (Bracket, DomainError, NonConvergenceError,
 from twoside.analysis_brackets import (MonomialIntegrand, circle_area_bracket,
                                        cylinder_volume_bracket,
                                        geometric_series_sum, named_generator,
-                                       nth_root_sequence,
                                        nth_root_sequence_bracket, pi_bracket,
                                        pi_bracket_sequence, real_power_bracket,
-                                       riemann_bracket,
+                                       refine, riemann_bracket,
                                        rows_rearrangement_check, squeeze_limit,
                                        swineshead_check, sqrt2_truncation)
 from oracles import bisect_root, machin_pi_bracket
@@ -39,7 +38,8 @@ class TestSqueeze:
         assert exc.value.steps == 25
 
     def test_nth_root_generator_reaches_tenth(self):
-        result = squeeze_limit(nth_root_sequence(), Fraction(1, 10), 500)
+        result = squeeze_limit(named_generator("nthroot"), Fraction(1, 10),
+                               500)
         assert Fraction(5) == result.bracket.lo
         assert result.bracket.hi <= Fraction(51, 10)
 
@@ -48,6 +48,45 @@ class TestSqueeze:
             squeeze_limit(constant_generator(1), Fraction(0), 5)
         with pytest.raises(DomainError):
             squeeze_limit(constant_generator(1), Fraction(1), 0)
+
+
+class TestRefine:
+    def test_stops_at_first_bracket_within_tolerance(self):
+        ladder = (Bracket(0, Fraction(1, w)) for w in range(1, 100))
+        widths = [b.width for b in refine(ladder, Fraction(1, 4), 10)]
+        assert widths == [1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]
+
+    def test_keeps_rows_before_step_budget_error(self):
+        rows = []
+        with pytest.raises(NonConvergenceError) as exc:
+            rows.extend(refine(iter([Bracket(0, 1)] * 10), Fraction(1, 2), 3))
+        assert rows == [Bracket(0, 1)] * 3
+        assert exc.value.steps == 3
+        assert "1/2" in str(exc.value)
+
+    def test_ladder_running_out_is_non_convergence(self):
+        rows = []
+        with pytest.raises(NonConvergenceError) as exc:
+            rows.extend(refine(iter([Bracket(0, 2), Bracket(0, 1)]),
+                               Fraction(1, 2), 10))
+        assert rows == [Bracket(0, 2), Bracket(0, 1)]
+        assert exc.value.last_bracket == Bracket(0, 1)
+        assert exc.value.steps == 2
+
+    def test_empty_ladder_is_non_convergence(self):
+        with pytest.raises(NonConvergenceError) as exc:
+            list(refine(iter([]), Fraction(1), 5))
+        assert exc.value.last_bracket is None
+        assert exc.value.steps == 0
+
+    @pytest.mark.parametrize("tol, steps", [(0, 5), (Fraction(-1, 2), 5),
+                                            (1, 0)])
+    def test_bad_arguments_before_any_bracket(self, tol, steps):
+        def ladder():
+            raise AssertionError("no bracket may be made")
+            yield
+        with pytest.raises(DomainError):
+            next(refine(ladder(), tol, steps))
 
 
 class TestNthRootSequence:
@@ -261,8 +300,8 @@ class TestPi:
 
 class TestGeneratorRegistry:
     def test_known_generators_step(self):
-        for name in ("pi", "sqrt2", "nthroot", "riemann2", "riemann3",
-                     "swineshead", "chocolate"):
+        for name in ("pi", "sqrt2", "nthroot", "power", "riemann2",
+                     "riemann3", "swineshead", "chocolate"):
             gen = named_generator(name)
             first = next(gen)
             second = next(gen)

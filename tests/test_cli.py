@@ -99,6 +99,7 @@ class TestCheck:
         for argv, empty in (
                 (["pick.formula", "--trials", "0"], "pick.formula"),
                 (["power.sqrt2", "--digits", "-1"], "power.sqrt2"),
+                (["prob.dice", "--trials", "0"], "prob.dice"),
                 (["sum.even", "geom.ceva", "--trials", "0"], "geom.ceva")):
             code, out, err = run_cli(capsys, "check", *argv)
             assert code == 2
@@ -121,7 +122,7 @@ class TestCheck:
         assert out == ""
         named = err.strip().split(": ", 1)[1].split(", ")
         assert named == ["geom.cauchy_schwarz", "geom.ceva",
-                         "geom.ceva_converse", "pick.formula"]
+                         "geom.ceva_converse", "pick.formula", "prob.dice"]
 
 
 # The check_scaled benchmark workload's suites.
@@ -232,6 +233,23 @@ class TestConverge:
         assert out == ""
         assert "tolerance must be positive" in err
 
+    def test_tol_not_reached_within_max_steps_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "converge", "sqrt2", "--tol",
+                                 "1/1000000000000", "--max-steps", "5",
+                                 "--format", "csv")
+        assert code == 1
+        assert len(out.strip().splitlines()) == 6  # header + 5 rows
+        assert len(err.strip().splitlines()) == 1
+        assert "1/1000000000000" in err
+
+    def test_tol_not_reached_when_ladder_ends_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "converge", "power", "--tol",
+                                 "1/10000000000000000000", "--format", "csv")
+        assert code == 1
+        assert len(out.strip().splitlines()) == 10  # header + 9 digit rows
+        assert len(err.strip().splitlines()) == 1
+        assert "1/10000000000000000000" in err
+
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_max_steps_not_positive_exit_2(self, capsys, steps):
         code, out, err = run_cli(capsys, "converge", "sqrt2", "--tol",
@@ -270,6 +288,13 @@ class TestDedicatedCommands:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert "max_n" in err
+
+    def test_jordan_tol_not_reached_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "jordan", "--region", "disk:1",
+                                 "--tol", "1/1000000", "--max-n", "8")
+        assert code == 1
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
 
     def test_jordan_repeated_vertex(self, capsys):
         code, out, _ = run_cli(capsys, "jordan", "--region",

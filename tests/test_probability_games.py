@@ -12,8 +12,8 @@ from twoside.probability_games import (AbsorbingChain, GameReport, ModelError,
                                        coin_series_index_report,
                                        coin_series_tail_bracket, dice_chain,
                                        dice_game, dice_series_bracket,
-                                       monte_carlo, monte_carlo_coin,
-                                       monte_carlo_dice, _gate)
+                                       monte_carlo_coin, monte_carlo_dice,
+                                       _gate)
 from twoside.report import FAIL, PASS, WARN
 from twoside.rng import GAMMA, MASK64, MIX_1, MIX_2, mix64
 from oracles import reference_monte_carlo_coin, reference_monte_carlo_dice
@@ -202,12 +202,12 @@ class TestMonteCarlo:
                         reference_monte_carlo_coin(n, trials, seed)
 
     def test_dice_estimate_close(self):
-        report = monte_carlo("dice", 40_000, 42)
+        report = dice_game(trials=40_000, seed=42).monte_carlo
         assert report.status in (PASS, WARN)
         assert report.estimate == Fraction(report.hits, 40_000)
 
     def test_coin_estimate_close(self):
-        report = monte_carlo("coin", 40_000, 42, n=2)
+        report = coin_game(2, trials=40_000, seed=42).monte_carlo
         assert report.status in (PASS, WARN)
 
     def test_gate_statuses(self):
@@ -220,10 +220,6 @@ class TestMonteCarlo:
         off = int(center + 3.5 * float(sigma) * trials)
         assert _gate(exact, off, trials).status == WARN
         assert _gate(exact, center + trials // 10, trials).status == FAIL
-
-    def test_unknown_game(self):
-        with pytest.raises(DomainError):
-            monte_carlo("roulette", 10, 1)
 
     def test_coin_game_report_with_mc(self):
         report = coin_game(2, terms=60, trials=2_000, seed=42)
