@@ -302,6 +302,11 @@ def cylinder_volume_bracket(r: RationalLike, m: RationalLike, doublings: int,
 
 # --- generator registry for the CLI ----------------------------------------------
 
+#: Brackets in each ladder that ends; the other ladders never do.  The
+#: power ladder truncates sqrt(2) to 0..8 decimal digits.
+LADDER_RUNGS = {"power": 9}
+
+
 def _generator_factories() -> dict[str, Callable[[], BracketGenerator]]:
     """Each name's ladder of brackets, coarsest first.
 
@@ -314,7 +319,8 @@ def _generator_factories() -> dict[str, Callable[[], BracketGenerator]]:
         "sqrt2": lambda: (root_bracket(2, 2, Fraction(1, 2 ** step))
                           for step in count()),
         "nthroot": lambda: map(nth_root_sequence_bracket, count(1)),
-        "power": lambda: map(real_power_bracket, repeat(2), range(9)),
+        "power": lambda: map(real_power_bracket, repeat(2),
+                             range(LADDER_RUNGS["power"])),
         "riemann2": lambda: (riemann_bracket(x2, 1 << i) for i in count()),
         "riemann3": lambda: (riemann_bracket(x3, 1 << i) for i in count()),
         "swineshead": lambda: (swineshead_check(n).bracket for n in count()),

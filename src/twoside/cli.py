@@ -1,19 +1,22 @@
 """Command-line entry point: run suites, emit reports, return CI exit codes.
 
-Exit codes: 0 when every row passes (expected failures that fail as
-predicted count as passing), 1 on any unexpected failure, 2 on usage
-errors, 3 on I/O failures.  With a fixed seed all output is byte-identical
-between runs; decimals are renderings of the exact strings next to them,
-never inputs to any comparison.
+Each subcommand returns its rows; `main` alone emits them and maps the
+outcome to an exit code: 0 when every row passes (expected failures that
+fail as predicted count as passing), 1 on any unexpected failure or a
+missed tolerance, 2 on usage errors, 3 on I/O failures.  With a fixed
+seed all output is byte-identical between runs; decimals are renderings
+of the exact strings next to them, never inputs to any comparison.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from itertools import islice
+from typing import Iterable
 
 from . import analysis_brackets as ab
 from . import divisors as dv
@@ -53,25 +56,37 @@ ROW_SCHEMA = {
 }
 
 
+_FORMATS = ("table", "json", "csv")
+
+
+def _cell(value) -> str:
+    """A table or csv cell: lists joined by spaces, None left empty."""
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return " ".join(value)
+    return str(value)
+
+
 def _fmt_table(rows: list[dict], columns: list[str]) -> str:
-    widths = {c: max(len(c), *(len(str(r.get(c, ""))) for r in rows))
+    widths = {c: max(len(c), *(len(_cell(r.get(c))) for r in rows))
               if rows else len(c) for c in columns}
     lines = ["  ".join(c.ljust(widths[c]) for c in columns)]
     for r in rows:
-        lines.append("  ".join(str(r.get(c, "")).ljust(widths[c])
+        lines.append("  ".join(_cell(r.get(c)).ljust(widths[c])
                                for c in columns))
     return "\n".join(lines) + "\n"
 
 
 def _fmt_csv(rows: list[dict], columns: list[str]) -> str:
     def escape(v) -> str:
-        s = str(v)
+        s = _cell(v)
         if any(ch in s for ch in ",\"\n"):
             return '"' + s.replace('"', '""') + '"'
         return s
     lines = [",".join(columns)]
     for r in rows:
-        lines.append(",".join(escape(r.get(c, "")) for c in columns))
+        lines.append(",".join(escape(r.get(c)) for c in columns))
     return "\n".join(lines) + "\n"
 
 
@@ -89,28 +104,16 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _flatten_row(row: dict) -> dict:
-    flat = dict(row)
-    flat["params"] = " ".join(row["params"])
-    flat["witness"] = "" if row["witness"] is None else " ".join(row["witness"])
-    if "detail" in flat:
-        flat["detail"] = " ".join(f"{k}={v}" for k, v in row["detail"].items())
-    return flat
+# A command returns (rows, columns) or raises DomainError on a usage error.
+Rows = tuple[Iterable[dict], list[str]]
 
 
-def _exit_code(rows: list[dict]) -> int:
-    return 0 if all(r["status"] != FAIL for r in rows) else 1
-
-
-def _cmd_check(args) -> int:
-    ids = list(args.suites)
-    if ids == ["all"]:
-        ids = sorted(SUITES)
+def _cmd_check(args) -> Rows:
+    ids = sorted(SUITES) if args.suites == ["all"] else args.suites
     unknown = [s for s in ids if s not in SUITES]
     if unknown:
-        print(f"unknown suite id(s): {', '.join(unknown)}", file=sys.stderr)
-        print("run 'twoside list' for the available ids", file=sys.stderr)
-        return 2
+        raise DomainError(f"unknown suite id(s): {', '.join(unknown)}\n"
+                          "run 'twoside list' for the available ids")
     params = SuiteParams(max_n=args.max_n, seed=args.seed, trials=args.trials,
                          terms=args.terms, digits=args.digits)
     rows: list[dict] = []
@@ -121,68 +124,47 @@ def _cmd_check(args) -> int:
             empty.append(suite_id)
         rows.extend(suite_rows)
     if empty:
-        print(f"nothing to check at these parameters in: {', '.join(empty)}",
-              file=sys.stderr)
-        return 2
-    columns = ["suite", "case", "lhs", "rhs", "status", "witness"]
-    _emit([_flatten_row(r) for r in rows] if args.format != "json" else rows,
-          columns, args.format, args.output)
-    return _exit_code(rows)
+        raise DomainError("nothing to check at these parameters in: "
+                          + ", ".join(empty))
+    return rows, ["suite", "case", "lhs", "rhs", "status", "witness"]
 
 
-def _cmd_list(args) -> int:
+def _cmd_list(args) -> Rows:
     rows = [{"suite": s.suite_id, "tag": s.tag,
              "expected_fail": "yes" if s.expected_fail is True else ""}
             for s in sorted(SUITES.values(), key=lambda s: s.suite_id)]
-    _emit(rows, ["suite", "tag", "expected_fail"], args.format, args.output)
-    return 0
+    return rows, ["suite", "tag", "expected_fail"]
 
 
-def _cmd_converge(args) -> int:
-    try:
-        gen = ab.named_generator(args.generator)
-    except DomainError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    if args.doublings < 0:
-        print("--doublings must be non-negative", file=sys.stderr)
-        return 2
+def _cmd_converge(args) -> Rows:
+    gen = ab.named_generator(args.generator)
+    rungs = ab.LADDER_RUNGS.get(args.generator, math.inf)
+    doublings = min(12, rungs - 1) if args.doublings is None \
+        else args.doublings
+    if doublings < 0:
+        raise DomainError("--doublings must be non-negative")
+    if doublings >= rungs:
+        raise DomainError(f"--doublings is at most {rungs - 1} on the "
+                          f"{args.generator} ladder")
     if args.max_steps < 1:
-        print("--max-steps must be positive", file=sys.stderr)
-        return 2
+        raise DomainError("--max-steps must be positive")
     if args.tol is None:
-        gen = islice(gen, args.doublings + 1)
+        gen = islice(gen, doublings + 1)
     else:
         gen = ab.refine(gen, rat_from_str(args.tol), args.max_steps)
-    rows = []
-    code = 0
-    try:
-        for step, bracket in enumerate(gen):
-            rows.append(_bracket_row(step, bracket))
-    except NonConvergenceError as exc:
-        print(exc, file=sys.stderr)
-        code = 1
-    _emit(rows, _BRACKET_COLUMNS, args.format, args.output)
-    return code
+    # A generator, so the rows made before a missed tolerance reach `main`.
+    rows = ({"step": step,
+             "lo": rat_to_str(b.lo),
+             "hi": rat_to_str(b.hi),
+             "width": rat_to_str(b.width),
+             "lo_dec": rat_to_decimal(b.lo, 15),
+             "hi_dec": rat_to_decimal(b.hi, 15),
+             "width_dec": rat_to_decimal(b.width, 15)}
+            for step, b in enumerate(gen))
+    return rows, ["step", "lo", "hi", "width", "lo_dec", "hi_dec", "width_dec"]
 
 
-_BRACKET_COLUMNS = ["step", "lo", "hi", "width", "lo_dec", "hi_dec",
-                    "width_dec"]
-
-
-def _bracket_row(step: int, bracket) -> dict:
-    return {
-        "step": step,
-        "lo": rat_to_str(bracket.lo),
-        "hi": rat_to_str(bracket.hi),
-        "width": rat_to_str(bracket.width),
-        "lo_dec": rat_to_decimal(bracket.lo, 15),
-        "hi_dec": rat_to_decimal(bracket.hi, 15),
-        "width_dec": rat_to_decimal(bracket.width, 15),
-    }
-
-
-def _cmd_divisors(args) -> int:
+def _cmd_divisors(args) -> Rows:
     n = args.n
     table = dv.divisor_counts(n)
     report = dv.divisor_average_bounds(n, table)
@@ -199,22 +181,12 @@ def _cmd_divisors(args) -> int:
         "harmonic_dec": rat_to_decimal(report.upper, 12),
         "status": row_status(identity.passed and report.passed),
     }
-    _emit([row], list(row.keys()), args.format, args.output)
-    return _exit_code([row])
+    return [row], list(row)
 
 
-def _cmd_jordan(args) -> int:
-    try:
-        region = jm.parse_region(args.region)
-    except DomainError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    tol = rat_from_str(args.tol)
-    try:
-        result = jm.jordan_refine(region, tol, args.max_n)
-    except NonConvergenceError as exc:
-        print(exc, file=sys.stderr)
-        return 1
+def _cmd_jordan(args) -> Rows:
+    region = jm.parse_region(args.region)
+    result = jm.jordan_refine(region, rat_from_str(args.tol), args.max_n)
     rows = [{
         "n": n,
         "inner": rat_to_str(b.lo),
@@ -223,15 +195,12 @@ def _cmd_jordan(args) -> int:
         "inner_dec": rat_to_decimal(b.lo, 12),
         "outer_dec": rat_to_decimal(b.hi, 12),
     } for n, b in result.steps]
-    _emit(rows, ["n", "inner", "outer", "width", "inner_dec", "outer_dec"],
-          args.format, args.output)
-    return 0
+    return rows, ["n", "inner", "outer", "width", "inner_dec", "outer_dec"]
 
 
-def _cmd_pick(args) -> int:
+def _cmd_pick(args) -> Rows:
     if args.seeds < 1:
-        print("--seeds must be positive", file=sys.stderr)
-        return 2
+        raise DomainError("--seeds must be positive")
     rows = []
     for i in range(args.seeds):
         poly = lattice.random_lattice_polygon(args.seed + i, args.extent)
@@ -248,24 +217,20 @@ def _cmd_pick(args) -> int:
             "triangles": tri.count,
             "status": row_status(ok),
         })
-    _emit(rows, ["seed", "vertices", "area", "boundary", "interior",
-                 "triangles", "status"], args.format, args.output)
-    return _exit_code(rows)
+    return rows, ["seed", "vertices", "area", "boundary", "interior",
+                  "triangles", "status"]
 
 
-def _cmd_prob(args) -> int:
+def _cmd_prob(args) -> Rows:
     if args.trials < 1:
-        print("--trials must be positive: the simulation is one of the "
-              "three routes", file=sys.stderr)
-        return 2
+        raise DomainError("--trials must be positive: the simulation is one "
+                          "of the three routes")
     if args.terms < 0:
-        print("--terms must be non-negative: it counts series terms",
-              file=sys.stderr)
-        return 2
+        raise DomainError("--terms must be non-negative: it counts series "
+                          "terms")
     if args.game == "coin" and args.terms < args.n:
-        print(f"--terms must be at least --n = {args.n}: the coin series "
-              f"bounds its tail only from the n-th term on", file=sys.stderr)
-        return 2
+        raise DomainError(f"--terms must be at least --n = {args.n}: the coin "
+                          f"series bounds its tail only from the n-th term on")
     if args.game == "dice":
         game = prob.dice_game(terms=args.terms, trials=args.trials,
                               seed=args.seed)
@@ -289,8 +254,7 @@ def _cmd_prob(args) -> int:
         "three_sigma_hi": rat_to_str(mc.three_sigma.hi),
         "mc_status": mc.status,
     }
-    _emit([payload], list(payload.keys()), args.format, args.output)
-    return _exit_code([payload])
+    return [payload], list(payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="twoside",
         description="exact two-way verification suites and enclosure tables")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["table", "json", "csv"],
-                        default="table")
+    common.add_argument("--format", choices=_FORMATS, default="table")
     common.add_argument("--output", default=None,
                         help="write to this path instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -313,9 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--trials", type=int, default=100)
     p_check.add_argument("--terms", type=int, default=40)
     p_check.add_argument("--digits", type=int, default=6)
+    p_check.set_defaults(run=_cmd_check)
 
-    p_list = sub.add_parser("list", parents=[common],
-                            help="print all suite ids with topic tags")
+    sub.add_parser("list", parents=[common],
+                   help="print all suite ids with topic tags"
+                   ).set_defaults(run=_cmd_list)
 
     p_conv = sub.add_parser("converge", parents=[common],
                             help="emit (step, lo, hi, width) refinement rows")
@@ -323,13 +288,19 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_conv.add_mutually_exclusive_group()
     group.add_argument("--tol", default=None,
                        help="refine until width <= this rational, e.g. 1/100")
-    group.add_argument("--doublings", type=int, default=12,
-                       help="emit exactly this many refinement steps + 1")
+    last = ", ".join(f"{name} {rungs - 1}"
+                     for name, rungs in ab.LADDER_RUNGS.items())
+    group.add_argument("--doublings", type=int, default=None,
+                       help="emit exactly N + 1 brackets (default 12); a "
+                            "ladder that ends caps N at, and defaults it to, "
+                            f"its last step: {last}")
     p_conv.add_argument("--max-steps", type=int, default=200, dest="max_steps")
+    p_conv.set_defaults(run=_cmd_converge)
 
     p_div = sub.add_parser("divisors", parents=[common],
                            help="divisor identity and bounds at n")
     p_div.add_argument("--n", type=int, required=True)
+    p_div.set_defaults(run=_cmd_divisors)
 
     p_jord = sub.add_parser("jordan", parents=[common],
                             help="grid-area refinement table")
@@ -337,12 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help='"disk:R", "disk:CX,CY,R" or "poly:X,Y;X,Y;..."')
     p_jord.add_argument("--tol", default="1/100")
     p_jord.add_argument("--max-n", type=int, default=1 << 12, dest="max_n")
+    p_jord.set_defaults(run=_cmd_jordan)
 
     p_pick = sub.add_parser("pick", parents=[common],
                             help="random lattice polygon suite")
     p_pick.add_argument("--seeds", type=int, default=200)
     p_pick.add_argument("--extent", type=int, default=20)
     p_pick.add_argument("--seed", type=int, default=42)
+    p_pick.set_defaults(run=_cmd_pick)
 
     p_prob = sub.add_parser("prob", parents=[common],
                             help="game probabilities three ways")
@@ -351,39 +324,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_prob.add_argument("--trials", type=int, default=10_000)
     p_prob.add_argument("--terms", type=int, default=40)
     p_prob.add_argument("--seed", type=int, default=42)
+    p_prob.set_defaults(run=_cmd_prob)
 
     return parser
 
 
-_COMMANDS = {
-    "check": _cmd_check,
-    "list": _cmd_list,
-    "converge": _cmd_converge,
-    "divisors": _cmd_divisors,
-    "jordan": _cmd_jordan,
-    "pick": _cmd_pick,
-    "prob": _cmd_prob,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    env_format = os.environ.get("TWOSIDE_FORMAT")
-    if env_format:
-        if env_format not in ("table", "json", "csv"):
-            print(f"TWOSIDE_FORMAT must be table, json or csv, "
-                  f"not {env_format!r}", file=sys.stderr)
-            return 2
-        args.format = env_format
+    args = build_parser().parse_args(argv)
+    rows: list[dict] = []
+    missed = False
     try:
-        return _COMMANDS[args.command](args)
+        fmt = os.environ.get("TWOSIDE_FORMAT") or args.format
+        if fmt not in _FORMATS:
+            raise DomainError(f"TWOSIDE_FORMAT must be table, json or csv, "
+                              f"not {fmt!r}")
+        try:
+            produced, columns = args.run(args)
+            rows.extend(produced)
+        except NonConvergenceError as exc:
+            print(exc, file=sys.stderr)
+            missed = True
+        if rows:
+            _emit(rows, columns, fmt, args.output)
     except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    return 1 if missed or any(r.get("status") == FAIL for r in rows) else 0
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import product
 
 from .exact_core import DomainError
@@ -430,8 +429,7 @@ def empty_triangulation(p: LatticePolygon,
 
 # --- seeded polygon generation --------------------------------------------------
 
-def random_lattice_polygon(seed: int, half_extent: int,
-                           n_vertices: int | None = None) -> LatticePolygon:
+def random_lattice_polygon(seed: int, half_extent: int) -> LatticePolygon:
     """Deterministic simple lattice polygon inside [-he, he]^2.
 
     Distinct points are sampled, ordered by exact angle around their
@@ -440,17 +438,14 @@ def random_lattice_polygon(seed: int, half_extent: int,
     """
     if half_extent < 1:
         raise DomainError("half_extent must be at least 1")
-    if n_vertices is not None and n_vertices < 3:
-        raise DomainError("a polygon needs at least 3 vertices")
     span = 2 * half_extent + 1
-    most = 12 if n_vertices is None else n_vertices  # the default draws 6..12
-    if most > span * span:
-        raise DomainError(f"cannot place {most} distinct vertices among the "
+    if span * span < 12:  # vertex counts are drawn from 6..12
+        raise DomainError(f"cannot place 12 distinct vertices among the "
                           f"{span * span} lattice points of "
                           f"[-{half_extent}, {half_extent}]^2")
     rng = SplitMix64(seed)
     for _ in range(10_000):
-        k = n_vertices if n_vertices is not None else 6 + rng.below(7)
+        k = 6 + rng.below(7)
         points: set[IntPoint] = set()
         while len(points) < k:
             x = rng.below(span) - half_extent
@@ -465,24 +460,24 @@ def random_lattice_polygon(seed: int, half_extent: int,
 
 
 def _angular_sort(points: list[IntPoint]) -> list[IntPoint]:
+    """Counter-clockwise from the +x direction around the centroid, nearer
+    first on a ray.
+
+    Offsets are taken k times over, k*p - sum(p), to stay in integers.  The
+    key is the half-plane (the upper one holds the +x ray, the lower one
+    the -x ray and the centroid itself), then a pseudo-angle that rises
+    with the angle within each half, then the squared radius.
+    """
     k = len(points)
-    cx = Fraction(sum(p[0] for p in points), k)
-    cy = Fraction(sum(p[1] for p in points), k)
+    sx = sum(p[0] for p in points)
+    sy = sum(p[1] for p in points)
 
-    def compare(p: IntPoint, q: IntPoint) -> int:
-        pdx, pdy = p[0] - cx, p[1] - cy
-        qdx, qdy = q[0] - cx, q[1] - cy
-        ph = 0 if (pdy > 0 or (pdy == 0 and pdx > 0)) else 1
-        qh = 0 if (qdy > 0 or (qdy == 0 and qdx > 0)) else 1
-        if ph != qh:
-            return -1 if ph < qh else 1
-        cross = pdx * qdy - pdy * qdx
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        pr = pdx * pdx + pdy * pdy
-        qr = qdx * qdx + qdy * qdy
-        return -1 if pr < qr else (1 if pr > qr else 0)
+    def key(p: IntPoint) -> tuple[bool, Fraction, int]:
+        dx, dy = k * p[0] - sx, k * p[1] - sy
+        upper = dy > 0 or (dy == 0 and dx > 0)
+        taxicab = abs(dx) + abs(dy)
+        pseudo = Fraction(-dx if upper else dx, taxicab) if taxicab \
+            else Fraction(-1)
+        return not upper, pseudo, dx * dx + dy * dy
 
-    return sorted(points, key=cmp_to_key(compare))
+    return sorted(points, key=key)

@@ -21,7 +21,7 @@ import numpy as np
 from .analysis_brackets import geometric_series_sum
 from .exact_core import Bracket, DomainError, root_bracket
 from .rng import GAMMA, MASK64, MIX_1, MIX_2
-from .report import PASS, IdentityReport, report_check, sigma_gate
+from .report import IdentityReport, report_check, sigma_gate
 
 __all__ = [
     "ModelError",
@@ -355,32 +355,32 @@ class GameReport:
     exact: Fraction
     closed: Fraction
     series_bracket: Bracket
-    monte_carlo: MonteCarloReport | None
+    monte_carlo: MonteCarloReport
 
     def consistent(self) -> bool:
         return self.series_bracket.contains(self.exact)
 
     def report(self, suite: str, params: tuple) -> IdentityReport:
         """The exact value equals the closed form and lies in the series
-        bracket; the simulation, when one ran, gates the result."""
-        gate = self.monte_carlo.status if self.monte_carlo else PASS
+        bracket; the simulation gates the result."""
+        gate = self.monte_carlo.status
         return report_check(suite, params, self.exact, self.series_bracket,
                             self.exact == self.closed and self.consistent(),
                             {"mc": gate}, gate)
 
 
-def dice_game(terms: int = 40, trials: int = 0, seed: int = 42) -> GameReport:
-    """Chain-solved value, closed form 6/11, series bracket, optional MC."""
+def dice_game(trials: int, terms: int = 40, seed: int = 42) -> GameReport:
+    """Chain-solved value, closed form 6/11, series bracket, simulation."""
     exact = absorbing_chain_solve(dice_chain())["S"]
     series = dice_series_bracket(terms)
-    mc = _gate(exact, monte_carlo_dice(trials, seed), trials) if trials else None
+    mc = _gate(exact, monte_carlo_dice(trials, seed), trials)
     return GameReport(exact, Fraction(6, 11), series, mc)
 
 
-def coin_game(n: int, terms: int = 60, trials: int = 0,
+def coin_game(n: int, trials: int, terms: int = 60,
               seed: int = 42) -> GameReport:
-    """Exact DP value, closed form, (index-0) series bracket, optional MC."""
+    """Exact DP value, closed form, (index-0) series bracket, simulation."""
     exact = coin_game_exact(n)
     series = coin_series_tail_bracket(n, 0, terms)
-    mc = _gate(exact, monte_carlo_coin(n, trials, seed), trials) if trials else None
+    mc = _gate(exact, monte_carlo_coin(n, trials, seed), trials)
     return GameReport(exact, coin_game_closed_form(n), series, mc)

@@ -47,7 +47,6 @@ class SuiteParams:
     trials: int = 100
     terms: int = 40
     digits: int = 6
-    tol: Fraction = Fraction(1, 100)
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,17 @@ trial division and a one-slice-per-divisor sieve for divisor counts, one
 Python division per term for floor sums, sums written out term by term, the
 pentagonal and bounded-part recurrences for partitions, matrix powers for
 Fibonacci, Jordan rows classified in Fractions, triangles scanned point by
-point, pure-Python restatements of the numpy simulations, and the Ceva and
-two-squares checks solved in Fractions.  Tests
-compare package output against these, never against the package's own
-formulas.
+point, points sorted by angle with a Fraction comparator, pure-Python
+restatements of the numpy simulations, and the Ceva and two-squares checks
+solved in Fractions.  Tests compare package output against these, never
+against the package's own formulas.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 
 import numpy as np
 
@@ -495,6 +496,33 @@ def triangle_points_scan(t) -> int:
                    for p, q in ((a, b), (b, c), (c, a))):
                 count += 1
     return count
+
+
+def angular_sort_comparator(points) -> list:
+    """Points ordered around their centroid by a pairwise comparator over
+    Fraction offsets: half-plane first (dy > 0, or dy = 0 and dx > 0, is
+    the first half), then the cross product, then the squared radius."""
+    k = len(points)
+    cx = Fraction(sum(p[0] for p in points), k)
+    cy = Fraction(sum(p[1] for p in points), k)
+
+    def compare(p, q) -> int:
+        pdx, pdy = p[0] - cx, p[1] - cy
+        qdx, qdy = q[0] - cx, q[1] - cy
+        ph = 0 if (pdy > 0 or (pdy == 0 and pdx > 0)) else 1
+        qh = 0 if (qdy > 0 or (qdy == 0 and qdx > 0)) else 1
+        if ph != qh:
+            return -1 if ph < qh else 1
+        cross = pdx * qdy - pdy * qdx
+        if cross > 0:
+            return -1
+        if cross < 0:
+            return 1
+        pr = pdx * pdx + pdy * pdy
+        qr = qdx * qdx + qdy * qdy
+        return -1 if pr < qr else (1 if pr > qr else 0)
+
+    return sorted(points, key=cmp_to_key(compare))
 
 
 # --- Euclid checks in Fractions ----------------------------------------------

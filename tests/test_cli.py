@@ -226,6 +226,21 @@ class TestConverge:
         assert out == ""
         assert "--doublings" in err
 
+    @pytest.mark.parametrize("doublings, code, lines", [
+        (["--doublings", "8"], 0, 10), ([], 0, 10),
+        (["--doublings", "9"], 2, 0), (["--doublings", "12"], 2, 0)])
+    def test_power_ladder_caps_doublings(self, capsys, doublings, code,
+                                         lines):
+        # the power ladder has 9 brackets: N + 1 rows need N <= 8, which
+        # is also its default
+        code_, out, err = run_cli(capsys, "converge", "power", *doublings,
+                                  "--format", "csv")
+        assert code_ == code
+        assert len(out.splitlines()) == lines  # header + N + 1 rows
+        if code == 2:
+            assert err.strip().splitlines() == [
+                "--doublings is at most 8 on the power ladder"]
+
     @pytest.mark.parametrize("tol", [["--tol", "0"], ["--tol=-1/10"]])
     def test_tolerance_not_positive_exit_2(self, capsys, tol):
         code, out, err = run_cli(capsys, "converge", "pi", *tol)
@@ -384,6 +399,44 @@ class TestDedicatedCommands:
         assert code == 0
         payload = json.loads(out)[0]
         assert payload["exact"] == "4/9"
+
+
+# Every usage error README names: exit 2, nothing on stdout, and one
+# message as it was raised, without a traceback or a prefix.
+USAGE_ERRORS = [
+    (["check", "sum.even"], "yaml"),
+    (["check", "sum.nonexistent"], None),
+    (["check", "pick.formula", "--trials", "0"], None),
+    (["check", "prob.dice", "--trials", "0"], None),
+    (["converge", "nope"], None),
+    (["converge", "pi", "--doublings", "-1"], None),
+    (["converge", "power", "--doublings", "9"], None),
+    (["converge", "pi", "--tol", "0"], None),
+    (["converge", "sqrt2", "--max-steps", "0"], None),
+    (["divisors", "--n", "0"], None),
+    (["jordan", "--region", "blob:1"], None),
+    (["jordan", "--region", "disk:1", "--max-n", "0"], None),
+    (["pick", "--seeds", "0"], None),
+    (["pick", "--extent", "1"], None),
+    (["prob", "dice", "--trials", "0"], None),
+    (["prob", "dice", "--terms", "-1"], None),
+    (["prob", "coin", "--n", "10", "--terms", "3"], None),
+]
+
+
+@pytest.mark.parametrize("argv, env_format", USAGE_ERRORS,
+                         ids=[" ".join(argv) + (f" {env}" if env else "")
+                              for argv, env in USAGE_ERRORS])
+def test_usage_error_message_exits_2(argv, env_format, capsys, monkeypatch):
+    monkeypatch.delenv("TWOSIDE_FORMAT", raising=False)
+    if env_format:
+        monkeypatch.setenv("TWOSIDE_FORMAT", env_format)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.strip()
+    assert "Traceback" not in err
+    assert not err.startswith("domain error")
 
 
 class TestOutputPlumbing:

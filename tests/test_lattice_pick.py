@@ -6,12 +6,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from twoside import lattice_pick
 from twoside.exact_core import DomainError
-from twoside.lattice_pick import (LatticePolygon, _contained_count,
-                                  boundary_count, empty_triangulation,
-                                  interior_count, pick_check,
-                                  random_lattice_polygon, shoelace_area)
-from oracles import (segment_lattice_points, shoelace_rational,
-                     triangle_points_scan)
+from twoside.lattice_pick import (LatticePolygon, _angular_sort,
+                                  _contained_count, boundary_count,
+                                  empty_triangulation, interior_count,
+                                  pick_check, random_lattice_polygon,
+                                  shoelace_area)
+from oracles import (angular_sort_comparator, segment_lattice_points,
+                     shoelace_rational, triangle_points_scan)
 
 UNIT_SQUARE = LatticePolygon(((0, 0), (1, 0), (1, 1), (0, 1)))
 SQUARE3 = LatticePolygon(((0, 0), (3, 0), (3, 3), (0, 3)))
@@ -246,11 +247,33 @@ class TestGenerator:
             random_lattice_polygon(1, 0)
 
     def test_vertex_count_validated(self):
-        # rejected before sampling: a 3x3 box has 9 points, and a
-        # polygon needs 3 vertices
-        for n_vertices in (10, 2):
-            with pytest.raises(DomainError):
-                random_lattice_polygon(0, 1, n_vertices=n_vertices)
+        # rejected before sampling: a 3x3 box has 9 points
         with pytest.raises(DomainError):
             random_lattice_polygon(0, 1)  # the default draws up to 12
         assert len(random_lattice_polygon(0, 2).vertices) >= 3
+
+
+class TestAngularSort:
+    """The integer sort key against the Fraction comparator."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sets(lattice_points, min_size=1, max_size=12),
+           st.booleans())
+    def test_matches_comparator(self, points, add_centroid):
+        points = sorted(points)
+        if add_centroid:
+            # shift the set so that its centroid is a lattice point, then
+            # add that point: the centroid does not move
+            k = len(points)
+            sx, sy = (sum(p[i] for p in points) for i in (0, 1))
+            points = [(k * x, k * y) for x, y in points]
+            if (sx, sy) not in points:
+                points = sorted(points + [(sx, sy)])
+        assert _angular_sort(points) == angular_sort_comparator(points)
+
+    def test_centroid_first_in_lower_half(self):
+        # the centroid (0, 0) opens the lower half, ahead of (-1, 0)
+        points = [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
+        expected = [(1, 0), (0, 1), (0, 0), (-1, 0), (0, -1)]
+        assert _angular_sort(points) == expected
+        assert angular_sort_comparator(points) == expected

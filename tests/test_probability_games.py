@@ -71,10 +71,23 @@ class TestDiceSeries:
         assert dice_series_bracket(40).width <= Fraction(1, 10 ** 6)
 
     def test_game_report(self):
-        report = dice_game(terms=40)
+        report = dice_game(trials=1_000, terms=40)
         assert report.exact == Fraction(6, 11)
         assert report.consistent()
-        assert report.monte_carlo is None
+        assert report.monte_carlo.trials == 1_000
+        assert report.monte_carlo.estimate == Fraction(
+            report.monte_carlo.hits, 1_000)
+        assert report.report("prob.dice", (40,)).detail == {
+            "mc": report.monte_carlo.status}
+
+    def test_game_requires_a_simulation(self):
+        with pytest.raises(TypeError):
+            dice_game(terms=40)
+        for trials in (0, -1):
+            with pytest.raises(DomainError):
+                dice_game(trials=trials)
+            with pytest.raises(DomainError):
+                coin_game(2, trials=trials)
 
 
 class TestCoinGame:
