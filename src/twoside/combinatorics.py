@@ -1,15 +1,18 @@
 """Binomial identities with enumeration oracles, colorings, and partitions.
 
-Each identity is evaluated exactly on both sides; the enumeration-backed
-checks (subset counting, lattice path walking, constrained strings, Young
-diagrams) recount the same finite set in independent ways so agreement is
-meaningful rather than definitional.
+Each binomial identity is evaluated exactly, one side from a Pascal table
+built by additions and the other from `math.comb` or a closed form; the
+enumeration-backed checks (subset counting, lattice path walking,
+constrained strings, Young diagrams) recount the same finite set in
+independent ways so agreement is meaningful rather than definitional.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +28,30 @@ def binomial(n: int, k: int) -> int:
         raise DomainError("n must be non-negative")
     if k < 0 or k > n:
         return 0
-    # Multiplicative form n/1 * (n-1)/2 * ...; every partial product is an
-    # integer so the division is exact.
-    k = min(k, n - k)
-    result = 1
-    for i in range(1, k + 1):
-        result = result * (n - k + i) // i
-    return result
+    return math.comb(n, k)
+
+
+#: Largest n `binom_identity_check` accepts; its sides read table rows up to
+#: n + 1.
+BINOM_MAX_N = 300
+
+#: Pascal's triangle, row n at index n, grown by `_pascal_rows` on demand.
+_PASCAL: list[list[int]] = [[1]]
+
+
+def _pascal_rows(n: int) -> list[list[int]]:
+    """Pascal's triangle through row n, each row the pairwise sums of the
+    row above with a 1 at each end: additions only, no multiplication."""
+    rows = _PASCAL
+    while len(rows) <= n:
+        prev = rows[-1]
+        rows.append([1, *map(operator.add, prev, prev[1:]), 1])
+    return rows
+
+
+def _at(row: list[int], k: int) -> int:
+    """Entry k of a table row; 0 outside the row, as for `binomial`."""
+    return row[k] if 0 <= k < len(row) else 0
 
 
 def _count_subsets(n: int, k: int) -> int:
@@ -49,7 +69,7 @@ def _count_paths(n: int, k: int) -> int:
 
 
 def binomial_enumeration_crosscheck(n: int, k: int) -> IdentityReport:
-    """Subset listing, path walking, and the multiplicative formula agree."""
+    """Subset listing, path walking, and `binomial` agree."""
     if not 0 <= k <= n:
         raise DomainError("need 0 <= k <= n")
     if n > 22:
@@ -77,62 +97,68 @@ class BinomKind(enum.Enum):
 
 
 def binom_identity_check(kind: BinomKind, **params: int) -> IdentityReport:
-    """Evaluate both sides of one binomial identity exactly."""
+    """Evaluate both sides of one binomial identity exactly.
+
+    One side reads the Pascal table of additions; the other is `binomial`
+    (`math.comb`) or a closed form, so an error in either route shows.
+    """
     suite = f"binom.{kind.value}"
     n = params.get("n")
     if n is None or n < 0:
         raise DomainError("parameter n >= 0 is required")
+    if n > BINOM_MAX_N:
+        raise DomainError(f"binomial identities capped at n <= {BINOM_MAX_N}")
+    T = _pascal_rows(n + 1)
     if kind is BinomKind.PASCAL:
         k = _require_k(params, 0, n + 1)
         return report_equal(suite, (n, k), binomial(n + 1, k),
-                            binomial(n, k) + binomial(n, k - 1))
+                            _at(T[n], k) + _at(T[n], k - 1))
     if kind is BinomKind.SQUARE_PASCAL:
         k = _require_k(params, 2, n)
-        rhs = (binomial(n - 1, k - 2) + 2 * binomial(n - 1, k - 1)
-               + binomial(n - 1, k))
+        row = T[n - 1]
+        rhs = row[k - 2] + 2 * row[k - 1] + _at(row, k)
         return report_equal(suite, (n, k), binomial(n + 1, k), rhs)
     if kind is BinomKind.SPLIT_J:
         k = _require_k(params, 0, n)
         j = params.get("j")
         if j is None or not 0 <= j <= k:
             raise DomainError("need 0 <= j <= k")
-        rhs = sum(binomial(j, i) * binomial(n + 1 - j, k - i)
-                  for i in range(j + 1))
+        a, b = T[j], T[n + 1 - j]
+        # Terms with k - i past the end of row n + 1 - j are 0.
+        rhs = sum(a[i] * b[k - i] for i in range(max(0, k + j - n - 1), j + 1))
         return report_equal(suite, (n, k, j), binomial(n + 1, k), rhs)
     if kind is BinomKind.ROW_SUM:
-        lhs = sum(binomial(n, k) for k in range(n + 1))
-        return report_equal(suite, (n,), lhs, 2 ** n)
+        return report_equal(suite, (n,), sum(T[n]), 2 ** n)
     if kind is BinomKind.WEIGHTED_3N:
-        lhs = sum(2 ** (n - k) * binomial(n, k) for k in range(n + 1))
+        lhs = sum(2 ** (n - k) * c for k, c in enumerate(T[n]))
         return report_equal(suite, (n,), lhs, 3 ** n)
     if kind is BinomKind.DOUBLE_3N:
-        lhs = sum(binomial(n, k) * binomial(k, m)
-                  for k in range(n + 1) for m in range(k + 1))
+        # sum over k <= n and m <= k of T[n][k] * T[k][m], inner sum first.
+        lhs = sum(c * sum(T[k]) for k, c in enumerate(T[n]))
         return report_equal(suite, (n,), lhs, 3 ** n)
     if kind is BinomKind.FIB_DIAGONAL:
         if n < 1:
             raise DomainError("need n >= 1")
-        lhs = sum(binomial(n - k - 1, k) for k in range((n - 1) // 2 + 1))
+        lhs = sum(T[n - k - 1][k] for k in range((n - 1) // 2 + 1))
         return report_equal(suite, (n,), lhs, fibonacci(n))
     if kind is BinomKind.HOCKEY_STICK:
         k = _require_k(params, 0, n)
-        lhs = sum(binomial(i, k) for i in range(k, n + 1))
+        lhs = sum(T[i][k] for i in range(k, n + 1))
         return report_equal(suite, (n, k), lhs, binomial(n + 1, k + 1))
     if kind is BinomKind.ABSORPTION_PRINTED:
         k = _require_k(params, 1, n - 1)
-        return report_equal(suite, (n, k), n * binomial(n - 1, k),
+        return report_equal(suite, (n, k), n * T[n - 1][k],
                             k * binomial(n, k))
     if kind is BinomKind.ABSORPTION_STANDARD:
         k = _require_k(params, 1, n - 1)
-        return report_equal(suite, (n, k), k * binomial(n, k),
+        return report_equal(suite, (n, k), k * T[n][k],
                             n * binomial(n - 1, k - 1))
     if kind is BinomKind.COMMITTEE_PRODUCT:
         k = _require_k(params, 0, n)
         l = params.get("l")
         if l is None or not 0 <= l <= k:
             raise DomainError("need 0 <= l <= k")
-        return report_equal(suite, (n, k, l),
-                            binomial(n, l) * binomial(n - l, k - l),
+        return report_equal(suite, (n, k, l), T[n][l] * T[n - l][k - l],
                             binomial(k, l) * binomial(n, k))
     raise DomainError(f"unknown binomial kind {kind!r}")
 
@@ -236,69 +262,78 @@ class Partition:
         return len(self.parts)
 
 
-def partitions_enumerate(n: int) -> list[Partition]:
-    """All partitions of n in reverse-lexicographic order, no duplicates."""
+def _partition_tuples(n: int) -> list[tuple[int, ...]]:
+    """All partitions of n as weakly decreasing tuples, in reverse
+    lexicographic order, no duplicates."""
     if n < 1:
         raise DomainError("n must be a positive integer")
     if n > 45:
         raise DomainError("partition enumeration capped at n <= 45")
-    out: list[Partition] = []
-    parts: list[int] = []
+    out: list[tuple[int, ...]] = []
 
-    def descend(remaining: int, cap: int):
+    def descend(prefix: tuple[int, ...], remaining: int, cap: int):
         if remaining == 0:
-            out.append(Partition(tuple(parts)))
+            out.append(prefix)
             return
         for part in range(min(cap, remaining), 0, -1):
-            parts.append(part)
-            descend(remaining - part, part)
-            parts.pop()
+            descend(prefix + (part,), remaining - part, part)
 
-    descend(n, n)
+    descend((), n, n)
     return out
+
+
+def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Column heights of the Young diagram: entry i counts parts > i."""
+    cols = []
+    height = len(parts)
+    for i in range(parts[0] if parts else 0):
+        while parts[height - 1] <= i:
+            height -= 1
+        cols.append(height)
+    return tuple(cols)
+
+
+def partitions_enumerate(n: int) -> list[Partition]:
+    """All partitions of n in reverse-lexicographic order, no duplicates."""
+    return [Partition(parts) for parts in _partition_tuples(n)]
 
 
 def partition_conjugate(p: Partition) -> Partition:
     """Transpose of the Young diagram: column heights become parts."""
-    if not p.parts:
-        return p
-    width = p.parts[0]
-    cols = [0] * width
-    for part in p.parts:
-        for i in range(part):
-            cols[i] += 1
-    return Partition(tuple(cols))
-
-
-def _conjugate_pairs(n: int) -> list[tuple[Partition, Partition]]:
-    """Every partition of n next to its conjugate, each listed once."""
-    return [(p, partition_conjugate(p)) for p in partitions_enumerate(n)]
-
-
-def _duality_report(n: int, k: int,
-                    pairs: list[tuple[Partition, Partition]]
-                    ) -> IdentityReport:
-    small_parts = [q for p, q in pairs if p.max_part() <= k]
-    few_parts = {p.parts for p, _ in pairs if p.num_parts() <= k}
-    mapped = {q.parts for q in small_parts}
-    bijection = mapped == few_parts and len(mapped) == len(small_parts)
-    passed = len(small_parts) == len(few_parts) and bijection
-    return report_check("partition.duality", (n, k), len(small_parts),
-                        len(few_parts), passed, {"bijection": bijection})
-
-
-def partition_duality_check(n: int, k: int) -> IdentityReport:
-    """Partitions with max part <= k vs partitions with <= k parts.
-
-    Counts both families and additionally verifies that conjugation is an
-    exact bijection between them.
-    """
-    if not 1 <= k <= n:
-        raise DomainError("need 1 <= k <= n")
-    return _duality_report(n, k, _conjugate_pairs(n))
+    return Partition(_conjugate(p.parts))
 
 
 def partition_duality_reports(n: int) -> list[IdentityReport]:
-    """`partition_duality_check(n, k)` for k = 1..n from one enumeration."""
-    pairs = _conjugate_pairs(n)
-    return [_duality_report(n, k, pairs) for k in range(1, n + 1)]
+    """Partitions with max part <= k vs partitions with <= k parts, k = 1..n.
+
+    Counts both families and additionally verifies that conjugation is an
+    exact bijection between them.  The partitions of n are listed once: each
+    one's conjugate is filed under its largest part, and the partition
+    itself under its number of parts, so both families grow with k.
+    """
+    by_largest: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
+    by_count: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
+    for parts in _partition_tuples(n):
+        by_largest[parts[0]].append(_conjugate(parts))
+        by_count[len(parts)].append(parts)
+    small_parts = 0  # conjugates of partitions with max part <= k
+    mapped: set[tuple[int, ...]] = set()
+    few_parts: set[tuple[int, ...]] = set()
+    reports = []
+    for k in range(1, n + 1):
+        small_parts += len(by_largest[k])
+        mapped.update(by_largest[k])
+        few_parts.update(by_count[k])
+        bijection = mapped == few_parts and len(mapped) == small_parts
+        passed = small_parts == len(few_parts) and bijection
+        reports.append(report_check("partition.duality", (n, k), small_parts,
+                                    len(few_parts), passed,
+                                    {"bijection": bijection}))
+    return reports
+
+
+def partition_duality_check(n: int, k: int) -> IdentityReport:
+    """Report k of `partition_duality_reports(n)`."""
+    if not 1 <= k <= n:
+        raise DomainError("need 1 <= k <= n")
+    return partition_duality_reports(n)[k - 1]

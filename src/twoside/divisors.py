@@ -19,6 +19,11 @@ from .exact_core import DomainError
 from .report import IdentityReport, report_equal
 
 
+#: Largest n `divisor_counts` sieves: its int64 array and tuple of counts
+#: are allocated whole.
+SIEVE_MAX_N = 10 ** 6
+
+
 @dataclass(frozen=True)
 class DivisorTable:
     """d[k] = number of divisors of k for 1 <= k <= n (d[0] unused), and
@@ -37,6 +42,8 @@ def divisor_counts(n: int) -> DivisorTable:
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
+    if n > SIEVE_MAX_N:
+        raise DomainError(f"divisor sieve capped at n <= {SIEVE_MAX_N}")
     d = np.zeros(n + 1, dtype=np.int64)
     for i in range(1, math.isqrt(n) + 1):
         d[i * i::i] += 2

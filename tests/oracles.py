@@ -4,7 +4,9 @@ Everything here recomputes a target value by a route disjoint from the
 package code: Machin's formula for pi, step-by-step bisection for roots,
 trial division and a one-slice-per-divisor sieve for divisor counts, one
 Python division per term for floor sums, sums written out term by term, the
-pentagonal and bounded-part recurrences for partitions, matrix powers for
+pentagonal and bounded-part recurrences for partitions, partitions listed
+by recursive descent and conjugated cell by cell, the multiplicative
+formula for binomial coefficients, matrix powers for
 Fibonacci, Jordan rows classified in Fractions, triangles scanned point by
 point, points sorted by angle with a Fraction comparator, pure-Python
 restatements of the numpy simulations, and the Ceva and two-squares checks
@@ -20,6 +22,7 @@ from functools import cmp_to_key
 
 import numpy as np
 
+from twoside.combinatorics import Partition
 from twoside.euclid_checks import SquaresFitReport
 from twoside.exact_core import (Bracket, DomainError, _PowComparator,
                                 bracket_point)
@@ -435,6 +438,66 @@ def partition_count(n: int) -> int:
         for m in range(part, n + 1):
             ways[m] += ways[m - part]
     return ways[n]
+
+
+def binomial_multiplicative(n: int, k: int) -> int:
+    """C(n, k) as n/1 * (n-1)/2 * ...; 0 outside 0 <= k <= n.
+
+    Every partial product is an integer, so each division is exact.
+    """
+    if k < 0 or k > n:
+        return 0
+    k = min(k, n - k)
+    result = 1
+    for i in range(1, k + 1):
+        result = result * (n - k + i) // i
+    return result
+
+
+def partitions_descend(n: int) -> list[Partition]:
+    """Partitions of n in reverse-lexicographic order by recursive descent
+    over one shared list of parts."""
+    out: list[Partition] = []
+    parts: list[int] = []
+
+    def descend(remaining: int, cap: int):
+        if remaining == 0:
+            out.append(Partition(tuple(parts)))
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            parts.append(part)
+            descend(remaining - part, part)
+            parts.pop()
+
+    descend(n, n)
+    return out
+
+
+def partition_conjugate_cells(p: Partition) -> Partition:
+    """Conjugate by counting the Young diagram's cells column by column."""
+    cols = [0] * p.max_part()
+    for part in p.parts:
+        for i in range(part):
+            cols[i] += 1
+    return Partition(tuple(cols))
+
+
+def partition_duality_oracle(n: int) -> list[IdentityReport]:
+    """The partition.duality reports for k = 1..n, each recounted from the
+    whole list of `Partition` pairs filtered by max part and by number of
+    parts."""
+    pairs = [(p, partition_conjugate_cells(p)) for p in partitions_descend(n)]
+    reports = []
+    for k in range(1, n + 1):
+        small_parts = [q for p, q in pairs if p.max_part() <= k]
+        few_parts = {p.parts for p, _ in pairs if p.num_parts() <= k}
+        mapped = {q.parts for q in small_parts}
+        bijection = mapped == few_parts and len(mapped) == len(small_parts)
+        passed = len(small_parts) == len(few_parts) and bijection
+        reports.append(report_check("partition.duality", (n, k),
+                                    len(small_parts), len(few_parts), passed,
+                                    {"bijection": bijection}))
+    return reports
 
 
 def run_builtin_suite():

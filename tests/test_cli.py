@@ -414,6 +414,8 @@ USAGE_ERRORS = [
     (["converge", "pi", "--tol", "0"], None),
     (["converge", "sqrt2", "--max-steps", "0"], None),
     (["divisors", "--n", "0"], None),
+    (["divisors", "--n", "1000000000000"], None),
+    (["check", "divisor.identity", "--max-n", "1000000000000"], None),
     (["jordan", "--region", "blob:1"], None),
     (["jordan", "--region", "disk:1", "--max-n", "0"], None),
     (["pick", "--seeds", "0"], None),

@@ -16,7 +16,9 @@ from twoside.combinatorics import (BinomKind, Partition,
                                    partitions_enumerate)
 from twoside.exact_core import DomainError
 from twoside.sums_fib import fibonacci
-from oracles import partition_count, partition_count_pentagonal
+from oracles import (binomial_multiplicative, partition_conjugate_cells,
+                     partition_count, partition_count_pentagonal,
+                     partition_duality_oracle, partitions_descend)
 
 
 @st.composite
@@ -52,6 +54,91 @@ class TestBinomial:
     def test_negative_n(self):
         with pytest.raises(DomainError):
             binomial(-1, 0)
+
+
+class TestPascalTable:
+    def test_agrees_with_oracle_exhaustively(self):
+        rows = combinatorics._pascal_rows(120)
+        for n in range(121):
+            for k in range(-1, n + 2):
+                expected = binomial_multiplicative(n, k)
+                assert binomial(n, k) == expected
+                assert combinatorics._at(rows[n], k) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=combinatorics.BINOM_MAX_N + 1)
+           .flatmap(lambda n: st.tuples(st.just(n),
+                                        st.integers(min_value=0,
+                                                    max_value=n))))
+    def test_agrees_with_oracle_up_to_cap(self, nk):
+        n, k = nk
+        expected = binomial_multiplicative(n, k)
+        assert binomial(n, k) == expected
+        assert combinatorics._pascal_rows(n)[n][k] == expected
+
+    def test_rows_are_built_on_demand(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "_PASCAL", [[1]])
+        assert binom_identity_check(BinomKind.ROW_SUM, n=3).passed
+        assert combinatorics._PASCAL == [[1], [1, 1], [1, 2, 1], [1, 3, 3, 1],
+                                         [1, 4, 6, 4, 1]]
+
+    @pytest.mark.parametrize("kind", list(BinomKind))
+    def test_cap_refused_before_table_grows(self, kind, monkeypatch):
+        monkeypatch.setattr(combinatorics, "_PASCAL", [[1]])
+        cap = combinatorics.BINOM_MAX_N
+        with pytest.raises(DomainError, match=str(cap)):
+            binom_identity_check(kind, n=cap + 1, k=1, j=0, l=0)
+        assert combinatorics._PASCAL == [[1]]
+
+    def test_cap_is_allowed(self):
+        cap = combinatorics.BINOM_MAX_N
+        assert binom_identity_check(BinomKind.ROW_SUM, n=cap).passed
+        assert binom_identity_check(BinomKind.SPLIT_J, n=cap, k=cap,
+                                    j=cap // 2).passed
+
+
+# Kinds whose second route is `binomial`; the others compare the table with
+# 2**n, 3**n or `fibonacci`.
+BINOMIAL_SIDE = {BinomKind.PASCAL, BinomKind.SQUARE_PASCAL, BinomKind.SPLIT_J,
+                 BinomKind.HOCKEY_STICK, BinomKind.ABSORPTION_PRINTED,
+                 BinomKind.ABSORPTION_STANDARD, BinomKind.COMMITTEE_PRODUCT}
+
+
+def small_outcomes(kind: BinomKind) -> list[tuple]:
+    """(params, passed) of every report of `kind` with n <= 8."""
+    out = []
+    for n in range(9):
+        for k in range(n + 2):
+            for extra in range(k + 1):
+                try:
+                    r = binom_identity_check(kind, n=n, k=k, j=extra, l=extra)
+                except DomainError:
+                    continue
+                out.append((r.params, r.passed))
+    return out
+
+
+class TestBrokenRoutes:
+    """One wrong value on either route flips a report: no kind evaluates
+    both of its sides through the same route, where the error would cancel.
+    ABSORPTION_PRINTED holds only at k = n/2, so its flip may go either
+    way."""
+
+    @pytest.mark.parametrize("kind", list(BinomKind))
+    def test_table_entry_plus_one(self, kind, monkeypatch):
+        before = small_outcomes(kind)
+        rows = [list(row) for row in combinatorics._pascal_rows(9)]
+        rows[3][2] += 1  # read by every kind at some n <= 8
+        monkeypatch.setattr(combinatorics, "_PASCAL", rows)
+        assert small_outcomes(kind) != before
+
+    @pytest.mark.parametrize("kind", list(BinomKind))
+    def test_binomial_plus_one(self, kind, monkeypatch):
+        before = small_outcomes(kind)
+        exact = combinatorics.binomial
+        monkeypatch.setattr(combinatorics, "binomial",
+                            lambda n, k: exact(n, k) + 1)
+        assert (small_outcomes(kind) != before) == (kind in BINOMIAL_SIDE)
 
 
 class TestEnumerationCrosscheck:
@@ -210,6 +297,15 @@ class TestPartitions:
         assert partition_conjugate(Partition((3, 1))).parts == (2, 1, 1)
         assert partition_conjugate(Partition((5,))).parts == (1,) * 5
 
+    def test_tuples_match_oracle(self):
+        for n in range(1, 21):
+            listed = partitions_descend(n)
+            assert partitions_enumerate(n) == listed
+            for p in listed:
+                q = partition_conjugate_cells(p)
+                assert combinatorics._conjugate(p.parts) == q.parts
+                assert partition_conjugate(p) == q
+
     @settings(max_examples=200, deadline=None)
     @given(partitions())
     def test_conjugate_involution(self, p):
@@ -249,6 +345,12 @@ class TestDuality:
         for n in range(1, 16):
             for k in range(1, n + 1):
                 assert partition_duality_check(n, k).passed
+
+    def test_reports_equal_oracle(self):
+        reports = [r for n in range(1, 26) for r in partition_duality_reports(n)]
+        assert len(reports) == 325
+        assert reports == [r for n in range(1, 26)
+                           for r in partition_duality_oracle(n)]
 
     def test_reports_match_single_checks(self):
         for n in range(1, 13):

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from twoside.divisors import (divisor_average_bounds, divisor_counts,
-                              divisor_identity_check, floor_sum,
-                              harmonic_numbers)
+from twoside.divisors import (SIEVE_MAX_N, divisor_average_bounds,
+                              divisor_counts, divisor_identity_check,
+                              floor_sum, harmonic_numbers)
 from twoside.exact_core import DomainError
 from oracles import (divisor_counts_per_i, floor_sum_loop,
                      trial_division_divisor_count)
@@ -35,6 +35,14 @@ class TestDivisorCounts:
     def test_invalid_n(self):
         with pytest.raises(DomainError):
             divisor_counts(0)
+
+    @pytest.mark.parametrize("n", [SIEVE_MAX_N + 1, 10 ** 12])
+    def test_refuses_above_cap_before_allocating(self, n, monkeypatch):
+        def no_allocation(*_args, **_kwargs):
+            raise AssertionError("sieve array allocated")
+        monkeypatch.setattr("twoside.divisors.np.zeros", no_allocation)
+        with pytest.raises(DomainError, match=str(SIEVE_MAX_N)):
+            divisor_counts(n)
 
 
 class TestIdentity:
