@@ -7,9 +7,8 @@ equality or certified interval containment, never floating point.
 """
 
 from .exact_core import (Bracket, DomainError, NonConvergenceError, Rational,
-                         bracket_combine, bracket_point, rat_from_str,
-                         rat_to_decimal, rat_to_str, rational_normalize,
-                         rational_power_bracket, root_bracket)
+                         bracket_point, rat_from_str, rat_to_decimal,
+                         rat_to_str, rational_power_bracket, root_bracket)
 from .report import IdentityReport
 
 __all__ = [
@@ -18,12 +17,10 @@ __all__ = [
     "NonConvergenceError",
     "Rational",
     "IdentityReport",
-    "bracket_combine",
     "bracket_point",
     "rat_from_str",
     "rat_to_decimal",
     "rat_to_str",
-    "rational_normalize",
     "rational_power_bracket",
     "root_bracket",
 ]

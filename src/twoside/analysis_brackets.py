@@ -21,12 +21,6 @@ from .report import IdentityReport, report_equal
 BracketGenerator = Iterator[Bracket]
 
 
-@dataclass(frozen=True)
-class SqueezeResult:
-    bracket: Bracket
-    steps: int
-
-
 def refine(brackets: Iterable[Bracket], tol: RationalLike,
            max_steps: int) -> BracketGenerator:
     """Yield brackets up to and including the first of width <= tol.
@@ -48,13 +42,6 @@ def refine(brackets: Iterable[Bracket], tol: RationalLike,
     raise NonConvergenceError(
         f"no bracket of width <= {tol} within {steps} steps",
         last_bracket=last, steps=steps)
-
-
-def squeeze_limit(gen: BracketGenerator, tol: RationalLike,
-                  max_steps: int) -> SqueezeResult:
-    """Run a bracket generator until one bracket has width <= tol."""
-    brackets = list(refine(gen, tol, max_steps))
-    return SqueezeResult(brackets[-1], len(brackets))
 
 
 def _sqrt_bracket(b: Bracket, eps: Fraction) -> Bracket:

@@ -11,6 +11,7 @@ of the exact strings next to them, never inputs to any comparison.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -166,6 +167,7 @@ def _cmd_converge(args) -> Rows:
 
 def _cmd_divisors(args) -> Rows:
     n = args.n
+    dv.require_harmonic_n(n)
     table = dv.divisor_counts(n)
     report = dv.divisor_average_bounds(n, table)
     identity = dv.divisor_identity_check(n, table)
@@ -206,8 +208,6 @@ def _cmd_pick(args) -> Rows:
         poly = lattice.random_lattice_polygon(args.seed + i, args.extent)
         report = lattice.pick_check(poly)
         tri = lattice.empty_triangulation(poly)
-        ok = report.passed and tri.count_check and tri.area_check \
-            and tri.all_empty and tri.all_half_area
         rows.append({
             "seed": args.seed + i,
             "vertices": json.dumps(list(poly.vertices)),
@@ -215,7 +215,7 @@ def _cmd_pick(args) -> Rows:
             "boundary": tri.boundary,
             "interior": tri.interior,
             "triangles": tri.count,
-            "status": row_status(ok),
+            "status": row_status(report.passed and tri.passed),
         })
     return rows, ["seed", "vertices", "area", "boundary", "interior",
                   "triangles", "status"]
@@ -271,11 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="run one or more check suites")
     p_check.add_argument("suites", nargs="+",
                          help="suite ids (see 'list'), or 'all'")
-    p_check.add_argument("--max-n", type=int, default=200, dest="max_n")
-    p_check.add_argument("--seed", type=int, default=42)
-    p_check.add_argument("--trials", type=int, default=100)
-    p_check.add_argument("--terms", type=int, default=40)
-    p_check.add_argument("--digits", type=int, default=6)
+    for field in dataclasses.fields(SuiteParams):
+        p_check.add_argument(f"--{field.name.replace('_', '-')}", type=int,
+                             default=field.default)
     p_check.set_defaults(run=_cmd_check)
 
     sub.add_parser("list", parents=[common],

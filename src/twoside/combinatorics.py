@@ -239,30 +239,7 @@ def colorings_report(n: int) -> IdentityReport:
 
 # --- partitions ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Partition:
-    """Weakly decreasing positive parts."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(p < 1 for p in self.parts):
-            raise DomainError("parts must be positive")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise DomainError("parts must be weakly decreasing")
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    def max_part(self) -> int:
-        return self.parts[0] if self.parts else 0
-
-    def num_parts(self) -> int:
-        return len(self.parts)
-
-
-def _partition_tuples(n: int) -> list[tuple[int, ...]]:
+def partitions_enumerate(n: int) -> list[tuple[int, ...]]:
     """All partitions of n as weakly decreasing tuples, in reverse
     lexicographic order, no duplicates."""
     if n < 1:
@@ -282,8 +259,12 @@ def _partition_tuples(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
+def partition_conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     """Column heights of the Young diagram: entry i counts parts > i."""
+    if list(parts) != sorted(parts, reverse=True):
+        raise DomainError("parts must be weakly decreasing")
+    if parts and parts[-1] < 1:
+        raise DomainError("parts must be positive")
     cols = []
     height = len(parts)
     for i in range(parts[0] if parts else 0):
@@ -291,16 +272,6 @@ def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
             height -= 1
         cols.append(height)
     return tuple(cols)
-
-
-def partitions_enumerate(n: int) -> list[Partition]:
-    """All partitions of n in reverse-lexicographic order, no duplicates."""
-    return [Partition(parts) for parts in _partition_tuples(n)]
-
-
-def partition_conjugate(p: Partition) -> Partition:
-    """Transpose of the Young diagram: column heights become parts."""
-    return Partition(_conjugate(p.parts))
 
 
 def partition_duality_reports(n: int) -> list[IdentityReport]:
@@ -313,8 +284,8 @@ def partition_duality_reports(n: int) -> list[IdentityReport]:
     """
     by_largest: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
     by_count: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
-    for parts in _partition_tuples(n):
-        by_largest[parts[0]].append(_conjugate(parts))
+    for parts in partitions_enumerate(n):
+        by_largest[parts[0]].append(partition_conjugate(parts))
         by_count[len(parts)].append(parts)
     small_parts = 0  # conjugates of partitions with max part <= k
     mapped: set[tuple[int, ...]] = set()
@@ -331,9 +302,3 @@ def partition_duality_reports(n: int) -> list[IdentityReport]:
                                     {"bijection": bijection}))
     return reports
 
-
-def partition_duality_check(n: int, k: int) -> IdentityReport:
-    """Report k of `partition_duality_reports(n)`."""
-    if not 1 <= k <= n:
-        raise DomainError("need 1 <= k <= n")
-    return partition_duality_reports(n)[k - 1]

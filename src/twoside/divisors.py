@@ -23,6 +23,10 @@ from .report import IdentityReport, report_equal
 #: are allocated whole.
 SIEVE_MAX_N = 10 ** 6
 
+#: Largest n whose harmonic numbers are built: each H_k is an exact
+#: `Fraction`, and the denominator of H_n grows with n.
+HARMONIC_MAX_N = 10 ** 4
+
 
 @dataclass(frozen=True)
 class DivisorTable:
@@ -70,8 +74,15 @@ def divisor_identity_check(n: int, table: DivisorTable | None = None) -> Identit
                         floor_sum(n))
 
 
+def require_harmonic_n(n: int) -> None:
+    """Refuse n above `HARMONIC_MAX_N` before any sieve or harmonic work."""
+    if n > HARMONIC_MAX_N:
+        raise DomainError(f"harmonic numbers capped at n <= {HARMONIC_MAX_N}")
+
+
 def harmonic_numbers(max_n: int) -> list[Fraction]:
     """H[n] = 1 + 1/2 + ... + 1/n exactly; H[0] = 0."""
+    require_harmonic_n(max_n)
     out = [Fraction(0)] * (max_n + 1)
     running = Fraction(0)
     for n in range(1, max_n + 1):
@@ -94,6 +105,7 @@ def divisor_average_bounds(n: int, table: DivisorTable | None = None,
     """Exact harmonic sandwich H_n - 1 < average divisor count <= H_n."""
     if n < 1:
         raise DomainError("n must be a positive integer")
+    require_harmonic_n(n)
     if table is None or table.n < n:
         table = divisor_counts(n)
     if harmonic is None:

@@ -5,7 +5,7 @@ number that has no exact rational representation (roots, powers with
 fractional exponents, pi) is handled as a ``Bracket``: a closed rational
 interval guaranteed to contain it.  Nothing in this module touches floating
 point.  All bracket operations are enclosure-sound: if x is in ``a`` and y is
-in ``b``, then x op y is in ``bracket_combine(a, b, op)``.
+in ``b``, then x op y is in ``a op b`` for op in ``+``, ``-``, ``*``.
 """
 
 from __future__ import annotations
@@ -22,13 +22,11 @@ __all__ = [
     "Rational",
     "DomainError",
     "NonConvergenceError",
-    "rational_normalize",
     "rat_from_str",
     "rat_to_str",
     "rat_to_decimal",
     "Bracket",
     "bracket_point",
-    "bracket_combine",
     "root_bracket",
     "rational_power_bracket",
 ]
@@ -46,13 +44,6 @@ class NonConvergenceError(RuntimeError):
         super().__init__(message)
         self.last_bracket = last_bracket
         self.steps = steps
-
-
-def rational_normalize(num: int, den: int) -> Rational:
-    """Canonical fraction num/den: positive denominator, lowest terms."""
-    if den == 0:
-        raise DomainError("zero denominator")
-    return Fraction(num, den)
 
 
 def rat_from_str(s: str) -> Rational:
@@ -171,17 +162,6 @@ class Bracket:
 def bracket_point(q: RationalLike) -> Bracket:
     q = Fraction(q)
     return Bracket(q, q)
-
-
-def bracket_combine(a: Bracket, b: Bracket, op: str) -> Bracket:
-    """Enclosure-sound interval arithmetic for op in {"add", "sub", "mul"}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise DomainError(f"unsupported bracket operation: {op!r}")
 
 
 # ---------------------------------------------------------------------------

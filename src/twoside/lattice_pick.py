@@ -383,6 +383,11 @@ class TriangulationReport:
     boundary: int
     interior: int
 
+    @property
+    def passed(self) -> bool:
+        return (self.count_check and self.area_check and self.all_empty
+                and self.all_half_area)
+
 
 def empty_triangulation(p: LatticePolygon,
                         order: str = "boundary_first") -> TriangulationReport:

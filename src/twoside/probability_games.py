@@ -31,7 +31,6 @@ __all__ = [
     "dice_game",
     "dice_series_bracket",
     "coin_game_exact",
-    "coin_game_pair",
     "coin_game_closed_form",
     "coin_game_series_partial",
     "coin_series_tail_bracket",
@@ -149,23 +148,6 @@ def coin_game_exact(n: int) -> Fraction:
     for _ in range(n - 1):
         w = (2 - w) / 3
     return w
-
-
-def coin_game_pair(n: int) -> tuple[Fraction, Fraction]:
-    """(starter, second player) win probabilities from the coupled system.
-
-    Solves the flipper/waiter pair jointly at every head count, without
-    using the single-variable recursion, so the two routes are independent.
-    """
-    if n < 1:
-        raise DomainError("n must be a positive integer")
-    # With one head to go the flipper wins with 2/3; roles swap after every
-    # flip, so each further head mixes the pair through (2a + b)/3.
-    flipper, waiter = Fraction(2, 3), Fraction(1, 3)
-    for _ in range(n - 1):
-        flipper, waiter = ((2 * waiter + flipper) / 3,
-                           (2 * flipper + waiter) / 3)
-    return flipper, waiter
 
 
 def coin_game_closed_form(n: int) -> Fraction:

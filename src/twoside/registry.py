@@ -135,6 +135,7 @@ def _divisor_identity(params: SuiteParams):
 def _divisor_bounds(params: SuiteParams):
     if params.max_n < 1:
         return
+    dv.require_harmonic_n(params.max_n)
     table = dv.divisor_counts(params.max_n)
     harmonics = dv.harmonic_numbers(params.max_n)
     for n in range(1, params.max_n + 1):
@@ -224,12 +225,12 @@ def _nested(suite_id: str, tag: str,
 
 
 def _limit(_: SuiteParams):
-    result = ab.squeeze_limit(ab.named_generator("nthroot"), Fraction(1, 10),
-                              500)
-    return [report_check("limit.nthroot", (result.steps,), result.bracket,
-                         "within [5, 5.1]",
-                         Fraction(5) <= result.bracket.lo
-                         and result.bracket.hi <= Fraction(51, 10))]
+    brackets = list(ab.refine(ab.named_generator("nthroot"), Fraction(1, 10),
+                              500))
+    last = brackets[-1]
+    within = Fraction(5) <= last.lo and last.hi <= Fraction(51, 10)
+    return [report_check("limit.nthroot", (len(brackets),), last,
+                         "within [5, 5.1]", within)]
 
 
 # --- euclid -------------------------------------------------------------------------

@@ -8,9 +8,7 @@ are compared for exact equality, never after simplification.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from .exact_core import DomainError
@@ -123,18 +121,6 @@ def _sum_rhs(kind: SumKind, n: int) -> int:
     raise DomainError(f"unknown sum kind {kind!r}")
 
 
-def sum_identity_check(kind: SumKind, n: int) -> IdentityReport:
-    """Compare the literal sum with the closed form at one n.
-
-    The counting side runs up from 1 to n, which for cube_layers is
-    O(n^2) additions.
-    """
-    if n < 1:
-        raise DomainError("n must be a positive integer")
-    lhs = next(itertools.islice(_counting_sides(kind), n - 1, None))
-    return report_equal(f"sum.{kind.value}", (n,), lhs, _sum_rhs(kind, n))
-
-
 def sum_identity_sweep(kind: SumKind, max_n: int) -> list[IdentityReport]:
     """Check every n in 1..max_n (none when max_n < 1).
 
@@ -146,21 +132,7 @@ def sum_identity_sweep(kind: SumKind, max_n: int) -> list[IdentityReport]:
             for n, lhs in zip(range(1, max_n + 1), _counting_sides(kind))]
 
 
-@dataclass(frozen=True)
-class BetweennessReport:
-    """Strict Fibonacci sandwiches for the two alternating tail sums."""
-
-    m: int
-    n: int
-    x: int
-    y: int
-    x_neighbors: tuple[int, int]
-    y_neighbors: tuple[int, int]
-    telescoped_ok: bool
-    passed: bool
-
-
-def fib_betweenness(m: int, n: int) -> BetweennessReport:
+def fib_betweenness_report(m: int, n: int) -> IdentityReport:
     """Sums of alternating Fibonacci runs fall strictly between neighbors.
 
     X = f_{2m+1} + f_{2m+3} + ... + f_{2n+1} telescopes to f_{2n+2} - f_{2m}
@@ -185,13 +157,6 @@ def fib_betweenness(m: int, n: int) -> BetweennessReport:
     x_lo, x_hi = fib[2 * n + 1], fib[2 * n + 2]
     y_lo, y_hi = fib[2 * n], fib[2 * n + 1]
     passed = telescoped_ok and x_lo < x < x_hi and y_lo < y < y_hi
-    return BetweennessReport(m, n, x, y, (x_lo, x_hi), (y_lo, y_hi),
-                             telescoped_ok, passed)
-
-
-def fib_betweenness_report(m: int, n: int) -> IdentityReport:
-    r = fib_betweenness(m, n)
-    lhs = (r.x, r.y)
-    rhs = (r.x_neighbors, r.y_neighbors)
-    return report_check("fib.betweenness", (m, n), lhs, rhs, r.passed,
-                        {"telescoped": r.telescoped_ok})
+    return report_check("fib.betweenness", (m, n), (x, y),
+                        ((x_lo, x_hi), (y_lo, y_hi)), passed,
+                        {"telescoped": telescoped_ok})

@@ -22,7 +22,6 @@ from functools import cmp_to_key
 
 import numpy as np
 
-from twoside.combinatorics import Partition
 from twoside.euclid_checks import SquaresFitReport
 from twoside.exact_core import (Bracket, DomainError, _PowComparator,
                                 bracket_point)
@@ -454,15 +453,15 @@ def binomial_multiplicative(n: int, k: int) -> int:
     return result
 
 
-def partitions_descend(n: int) -> list[Partition]:
+def partitions_descend(n: int) -> list[tuple[int, ...]]:
     """Partitions of n in reverse-lexicographic order by recursive descent
     over one shared list of parts."""
-    out: list[Partition] = []
+    out: list[tuple[int, ...]] = []
     parts: list[int] = []
 
     def descend(remaining: int, cap: int):
         if remaining == 0:
-            out.append(Partition(tuple(parts)))
+            out.append(tuple(parts))
             return
         for part in range(min(cap, remaining), 0, -1):
             parts.append(part)
@@ -473,25 +472,25 @@ def partitions_descend(n: int) -> list[Partition]:
     return out
 
 
-def partition_conjugate_cells(p: Partition) -> Partition:
+def partition_conjugate_cells(p: tuple[int, ...]) -> tuple[int, ...]:
     """Conjugate by counting the Young diagram's cells column by column."""
-    cols = [0] * p.max_part()
-    for part in p.parts:
+    cols = [0] * (p[0] if p else 0)
+    for part in p:
         for i in range(part):
             cols[i] += 1
-    return Partition(tuple(cols))
+    return tuple(cols)
 
 
 def partition_duality_oracle(n: int) -> list[IdentityReport]:
     """The partition.duality reports for k = 1..n, each recounted from the
-    whole list of `Partition` pairs filtered by max part and by number of
-    parts."""
+    whole list of (partition, conjugate) pairs filtered by largest part and
+    by number of parts."""
     pairs = [(p, partition_conjugate_cells(p)) for p in partitions_descend(n)]
     reports = []
     for k in range(1, n + 1):
-        small_parts = [q for p, q in pairs if p.max_part() <= k]
-        few_parts = {p.parts for p, _ in pairs if p.num_parts() <= k}
-        mapped = {q.parts for q in small_parts}
+        small_parts = [q for p, q in pairs if p[0] <= k]
+        few_parts = {p for p, _ in pairs if len(p) <= k}
+        mapped = set(small_parts)
         bijection = mapped == few_parts and len(mapped) == len(small_parts)
         passed = len(small_parts) == len(few_parts) and bijection
         reports.append(report_check("partition.duality", (n, k),

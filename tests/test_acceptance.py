@@ -19,7 +19,7 @@ from twoside import polyform
 from twoside import probability_games as prob
 from twoside.jordan_measure import ConvexPolygon, Disk, jordan_refine
 from twoside.report import FAIL, PASS, WARN
-from twoside.sums_fib import SumKind, sum_identity_check, sum_identity_sweep
+from twoside.sums_fib import SumKind, sum_identity_sweep
 from oracles import bisect_root, machin_pi_bracket, shoelace_rational
 
 
@@ -102,7 +102,7 @@ def test_criterion_05_sums():
             reports = sum_identity_sweep(kind, 1000)
             assert len(reports) == 1000
             assert all(r.passed for r in reports)
-        odd = sum_identity_check(SumKind.ODD_SQUARE, 1000)
+        odd = sum_identity_sweep(SumKind.ODD_SQUARE, 1000)[-1]
         assert odd.lhs == 10 ** 6 == odd.rhs
 
 
@@ -151,7 +151,7 @@ def test_criterion_06_combinatorics():
             assert report.binom_check
         for n in range(1, 26):
             for k in range(1, n + 1):
-                duality = comb.partition_duality_check(n, k)
+                duality = comb.partition_duality_reports(n)[k - 1]
                 assert duality.passed and duality.detail["bijection"]
 
 

@@ -10,7 +10,7 @@ from twoside.analysis_brackets import (MonomialIntegrand, circle_area_bracket,
                                        nth_root_sequence_bracket, pi_bracket,
                                        pi_bracket_sequence, real_power_bracket,
                                        refine, riemann_bracket,
-                                       rows_rearrangement_check, squeeze_limit,
+                                       rows_rearrangement_check,
                                        swineshead_check, sqrt2_truncation)
 from oracles import bisect_root, machin_pi_bracket
 
@@ -27,27 +27,26 @@ def frozen_width_generator():
 
 class TestSqueeze:
     def test_constant_converges_immediately(self):
-        result = squeeze_limit(constant_generator(5), Fraction(1, 10), 10)
-        assert result.bracket == bracket_point(5)
-        assert result.steps == 1
+        brackets = list(refine(constant_generator(5), Fraction(1, 10), 10))
+        assert brackets == [bracket_point(5)]
 
     def test_frozen_width_fails(self):
         with pytest.raises(NonConvergenceError) as exc:
-            squeeze_limit(frozen_width_generator(), Fraction(1, 2), 25)
+            list(refine(frozen_width_generator(), Fraction(1, 2), 25))
         assert exc.value.last_bracket == Bracket(0, 1)
         assert exc.value.steps == 25
 
     def test_nth_root_generator_reaches_tenth(self):
-        result = squeeze_limit(named_generator("nthroot"), Fraction(1, 10),
-                               500)
-        assert Fraction(5) == result.bracket.lo
-        assert result.bracket.hi <= Fraction(51, 10)
+        last = list(refine(named_generator("nthroot"), Fraction(1, 10),
+                           500))[-1]
+        assert Fraction(5) == last.lo
+        assert last.hi <= Fraction(51, 10)
 
     def test_bad_arguments(self):
         with pytest.raises(DomainError):
-            squeeze_limit(constant_generator(1), Fraction(0), 5)
+            list(refine(constant_generator(1), Fraction(0), 5))
         with pytest.raises(DomainError):
-            squeeze_limit(constant_generator(1), Fraction(1), 0)
+            list(refine(constant_generator(1), Fraction(1), 0))
 
 
 class TestRefine:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -7,8 +8,9 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twoside.cli import ROW_SCHEMA, main
-from twoside.registry import SUITES
+from twoside import divisors as dv
+from twoside.cli import ROW_SCHEMA, build_parser, main
+from twoside.registry import SUITES, SuiteParams
 
 
 def run_cli(capsys, *argv):
@@ -35,6 +37,11 @@ class TestList:
 
 
 class TestCheck:
+    def test_defaults_are_suite_params(self):
+        args = build_parser().parse_args(["check", "all"])
+        defaults = dataclasses.asdict(SuiteParams())
+        assert {name: getattr(args, name) for name in defaults} == defaults
+
     def test_triangular_hundred_rows(self, capsys):
         code, out, _ = run_cli(capsys, "check", "sum.triangular",
                                "--max-n", "100")
@@ -147,6 +154,10 @@ PINNED_OUTPUTS = [
      "583940bb3e95bbc23fe47c508be2cc964dc1feb5df2a9a5213929efbb04e406a"),
     (["check", *SCALED_SUITES, "--max-n", "300", "--trials", "100"],
      "1de8e58801fb2c90dee565c18c523273c6806270410c6f25dc68c88b29882db9"),
+    (["jordan", "--region", "disk:1", "--tol", "1/20"],
+     "3b71a6d78cffae686312fe921bc2bc78b8de4cb70ee673c3c632b8223ce18708"),
+    (["jordan", "--region", "poly:0,0;3,1;2,3;-1,2", "--tol", "1/50"],
+     "8da6a688a7d347b6867552143267bca058715868cfc2dd3916f8618ba45b5212"),
 ]
 
 
@@ -276,6 +287,21 @@ class TestConverge:
 
 
 class TestDedicatedCommands:
+    @pytest.mark.parametrize("argv", [
+        ["divisors", "--n", "10001"],
+        ["check", "divisor.bounds", "--max-n", "10001"],
+        ["check", "all", "--max-n", "20000"],
+    ], ids=["divisors", "bounds", "all"])
+    def test_harmonic_cap_refused_before_any_work(self, argv, capsys,
+                                                  monkeypatch):
+        def no_work(*_args, **_kwargs):
+            raise AssertionError("sieve or harmonic numbers started")
+        monkeypatch.setattr(dv, "divisor_counts", no_work)
+        monkeypatch.setattr(dv, "harmonic_numbers", no_work)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert str(dv.HARMONIC_MAX_N) in err
+
     def test_divisors(self, capsys):
         code, out, _ = run_cli(capsys, "divisors", "--n", "6",
                                "--format", "json")
@@ -415,7 +441,9 @@ USAGE_ERRORS = [
     (["converge", "sqrt2", "--max-steps", "0"], None),
     (["divisors", "--n", "0"], None),
     (["divisors", "--n", "1000000000000"], None),
+    (["divisors", "--n", "10001"], None),
     (["check", "divisor.identity", "--max-n", "1000000000000"], None),
+    (["check", "divisor.bounds", "--max-n", "10001"], None),
     (["jordan", "--region", "blob:1"], None),
     (["jordan", "--region", "disk:1", "--max-n", "0"], None),
     (["pick", "--seeds", "0"], None),

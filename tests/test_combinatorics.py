@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twoside import combinatorics
-from twoside.combinatorics import (BinomKind, Partition,
+from twoside.combinatorics import (BinomKind,
                                    absorption_printed_minimal_witness,
                                    binom_identity_check, binomial,
                                    binomial_enumeration_crosscheck,
                                    colorings_report, constrained_colorings,
                                    partition_conjugate,
-                                   partition_duality_check,
                                    partition_duality_reports,
                                    partitions_enumerate)
 from twoside.exact_core import DomainError
@@ -28,7 +27,7 @@ def partitions(draw, max_n=20):
     bins = draw(st.lists(st.integers(min_value=0, max_value=k - 1),
                          min_size=n, max_size=n))
     counts = Counter(bins)
-    return Partition(tuple(sorted(counts.values(), reverse=True)))
+    return tuple(sorted(counts.values(), reverse=True))
 
 
 class TestBinomial:
@@ -274,10 +273,10 @@ class TestColorings:
 
 class TestPartitions:
     def test_single(self):
-        assert [p.parts for p in partitions_enumerate(1)] == [(1,)]
+        assert partitions_enumerate(1) == [(1,)]
 
     def test_four(self):
-        parts = [p.parts for p in partitions_enumerate(4)]
+        parts = partitions_enumerate(4)
         assert parts == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
     def test_ten_has_42(self):
@@ -290,21 +289,19 @@ class TestPartitions:
 
     def test_no_duplicates_and_sorted(self):
         seen = partitions_enumerate(12)
-        assert len({p.parts for p in seen}) == len(seen)
-        assert all(sum(p.parts) == 12 for p in seen)
+        assert len(set(seen)) == len(seen)
+        assert all(sum(p) == 12 for p in seen)
 
     def test_conjugate_examples(self):
-        assert partition_conjugate(Partition((3, 1))).parts == (2, 1, 1)
-        assert partition_conjugate(Partition((5,))).parts == (1,) * 5
+        assert partition_conjugate((3, 1)) == (2, 1, 1)
+        assert partition_conjugate((5,)) == (1,) * 5
 
     def test_tuples_match_oracle(self):
         for n in range(1, 21):
             listed = partitions_descend(n)
             assert partitions_enumerate(n) == listed
             for p in listed:
-                q = partition_conjugate_cells(p)
-                assert combinatorics._conjugate(p.parts) == q.parts
-                assert partition_conjugate(p) == q
+                assert partition_conjugate(p) == partition_conjugate_cells(p)
 
     @settings(max_examples=200, deadline=None)
     @given(partitions())
@@ -315,47 +312,41 @@ class TestPartitions:
     @given(partitions())
     def test_conjugate_swaps_width_and_height(self, p):
         q = partition_conjugate(p)
-        assert q.max_part() == p.num_parts()
-        assert q.num_parts() == p.max_part()
-        assert q.total == p.total
+        assert q[0] == len(p)
+        assert len(q) == p[0]
+        assert sum(q) == sum(p)
 
     def test_invalid_partitions(self):
         with pytest.raises(DomainError):
-            Partition((1, 2))
+            partition_conjugate((1, 2))
         with pytest.raises(DomainError):
-            Partition((2, 0))
+            partition_conjugate((2, 0))
 
 
 class TestDuality:
     def test_unconstrained(self):
-        report = partition_duality_check(6, 6)
+        report = partition_duality_reports(6)[5]
         assert report.passed
         assert report.lhs == partition_count(6)
 
     def test_five_two(self):
-        report = partition_duality_check(5, 2)
+        report = partition_duality_reports(5)[1]
         assert report.passed and report.lhs == 3
 
     def test_twelve_three(self):
-        report = partition_duality_check(12, 3)
+        report = partition_duality_reports(12)[2]
         assert report.passed
         assert report.detail["bijection"] is True
 
     def test_sweep(self):
         for n in range(1, 16):
-            for k in range(1, n + 1):
-                assert partition_duality_check(n, k).passed
+            reports = partition_duality_reports(n)
+            assert [r.params for r in reports] == [(n, k)
+                                                   for k in range(1, n + 1)]
+            assert all(r.passed for r in reports)
 
     def test_reports_equal_oracle(self):
         reports = [r for n in range(1, 26) for r in partition_duality_reports(n)]
         assert len(reports) == 325
         assert reports == [r for n in range(1, 26)
                            for r in partition_duality_oracle(n)]
-
-    def test_reports_match_single_checks(self):
-        for n in range(1, 13):
-            reports = partition_duality_reports(n)
-            assert len(reports) == n
-            for k in range(1, n + 1):
-                assert (reports[k - 1].row()
-                        == partition_duality_check(n, k).row())

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from twoside.divisors import (SIEVE_MAX_N, divisor_average_bounds,
-                              divisor_counts, divisor_identity_check,
-                              floor_sum, harmonic_numbers)
+from twoside import divisors
+from twoside.divisors import (HARMONIC_MAX_N, SIEVE_MAX_N,
+                              divisor_average_bounds, divisor_counts,
+                              divisor_identity_check, floor_sum,
+                              harmonic_numbers)
 from twoside.exact_core import DomainError
 from oracles import (divisor_counts_per_i, floor_sum_loop,
                      trial_division_divisor_count)
@@ -84,6 +86,18 @@ class TestAverageBounds:
         assert report.avg == 2
         assert report.upper == Fraction(25, 12)
         assert report.passed
+
+    def test_harmonic_numbers_refuse_above_cap(self):
+        with pytest.raises(DomainError, match=str(HARMONIC_MAX_N)):
+            harmonic_numbers(HARMONIC_MAX_N + 1)
+
+    def test_refuses_above_cap_before_any_work(self, monkeypatch):
+        def no_work(*_args, **_kwargs):
+            raise AssertionError("sieve or harmonic numbers started")
+        monkeypatch.setattr(divisors, "divisor_counts", no_work)
+        monkeypatch.setattr(divisors, "harmonic_numbers", no_work)
+        with pytest.raises(DomainError, match=str(HARMONIC_MAX_N)):
+            divisor_average_bounds(HARMONIC_MAX_N + 1)
 
     def test_harmonic_values(self):
         hs = harmonic_numbers(4)

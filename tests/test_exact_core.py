@@ -4,31 +4,41 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import twoside
+from twoside import exact_core, probability_games
 from twoside.exact_core import (_EXACT_BITS, _SEARCH_INDEX, Bracket,
-                                DomainError, _PowComparator, bracket_combine,
-                                bracket_point, rat_from_str, rat_to_decimal,
-                                rat_to_str, rational_normalize,
+                                DomainError, _PowComparator, bracket_point,
+                                rat_from_str, rat_to_decimal, rat_to_str,
                                 rational_power_bracket, root_bracket)
 from oracles import bisect_root, root_bracket_bisection
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 
 
+@pytest.mark.parametrize("module", [twoside, exact_core, probability_games],
+                         ids=lambda module: module.__name__)
+def test_every_export_resolves(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
 class TestRationalNormalize:
+    """Parsed rationals come out in lowest terms with a positive
+    denominator."""
+
     def test_gcd_reduction(self):
-        assert rational_normalize(6, 4) == Fraction(3, 2)
+        assert rat_from_str("6/4") == Fraction(3, 2)
 
     def test_sign_normalization(self):
-        q = rational_normalize(2, -4)
+        q = rat_from_str("-2/4")
         assert q == Fraction(-1, 2)
         assert q.denominator == 2 and q.numerator == -1
 
     def test_mixture_mass(self):
-        assert rational_normalize(21, 10) == Fraction(21, 10)
+        assert rat_from_str("2.1") == Fraction(21, 10)
 
     def test_zero_denominator(self):
         with pytest.raises(DomainError):
-            rational_normalize(1, 0)
+            rat_from_str("1/0")
 
     @given(rationals, rationals)
     def test_addition_commutes(self, r, s):
@@ -80,15 +90,14 @@ class TestStrings:
 
 class TestBracket:
     def test_add(self):
-        assert bracket_combine(Bracket(1, 2), Bracket(3, 4), "add") == Bracket(4, 6)
+        assert Bracket(1, 2) + Bracket(3, 4) == Bracket(4, 6)
 
     def test_mul_mixed_signs(self):
-        got = bracket_combine(Bracket(-1, 2), Bracket(3, 4), "mul")
-        assert got == Bracket(-4, 8)
+        assert Bracket(-1, 2) * Bracket(3, 4) == Bracket(-4, 8)
 
     def test_mul_annihilator(self):
         zero = bracket_point(0)
-        assert bracket_combine(zero, Bracket(-17, 230), "mul") == zero
+        assert zero * Bracket(-17, 230) == zero
 
     def test_inverted_rejected(self):
         with pytest.raises(DomainError):
@@ -111,9 +120,9 @@ class TestBracket:
             b = Bracket(b_lo, b_lo + Fraction(rng.randint(0, 40), 7))
             x = a.lo + (a.hi - a.lo) * Fraction(rng.randint(0, 16), 16)
             y = b.lo + (b.hi - b.lo) * Fraction(rng.randint(0, 16), 16)
-            assert bracket_combine(a, b, "add").contains(x + y)
-            assert bracket_combine(a, b, "sub").contains(x - y)
-            assert bracket_combine(a, b, "mul").contains(x * y)
+            assert (a + b).contains(x + y)
+            assert (a - b).contains(x - y)
+            assert (a * b).contains(x * y)
 
 
 class TestRootBracket:

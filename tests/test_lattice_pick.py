@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -140,6 +141,13 @@ class TestTriangulation:
     def test_unknown_order(self):
         with pytest.raises(DomainError):
             empty_triangulation(UNIT_SQUARE, order="random")
+
+    @pytest.mark.parametrize("flag", ["count_check", "area_check",
+                                      "all_empty", "all_half_area"])
+    def test_passed_needs_every_check(self, flag):
+        report = empty_triangulation(SQUARE3)
+        assert report.passed
+        assert not dataclasses.replace(report, **{flag: False}).passed
 
     def test_all_empty_is_counted(self, monkeypatch):
         # every finished triangle has doubled area 1; all_empty must still

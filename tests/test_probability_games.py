@@ -7,7 +7,6 @@ from twoside.exact_core import DomainError
 from twoside.probability_games import (AbsorbingChain, GameReport, ModelError,
                                        absorbing_chain_solve, coin_game,
                                        coin_game_closed_form, coin_game_exact,
-                                       coin_game_pair,
                                        coin_game_series_partial,
                                        coin_series_index_report,
                                        coin_series_tail_bracket, dice_chain,
@@ -103,12 +102,6 @@ class TestCoinGame:
     def test_dp_equals_closed_form(self):
         for n in range(1, 13):
             assert coin_game_exact(n) == coin_game_closed_form(n)
-
-    def test_pair_dp_is_turn_symmetric(self):
-        for n in range(1, 13):
-            starter, second = coin_game_pair(n)
-            assert starter + second == 1
-            assert starter == coin_game_exact(n)
 
     def test_deviation_from_half_shrinks(self):
         deltas = [abs(coin_game_exact(n) - Fraction(1, 2))

@@ -1,8 +1,8 @@
 import pytest
 
 from twoside.exact_core import DomainError
-from twoside.sums_fib import (SumKind, fib_betweenness, fibonacci,
-                              sum_identity_check, sum_identity_sweep)
+from twoside.sums_fib import (SumKind, fib_betweenness_report, fibonacci,
+                              sum_identity_sweep)
 from oracles import fibonacci_matrix, literal_sum
 
 
@@ -45,17 +45,21 @@ _HAND_CASES = {
 class TestSumIdentities:
     @pytest.mark.parametrize("kind", list(SumKind))
     def test_hand_cases(self, kind):
+        reports = sum_identity_sweep(kind, max(_HAND_CASES[kind]))
         for n, expected in _HAND_CASES[kind].items():
-            report = sum_identity_check(kind, n)
+            report = reports[n - 1]
+            assert report.params == (n,)
             assert report.passed
             assert report.lhs == expected
 
     @pytest.mark.parametrize("kind", list(SumKind))
     def test_sweep_matches_single_checks(self, kind):
+        # Row n is the same whatever n the sweep runs to, and each row's
+        # literal sum matches an independent one.
         reports = sum_identity_sweep(kind, 100)
         assert len(reports) == 100
         for n, swept in enumerate(reports, start=1):
-            single = sum_identity_check(kind, n)
+            single = sum_identity_sweep(kind, n)[-1]
             assert swept.params == single.params == (n,)
             assert swept.lhs == single.lhs == literal_sum(kind.value, n)
             assert swept.rhs == single.rhs
@@ -67,56 +71,55 @@ class TestSumIdentities:
 
     def test_palindrome_matches_listed_rows(self):
         # 1+3+1 = 1^2+2^2, 1+3+5+3+1 = 2^2+3^2, 1+3+5+7+5+3+1 = 3^2+4^2
+        reports = sum_identity_sweep(SumKind.PALINDROME_ODD, 3)
         for k, total in ((1, 5), (2, 13), (3, 25)):
-            report = sum_identity_check(SumKind.PALINDROME_ODD, k)
-            assert report.lhs == total == k * k + (k + 1) ** 2
+            assert reports[k - 1].lhs == total == k * k + (k + 1) ** 2
 
     def test_odd_square_at_1000(self):
-        report = sum_identity_check(SumKind.ODD_SQUARE, 1000)
+        report = sum_identity_sweep(SumKind.ODD_SQUARE, 1000)[-1]
         assert report.lhs == 10 ** 6 and report.rhs == 10 ** 6
 
     def test_adjacent_triangulars_sum_to_square(self):
-        for k in range(1, 300):
-            report = sum_identity_check(SumKind.ADJ_TRIANGULAR, k)
+        for k, report in enumerate(
+                sum_identity_sweep(SumKind.ADJ_TRIANGULAR, 299), start=1):
             assert report.passed
             assert report.rhs == (k + 1) ** 2
-
-    def test_invalid_n(self):
-        with pytest.raises(DomainError):
-            sum_identity_check(SumKind.TRIANGULAR, 0)
 
 
 class TestBetweenness:
     def test_small_example_x(self):
-        r = fib_betweenness(1, 2)
-        assert r.x == 7  # f_3 + f_5 = 2 + 5
-        assert r.x == fibonacci(6) - fibonacci(2)
-        assert r.x_neighbors == (5, 8)
+        r = fib_betweenness_report(1, 2)
+        x, _ = r.lhs
+        assert x == 7  # f_3 + f_5 = 2 + 5
+        assert x == fibonacci(6) - fibonacci(2)
+        assert r.rhs[0] == (5, 8)
         assert r.passed
 
     def test_small_example_y(self):
-        r = fib_betweenness(1, 2)
-        assert r.y == 4  # f_2 + f_4 = 1 + 3
-        assert r.y == fibonacci(5) - fibonacci(1)
-        assert r.y_neighbors == (3, 5)
+        r = fib_betweenness_report(1, 2)
+        _, y = r.lhs
+        assert y == 4  # f_2 + f_4 = 1 + 3
+        assert y == fibonacci(5) - fibonacci(1)
+        assert r.rhs[1] == (3, 5)
 
     def test_telescoping_at_scale(self):
-        r = fib_betweenness(3, 9)
-        assert r.telescoped_ok
-        assert r.x == sum(fibonacci(i) for i in range(7, 20, 2))
-        assert r.y == sum(fibonacci(i) for i in range(6, 19, 2))
+        r = fib_betweenness_report(3, 9)
+        assert r.detail["telescoped"]
+        assert r.lhs == (sum(fibonacci(i) for i in range(7, 20, 2)),
+                         sum(fibonacci(i) for i in range(6, 19, 2)))
 
     def test_never_fibonacci(self):
         for n in range(2, 41):
             fib_set = {fibonacci(i) for i in range(1, 2 * n + 3)}
             for m in range(1, n):
-                r = fib_betweenness(m, n)
+                r = fib_betweenness_report(m, n)
                 assert r.passed
-                assert r.x not in fib_set
-                assert r.y not in fib_set
+                x, y = r.lhs
+                assert x not in fib_set
+                assert y not in fib_set
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            fib_betweenness(2, 2)
+            fib_betweenness_report(2, 2)
         with pytest.raises(DomainError):
-            fib_betweenness(0, 3)
+            fib_betweenness_report(0, 3)
