@@ -117,6 +117,8 @@ def _cmd_check(args) -> Rows:
                           "run 'twoside list' for the available ids")
     params = SuiteParams(max_n=args.max_n, seed=args.seed, trials=args.trials,
                          terms=args.terms, digits=args.digits)
+    for suite_id in ids:    # every cap is refused before any suite runs
+        SUITES[suite_id].check(params)
     rows: list[dict] = []
     empty = []
     for suite_id in ids:

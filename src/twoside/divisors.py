@@ -46,8 +46,7 @@ def divisor_counts(n: int) -> DivisorTable:
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
-    if n > SIEVE_MAX_N:
-        raise DomainError(f"divisor sieve capped at n <= {SIEVE_MAX_N}")
+    require_sieve_n(n)
     d = np.zeros(n + 1, dtype=np.int64)
     for i in range(1, math.isqrt(n) + 1):
         d[i * i::i] += 2
@@ -72,6 +71,12 @@ def divisor_identity_check(n: int, table: DivisorTable | None = None) -> Identit
         table = divisor_counts(n)
     return report_equal("divisor.identity", (n,), int(table.totals[n]),
                         floor_sum(n))
+
+
+def require_sieve_n(n: int) -> None:
+    """Refuse n above `SIEVE_MAX_N` before the sieve allocates."""
+    if n > SIEVE_MAX_N:
+        raise DomainError(f"divisor sieve capped at n <= {SIEVE_MAX_N}")
 
 
 def require_harmonic_n(n: int) -> None:

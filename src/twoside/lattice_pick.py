@@ -7,22 +7,42 @@ no floats anywhere.  Areas are rationals with denominator at most 2.
 The empty triangulation keeps each triangle's lattice points sorted onto
 its three edges and its interior, so the next split point is read off those
 lists and a split re-tests only the points it can move.  Whether the
-finished triangles are empty is then counted, column by column in integer
-floor/ceil division, never inferred from their areas.
+finished triangles are empty is then counted, column by column in int64
+floor/ceil division over all of them at once, never inferred from their
+areas.  Every polygon stays below 2^62 in each coordinate and, before any
+scan or triangulation, below `LATTICE_MAX_POINTS` lattice points in its
+bounding box, which is what keeps that int64 count exact.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import cmp_to_key
+from itertools import chain
+
+import numpy as np
 
 from .exact_core import DomainError
 from .report import IdentityReport, report_check
 from .rng import SplitMix64
 
 IntPoint = tuple[int, int]
+
+#: Most lattice points a polygon's bounding box may hold: `pick_check` and
+#: `empty_triangulation` refuse a larger polygon, and
+#: `random_lattice_polygon` a larger box, before any scan, sampling or
+#: allocation.  Their cost grows with this count.  The cap is also what
+#: makes the int64 count of `_count_points` exact: taken from the box
+#: corner, every coordinate is below 10^6, so no product it forms reaches
+#: 2 * 10^12, far below 2^63.
+LATTICE_MAX_POINTS = 10 ** 6
+
+#: Coordinates have magnitude below this, so subtracting the box corner in
+#: int64 cannot wrap around.
+COORD_LIMIT = 1 << 62
 
 
 def _cross(o: IntPoint, a: IntPoint, b: IntPoint) -> int:
@@ -72,6 +92,9 @@ class LatticePolygon:
         pts = [(int(x), int(y)) for x, y in vertices]
         if any((x, y) != (vx, vy) for (x, y), (vx, vy) in zip(pts, vertices)):
             raise DomainError("vertices must have integer coordinates")
+        if any(abs(c) >= COORD_LIMIT for pt in pts for c in pt):
+            raise DomainError("vertex coordinates must be below 2^62 in "
+                              "magnitude")
         if len(pts) < 3:
             raise DomainError("a polygon needs at least three vertices")
         if len(set(pts)) != len(pts):
@@ -168,31 +191,60 @@ def boundary_points(p: LatticePolygon) -> set[IntPoint]:
     return points
 
 
-def interior_count(p: LatticePolygon) -> int:
-    """Lattice points strictly inside, by row scan with exact crossings."""
+def _require_points(points: int, where: str) -> None:
+    """Refuse lattice work over more than `LATTICE_MAX_POINTS` points."""
+    if points > LATTICE_MAX_POINTS:
+        raise DomainError(f"lattice work capped at LATTICE_MAX_POINTS = "
+                          f"{LATTICE_MAX_POINTS} points in the bounding box; "
+                          f"{where} holds {points}")
+
+
+def _require_box(p: LatticePolygon) -> None:
     x0, y0, x1, y1 = p.bounding_box()
-    on_border = boundary_points(p)
+    _require_points((x1 - x0 + 1) * (y1 - y0 + 1), "the polygon's box")
+
+
+def _by_position(c: tuple[int, int], d: tuple[int, int]) -> int:
+    """Order of two crossings num/den with den > 0, by cross-multiplying."""
+    return c[0] * d[1] - d[0] * c[1]
+
+
+def interior_count(p: LatticePolygon) -> int:
+    """Lattice points strictly inside, by row scan with exact crossings.
+
+    Each crossing of row y with an edge is kept as num/den with den > 0.
+    Between a pair of crossings the row holds floor(right) - ceil(left) + 1
+    lattice points, less the border points among them, which are found by
+    bisecting the row's sorted border x's.
+    """
+    x0, y0, x1, y1 = p.bounding_box()
+    border: dict[int, list[int]] = {}
+    for x, y in boundary_points(p):
+        border.setdefault(y, []).append(x)
+    for xs in border.values():
+        xs.sort()
     edges = p.edges()
     count = 0
     for y in range(y0, y1 + 1):
         crossings = []
         for (ex1, ey1), (ex2, ey2) in edges:
             if (ey1 > y) != (ey2 > y):
-                crossings.append(Fraction(ex1 * (ey2 - ey1)
-                                          + (y - ey1) * (ex2 - ex1),
-                                          ey2 - ey1))
-        crossings.sort()
-        for left, right in zip(crossings[::2], crossings[1::2]):
-            lo = -((-left.numerator) // left.denominator)    # ceil
-            hi = right.numerator // right.denominator        # floor
-            for x in range(lo, hi + 1):
-                if (x, y) not in on_border:
-                    count += 1
+                num = ex1 * (ey2 - ey1) + (y - ey1) * (ex2 - ex1)
+                den = ey2 - ey1
+                crossings.append((num, den) if den > 0 else (-num, -den))
+        crossings.sort(key=cmp_to_key(_by_position))
+        on_row = border.get(y, ())
+        for (ln, ld), (rn, rd) in zip(crossings[::2], crossings[1::2]):
+            lo = -(-ln // ld)    # ceil
+            hi = rn // rd        # floor
+            count += (hi - lo + 1 - bisect_right(on_row, hi)
+                      + bisect_left(on_row, lo))
     return count
 
 
 def pick_check(p: LatticePolygon) -> IdentityReport:
     """Area equals h/2 + b - 1 with h, b from the counting operations."""
+    _require_box(p)
     area = shoelace_area(p)
     h = boundary_count(p)
     b = interior_count(p)
@@ -205,10 +257,6 @@ def pick_check(p: LatticePolygon) -> IdentityReport:
 # --- empty triangulation -----------------------------------------------------
 
 Triangle = tuple[IntPoint, IntPoint, IntPoint]
-
-
-def _doubled_area(t: Triangle) -> int:
-    return _cross(t[0], t[1], t[2])
 
 
 def _points_in_triangle(t: Triangle, candidates) -> list[IntPoint]:
@@ -234,24 +282,91 @@ Contained = tuple[list[IntPoint], list[IntPoint], list[IntPoint],
                   list[IntPoint]]
 
 
-def _classify(t: Triangle) -> Contained:
-    """The triangle's points, found by testing every point of its box."""
-    (ax, ay), (bx, by), (cx, cy) = t
-    contained: Contained = ([], [], [], [])
-    box = product(range(min(ax, bx, cx), max(ax, bx, cx) + 1),
-                  range(min(ay, by, cy), max(ay, by, cy) + 1))
-    for pt in box:
-        px, py = pt
-        d0 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        d1 = (cx - bx) * (py - by) - (cy - by) * (px - bx)
-        d2 = (ax - cx) * (py - cy) - (ay - cy) * (px - cx)
-        if d0 < 0 or d1 < 0 or d2 < 0:
-            continue
-        if d0 and d1 and d2:
-            contained[3].append(pt)
-        elif (d0 == 0) + (d1 == 0) + (d2 == 0) == 1:   # a vertex has two
-            contained[0 if d0 == 0 else 1 if d1 == 0 else 2].append(pt)
-    return contained
+#: A sort key packs a vertex as x * 2^20 + y: taken from the box corner,
+#: coordinates are below LATTICE_MAX_POINTS < 2^20.
+_KEY_BITS = 20
+
+
+def _columns(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                      np.ndarray]:
+    """Every lattice column of each triangle in v, an int64 array of shape
+    (n, 3, 2) with coordinates in [0, LATTICE_MAX_POINTS).
+
+    With its vertices sorted a <= b <= c, triangle i covers the columns
+    [ax, bx) beside the chain edge a-b (piece i) and [bx, cx] beside b-c
+    (piece n + i); when b-c is vertical, piece n + i is the single column
+    bx, where the chain is the point b.  Returns each piece's width, then
+    for every column, piece by piece, its x and the ceiling of the lower
+    and the floor of the upper of the line a-c and the chain, by int64
+    floor division: the lowest and highest y of the triangle's lattice
+    points there, or lo - 1 for hi when it holds none.  No product reaches
+    2 * 10^12.
+    """
+    k0, k1, k2 = ((v[..., 0] << _KEY_BITS) | v[..., 1]).T
+    low, high = np.minimum(k0, k1), np.maximum(k0, k1)
+    a, rest = np.minimum(low, k2), np.maximum(low, k2)
+    b, c = np.minimum(high, rest), np.maximum(high, rest)
+    mask = (1 << _KEY_BITS) - 1
+    ax, bx, cx = a >> _KEY_BITS, b >> _KEY_BITS, c >> _KEY_BITS
+    ay, by, cy = a & mask, b & mask, c & mask
+    long_dx, long_dy = cx - ax, cy - ay
+    chain_above = np.tile(long_dx * (by - ay) - long_dy * (bx - ax) > 0, 2)
+    # per piece, y = (chain + dy * (x - x0)) / dx on its chain edge and
+    # y = (line + long_dy * (x - x0)) / long_dx on a-c; dx = 1 makes the
+    # chain of a vertical b-c the point b
+    x0 = np.concatenate((ax, bx))
+    dx = np.concatenate((bx - ax, np.where(bx == cx, 1, cx - bx)))
+    dy = np.concatenate((by - ay, cy - by))
+    chain = np.concatenate((ay, by)) * dx
+    line = np.concatenate((ay * long_dx, ay * long_dx + long_dy * (bx - ax)))
+    long_dx, long_dy = np.tile(long_dx, 2), np.tile(long_dy, 2)
+    pairs = (chain, line), (dy, long_dy), (dx, long_dx)
+    up, up_dy, up_dx = (np.where(chain_above, of_chain, of_line)
+                        for of_chain, of_line in pairs)
+    down, down_dy, down_dx = (np.where(chain_above, of_line, of_chain)
+                              for of_chain, of_line in pairs)
+    widths = np.concatenate((bx - ax, cx - bx + 1))
+    j = np.arange(int(widths.sum())) - np.repeat(np.cumsum(widths) - widths,
+                                                 widths)
+    x = np.repeat(x0, widths) + j
+    hi = ((np.repeat(up, widths) + j * np.repeat(up_dy, widths))
+          // np.repeat(up_dx, widths))
+    lo = -((j * np.repeat(-down_dy, widths) - np.repeat(down, widths))
+           // np.repeat(down_dx, widths))
+    return widths, x, lo, hi
+
+
+def _relative(triangles: list[Triangle]) -> tuple[np.ndarray, np.ndarray]:
+    """The triangles as an int64 array of shape (n, 3, 2), taken from the
+    corner of their common bounding box, and that corner."""
+    v = np.fromiter(chain.from_iterable(chain.from_iterable(triangles)),
+                    dtype=np.int64, count=6 * len(triangles)).reshape(-1, 3, 2)
+    corner = v.min(axis=(0, 1))
+    return v - corner, corner
+
+
+def _classify(triangles: list[Triangle]) -> list[Contained]:
+    """Each triangle's points, column by column between the bounds of
+    `_columns`, sorted onto its edges and inside by cross products."""
+    v, corner = _relative(triangles)
+    widths, x, lo, hi = _columns(v)
+    owner = np.repeat(np.tile(np.arange(len(v)), 2), widths)
+    x0, y0 = corner.tolist()
+    out: list[Contained] = [([], [], [], []) for _ in triangles]
+    for i, px, y_lo, y_hi in zip(owner.tolist(), (x + x0).tolist(),
+                                 (lo + y0).tolist(), (hi + y0).tolist()):
+        (ax, ay), (bx, by), (cx, cy) = triangles[i]
+        contained = out[i]
+        for py in range(y_lo, y_hi + 1):
+            d0 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+            d1 = (cx - bx) * (py - by) - (cy - by) * (px - bx)
+            d2 = (ax - cx) * (py - cy) - (ay - cy) * (px - cx)
+            if d0 and d1 and d2:
+                contained[3].append((px, py))
+            elif (d0 == 0) + (d1 == 0) + (d2 == 0) == 1:   # a vertex has two
+                contained[0 if d0 == 0 else 1 if d1 == 0 else 2].append(
+                    (px, py))
+    return out
 
 
 def _split(t: Triangle, contained: Contained, p: IntPoint,
@@ -264,38 +379,48 @@ def _split(t: Triangle, contained: Contained, p: IntPoint,
     points beside p, are tested again.
     """
     px, py = p
+    e0, e1, e2, inside = contained
     if edge is None:
         # piece k = (v_k, v_k+1, p) holds q iff u_k >= 0 >= u_k+1, where
         # u_k = cross(p, v_k, q); u_k+1 = 0 puts q on the piece's edge
         # v_k+1-p, u_k = 0 on its edge p-v_k
-        fans: list[Contained] = [(contained[k], [], [], []) for k in range(3)]
-        (w0x, w0y), (w1x, w1y), (w2x, w2y) = [(vx - px, vy - py)
-                                              for vx, vy in t]
-        for q in contained[3]:
-            if q == p:
+        a, b, c = t
+        f0, f1, f2 = (e0, [], [], []), (e1, [], [], []), (e2, [], [], [])
+        w0x, w0y = a[0] - px, a[1] - py
+        w1x, w1y = b[0] - px, b[1] - py
+        w2x, w2y = c[0] - px, c[1] - py
+        for q in inside:
+            qx, qy = q
+            qx -= px
+            qy -= py
+            if not (qx or qy):                 # q is p
                 continue
-            qx, qy = q[0] - px, q[1] - py
             u0 = w0x * qy - w0y * qx
             u1 = w1x * qy - w1y * qx
             u2 = w2x * qy - w2y * qx
             if u0 >= 0 >= u1:
-                fans[0][1 if u1 == 0 else 2 if u0 == 0 else 3].append(q)
+                f0[1 if u1 == 0 else 2 if u0 == 0 else 3].append(q)
             if u1 >= 0 >= u2:
-                fans[1][1 if u2 == 0 else 2 if u1 == 0 else 3].append(q)
+                f1[1 if u2 == 0 else 2 if u1 == 0 else 3].append(q)
             if u2 >= 0 >= u0:
-                fans[2][1 if u0 == 0 else 2 if u2 == 0 else 3].append(q)
-        return [((t[k], t[(k + 1) % 3], p), fans[k]) for k in range(3)]
+                f2[1 if u0 == 0 else 2 if u2 == 0 else 3].append(q)
+        return [((a, b, p), f0), ((b, c, p), f1), ((c, a, p), f2)]
     # p on edge u-v of (u, v, w): pieces (u, p, w) and (p, v, w)
-    u, v, w = t[edge], t[(edge + 1) % 3], t[(edge + 2) % 3]
-    first: Contained = ([], [], contained[(edge + 2) % 3], [])
-    second: Contained = ([], contained[(edge + 1) % 3], [], [])
+    if edge == 0:
+        (u, v, w), on_uv, on_vw, on_wu = t, e0, e1, e2
+    elif edge == 1:
+        (w, u, v), on_uv, on_vw, on_wu = t, e1, e2, e0
+    else:
+        (v, w, u), on_uv, on_vw, on_wu = t, e2, e0, e1
+    first: Contained = ([], [], on_wu, [])
+    second: Contained = ([], on_vw, [], [])
     ux, uy = u[0] - px, u[1] - py
-    for q in contained[edge]:
+    for q in on_uv:
         if q != p:
             toward_u = (q[0] - px) * ux + (q[1] - py) * uy > 0
             (first if toward_u else second)[0].append(q)
     wx, wy = w[0] - px, w[1] - py
-    for q in contained[3]:
+    for q in inside:
         side = wx * (q[1] - py) - wy * (q[0] - px)
         if side > 0:
             first[3].append(q)
@@ -307,39 +432,40 @@ def _split(t: Triangle, contained: Contained, p: IntPoint,
     return [((u, p, w), first), ((p, v, w), second)]
 
 
-def _contained_count(t: Triangle) -> int:
-    """Lattice points in the closed triangle, its three vertices excluded.
+#: Columns one block of `_count_points` holds at most, unless a single
+#: triangle has more.  Each int64 column array then takes 32 KB.  Blocks
+#: of 2^16 columns left the peak RSS of a 28 s benchmark run about 4 MB
+#: higher, as freed large arrays grew the heap.
+_COLUMN_BLOCK = 1 << 12
 
-    Counted column by column: with the vertices sorted a <= b <= c, column
-    x holds the integers y between the line a-c and the chain a-b-c, from
-    the ceiling of the lower line to the floor of the upper one.  Each
-    crossing is a numerator over a positive x-step, kept in Python ints.
+
+def _count_points(triangles: list[Triangle]) -> tuple[np.ndarray,
+                                                      np.ndarray]:
+    """Lattice points in each closed triangle beyond its three vertices, and
+    each triangle's doubled signed area, as int64 arrays.
+
+    Coordinates are first taken from the corner of the triangles' common
+    bounding box (`_relative`).  Exact when every coordinate is below 2^62
+    in magnitude and that box holds at most `LATTICE_MAX_POINTS` lattice
+    points, as `empty_triangulation` checks on its polygon.
     """
-    (ax, ay), (bx, by), (cx, cy) = sorted(t)
-    long_dx, long_dy = cx - ax, cy - ay
-    chain_above = long_dx * (by - ay) - long_dy * (bx - ax) > 0
-    # a-b covers columns [ax, bx); b-c covers [bx, cx], or a-b does when
-    # b-c is vertical
-    second = (bx, by, cx, cy) if bx < cx else (ax, ay, bx, by)
-    total = 0
-    for (px, py, qx, qy), x_from, x_to in (((ax, ay, bx, by), ax, bx),
-                                           (second, bx, cx + 1)):
-        # y on the line a-c is long_num / long_dx, on p-q it is num / dx
-        long_num = ay * long_dx + long_dy * (x_from - ax)
-        dx, dy = qx - px, qy - py
-        num = py * dx + dy * (x_from - px)
-        if chain_above:
-            lo, lo_dx, lo_dy, hi, hi_dx, hi_dy = (long_num, long_dx, long_dy,
-                                                  num, dx, dy)
-        else:
-            lo, lo_dx, lo_dy, hi, hi_dx, hi_dy = (num, dx, dy,
-                                                  long_num, long_dx, long_dy)
-        for _ in range(x_from, x_to):
-            # floor(upper) - ceil(lower) + 1 >= 0 as upper >= lower
-            total += hi // hi_dx + (-lo // lo_dx) + 1
-            lo += lo_dy
-            hi += hi_dy
-    return total - 3
+    v, _ = _relative(triangles)
+    (ax, ay), (bx, by), (cx, cy) = v[:, 0].T, v[:, 1].T, v[:, 2].T
+    doubled = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    ends = np.cumsum(v[..., 0].max(axis=1) - v[..., 0].min(axis=1) + 1)
+    counts = np.empty(len(v), dtype=np.int64)
+    start = 0
+    while start < len(v):
+        before = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, before + _COLUMN_BLOCK,
+                                                  side="right")))
+        widths, _, lo, hi = _columns(v[start:stop])
+        totals = np.concatenate(([0], np.cumsum(hi - lo + 1)))
+        piece_ends = np.cumsum(widths)
+        pieces = totals[piece_ends] - totals[piece_ends - widths]
+        counts[start:stop] = pieces[:stop - start] + pieces[stop - start:] - 3
+        start = stop
+    return counts, doubled
 
 
 def _ear_clip(poly: LatticePolygon) -> list[Triangle]:
@@ -398,34 +524,40 @@ def empty_triangulation(p: LatticePolygon,
     point is chosen by `order` ("boundary_first": boundary points before
     interior, lexicographically smallest first; "interior_first": the
     reverse) and the final count must not depend on that choice.
-    `all_empty` counts the lattice points of every finished triangle.
+    `all_empty` counts the lattice points of every finished triangle, and
+    `all_half_area` and `area_total` read their areas, from one int64
+    `_count_points` pass.  A polygon whose bounding box holds more than
+    `LATTICE_MAX_POINTS` points is refused before any work.
     """
     if order not in ("boundary_first", "interior_first"):
         raise DomainError(f"unknown refinement order {order!r}")
-    work = [(t, _classify(t)) for t in _ear_clip(p)]
+    _require_box(p)
+    boundary_first = order == "boundary_first"
+    ears = _ear_clip(p)
+    work = list(zip(ears, _classify(ears)))
     finished: list[Triangle] = []
+    pop, extend, append = work.pop, work.extend, finished.append
     while work:
-        triangle, contained = work.pop()
-        on_edges = [(points, k) for k, points in enumerate(contained[:3])
-                    if points]
-        inside = contained[3]
-        if not on_edges and not inside:
-            finished.append(triangle)
-            continue
-        if order == "boundary_first":
-            split_at, edge = (min((min(points), k) for points, k in on_edges)
-                              if on_edges else (min(inside), None))
+        triangle, contained = pop()
+        e0, e1, e2, inside = contained
+        if inside and not (boundary_first and (e0 or e1 or e2)):
+            split_at = min(inside) if boundary_first else max(inside)
+            edge = None
+        elif e0 or e1 or e2:
+            # no point lies on two edges, as the vertices are left out
+            split_at = (min if boundary_first else max)(e0 + e1 + e2)
+            edge = 0 if split_at in e0 else 1 if split_at in e1 else 2
         else:
-            split_at, edge = (max(inside), None) if inside else max(
-                (max(points), k) for points, k in on_edges)
-        work.extend(_split(triangle, contained, split_at, edge))
+            append(triangle)
+            continue
+        extend(_split(triangle, contained, split_at, edge))
     h = boundary_count(p)
     b = interior_count(p)
     expected = h + 2 * b - 2
-    doubled = [_doubled_area(t) for t in finished]
-    all_half = all(d == 1 for d in doubled)
-    all_empty = not any(map(_contained_count, finished))
-    area_total = Fraction(sum(doubled), 2)
+    contained_counts, doubled = _count_points(finished)
+    all_half = bool((doubled == 1).all())
+    all_empty = not contained_counts.any()
+    area_total = Fraction(int(doubled.sum()), 2)
     area_check = area_total == shoelace_area(p)
     return TriangulationReport(tuple(finished), len(finished), expected,
                                len(finished) == expected, all_empty,
@@ -444,6 +576,7 @@ def random_lattice_polygon(seed: int, half_extent: int) -> LatticePolygon:
     if half_extent < 1:
         raise DomainError("half_extent must be at least 1")
     span = 2 * half_extent + 1
+    _require_points(span * span, f"[-{half_extent}, {half_extent}]^2")
     if span * span < 12:  # vertex counts are drawn from 6..12
         raise DomainError(f"cannot place 12 distinct vertices among the "
                           f"{span * span} lattice points of "

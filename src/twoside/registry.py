@@ -11,7 +11,10 @@ A suite is declared by one `_suite` call:
   rendered parameters (``"n={0},k={1}"``), or a function of the report.
   Without one the row shows the parameter tuple;
 - **expected-fail**, stated once: ``True`` when every row is a shipped
-  misprint kept on display, or the set of case labels that are.
+  misprint kept on display, or the set of case labels that are;
+- an **argument check**, for a suite whose work has a cap: it raises
+  `DomainError` for parameters above the cap, and `check` runs the checks
+  of every selected suite before the first runner starts.
 
 `_rows` is the one path from reports to rows, and `report.row_status`
 gives every row its status, so an expected failure that fails as
@@ -49,12 +52,17 @@ class SuiteParams:
     digits: int = 6
 
 
+def _no_check(_: SuiteParams) -> None:
+    """A suite without a cap accepts any parameters."""
+
+
 @dataclass(frozen=True)
 class Suite:
     suite_id: str
     tag: str
     runner: Callable[[SuiteParams], list[dict]]
     expected_fail: bool | frozenset[str] = False
+    check: Callable[[SuiteParams], None] = _no_check
 
 
 Sweep = Callable[[SuiteParams], Iterable[IdentityReport]]
@@ -77,10 +85,11 @@ def _rows(reports: Iterable[IdentityReport], case: Case,
 
 
 def _suite(suite_id: str, tag: str, sweep: Sweep, case: Case = None,
-           expected_fail: bool | frozenset[str] = False) -> Suite:
+           expected_fail: bool | frozenset[str] = False,
+           check: Callable[[SuiteParams], None] = _no_check) -> Suite:
     def run(params: SuiteParams) -> list[dict]:
         return _rows(sweep(params), case, expected_fail)
-    return Suite(suite_id, tag, run, expected_fail)
+    return Suite(suite_id, tag, run, expected_fail, check)
 
 
 # --- algebra ---------------------------------------------------------------------
@@ -135,7 +144,6 @@ def _divisor_identity(params: SuiteParams):
 def _divisor_bounds(params: SuiteParams):
     if params.max_n < 1:
         return
-    dv.require_harmonic_n(params.max_n)
     table = dv.divisor_counts(params.max_n)
     harmonics = dv.harmonic_numbers(params.max_n)
     for n in range(1, params.max_n + 1):
@@ -329,8 +337,10 @@ def _build() -> dict[str, Suite]:
                lambda p: (sums_fib.fib_betweenness_report(m, n)
                           for n in range(2, min(p.max_n, 40) + 1)
                           for m in range(1, n)), "m={0},n={1}"),
-        _suite("divisor.identity", "divisors", _divisor_identity, "n={0}"),
-        _suite("divisor.bounds", "divisors", _divisor_bounds, "n={0}"),
+        _suite("divisor.identity", "divisors", _divisor_identity, "n={0}",
+               check=lambda p: dv.require_sieve_n(p.max_n)),
+        _suite("divisor.bounds", "divisors", _divisor_bounds, "n={0}",
+               check=lambda p: dv.require_harmonic_n(p.max_n)),
         _suite("binom.pascal", "binomials",
                _binom_nk(B.PASCAL, k_hi=lambda n: n + 1), "n={0},k={1}"),
         _suite("binom.square_pascal", "binomials",

@@ -23,6 +23,7 @@ from functools import cmp_to_key
 import numpy as np
 
 from twoside.euclid_checks import SquaresFitReport
+from twoside.lattice_pick import boundary_points
 from twoside.exact_core import (Bracket, DomainError, _PowComparator,
                                 bracket_point)
 from twoside.polyform import builtin_identities, identity_check
@@ -557,6 +558,40 @@ def triangle_points_scan(t) -> int:
             if all((q[0] - p[0]) * (y - p[1]) - (q[1] - p[1]) * (x - p[0]) >= 0
                    for p, q in ((a, b), (b, c), (c, a))):
                 count += 1
+    return count
+
+
+def triangle_points_by_edge(t) -> list[list]:
+    """The lattice points on each edge a-b, b-c, c-a of the counterclockwise
+    triangle t alone, then those strictly inside, each list sorted, by
+    testing every point of its bounding box."""
+    out: list[list] = [[], [], [], []]
+    for x in range(min(p[0] for p in t), max(p[0] for p in t) + 1):
+        for y in range(min(p[1] for p in t), max(p[1] for p in t) + 1):
+            d = [(q[0] - p[0]) * (y - p[1]) - (q[1] - p[1]) * (x - p[0])
+                 for p, q in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))]
+            if min(d) < 0 or d.count(0) == 2:     # outside, or a vertex
+                continue
+            out[d.index(0) if 0 in d else 3].append((x, y))
+    return out
+
+
+def interior_count_fraction(p) -> int:
+    """Lattice points strictly inside a `LatticePolygon`: each row's edge
+    crossings as `Fraction`s, sorted, and every x between a pair tested
+    against the set of border points."""
+    x0, y0, x1, y1 = p.bounding_box()
+    on_border = boundary_points(p)
+    count = 0
+    for y in range(y0, y1 + 1):
+        crossings = sorted(
+            Fraction(ex1 * (ey2 - ey1) + (y - ey1) * (ex2 - ex1), ey2 - ey1)
+            for (ex1, ey1), (ex2, ey2) in p.edges()
+            if (ey1 > y) != (ey2 > y))
+        for left, right in zip(crossings[::2], crossings[1::2]):
+            for x in range(math.ceil(left), math.floor(right) + 1):
+                if (x, y) not in on_border:
+                    count += 1
     return count
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twoside import divisors as dv
+from twoside import lattice_pick
 from twoside.cli import ROW_SCHEMA, build_parser, main
 from twoside.registry import SUITES, SuiteParams
 
@@ -197,11 +198,13 @@ PINNED_SCALED = [
      "8179eed684d257cbec91921159f1f4107129357a91578f68ac76136603944483"),
     (["check", "sum.cube_layers", "--max-n", "3000"],
      "c75b89420f483fd77171c3317e7bc76ed54570071ad0ed781ad81816eba06807"),
+    (["check", "pick.formula", "--trials", "1000"],
+     "73c47f03d43339755ddeb972de493b7bc43c515d2c8220c26f650108e6a8063e"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", PINNED_SCALED,
-                         ids=["geom", "cube_layers"])
+                         ids=["geom", "cube_layers", "pick"])
 def test_scaled_suites_pinned(argv, digest, capsys, tmp_path, monkeypatch):
     test_output_pinned(argv, digest, capsys, tmp_path, monkeypatch)
 
@@ -448,6 +451,7 @@ USAGE_ERRORS = [
     (["jordan", "--region", "disk:1", "--max-n", "0"], None),
     (["pick", "--seeds", "0"], None),
     (["pick", "--extent", "1"], None),
+    (["pick", "--seeds", "1", "--extent", "100000"], None),
     (["prob", "dice", "--trials", "0"], None),
     (["prob", "dice", "--terms", "-1"], None),
     (["prob", "coin", "--n", "10", "--terms", "3"], None),
@@ -467,6 +471,35 @@ def test_usage_error_message_exits_2(argv, env_format, capsys, monkeypatch):
     assert err.strip()
     assert "Traceback" not in err
     assert not err.startswith("domain error")
+
+
+class TestCapsBeforeWork:
+    """A size cap exits 2 before any sampling, scan, sieve or suite runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "all", "--max-n", "20000"],
+        ["check", "alg.mixture", "divisor.identity", "--max-n", "2000000"],
+    ])
+    def test_check_refuses_before_any_runner(self, argv, capsys,
+                                             monkeypatch):
+        called = []
+        for suite_id, suite in SUITES.items():
+            monkeypatch.setitem(SUITES, suite_id, dataclasses.replace(
+                suite, runner=lambda params, i=suite_id: called.append(i)))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, called) == (2, "", [])
+        assert "capped" in err
+
+    def test_pick_refuses_before_sampling(self, capsys, monkeypatch):
+        def fail(*_):
+            raise AssertionError("lattice work started before the cap")
+        for name in ("SplitMix64", "interior_count", "pick_check",
+                     "empty_triangulation"):
+            monkeypatch.setattr(lattice_pick, name, fail)
+        code, out, err = run_cli(capsys, "pick", "--seeds", "1",
+                                 "--extent", "100000")
+        assert (code, out) == (2, "")
+        assert "LATTICE_MAX_POINTS = 1000000" in err
 
 
 class TestOutputPlumbing:

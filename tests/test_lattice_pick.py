@@ -1,19 +1,21 @@
 import dataclasses
 import hashlib
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from twoside import lattice_pick
 from twoside.exact_core import DomainError
-from twoside.lattice_pick import (LatticePolygon, _angular_sort,
-                                  _contained_count, boundary_count,
+from twoside.lattice_pick import (LatticePolygon, _angular_sort, _classify,
+                                  _count_points, boundary_count,
                                   empty_triangulation, interior_count,
                                   pick_check, random_lattice_polygon,
                                   shoelace_area)
-from oracles import (angular_sort_comparator, segment_lattice_points,
-                     shoelace_rational, triangle_points_scan)
+from oracles import (angular_sort_comparator, interior_count_fraction,
+                     segment_lattice_points, shoelace_rational,
+                     triangle_points_by_edge, triangle_points_scan)
 
 UNIT_SQUARE = LatticePolygon(((0, 0), (1, 0), (1, 1), (0, 1)))
 SQUARE3 = LatticePolygon(((0, 0), (3, 0), (3, 3), (0, 3)))
@@ -86,6 +88,16 @@ class TestCounts:
         assert interior_count(SQUARE3) == 4
         assert interior_count(LatticePolygon(((0, 0), (4, 0), (0, 4)))) == 3
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(2, 15))
+    def test_interior_matches_fraction_scan(self, seed, extent):
+        poly = random_lattice_polygon(seed, extent)
+        assert interior_count(poly) == interior_count_fraction(poly)
+
+    def test_interior_figure_polygon(self):
+        poly = LatticePolygon(FIGURE_VERTICES)
+        assert interior_count(poly) == interior_count_fraction(poly)
+
 
 class TestPick:
     def test_unit_square(self):
@@ -152,9 +164,48 @@ class TestTriangulation:
     def test_all_empty_is_counted(self, monkeypatch):
         # every finished triangle has doubled area 1; all_empty must still
         # come from counting their points, not from that area
-        monkeypatch.setattr(lattice_pick, "_contained_count", lambda t: 1)
+        def one_point_each(triangles):
+            counts, doubled = _count_points(triangles)
+            return counts + 1, doubled
+        monkeypatch.setattr(lattice_pick, "_count_points", one_point_each)
         report = empty_triangulation(SQUARE3)
         assert report.all_half_area and not report.all_empty
+
+    def test_coordinates_below_2_62(self):
+        top = (1 << 62) - 1
+        report = empty_triangulation(LatticePolygon(
+            ((top - 2, -top), (top, -top), (top - 2, 2 - top))))
+        assert report.passed and report.count == 6 + 0 - 2
+        for corner in ((top + 1, 0), (0, -top - 1)):
+            with pytest.raises(DomainError, match="2\\^62"):
+                LatticePolygon(((0, 0), corner, (1, 1)))
+
+
+class TestLatticeCap:
+    """Work over more than LATTICE_MAX_POINTS box points is refused first."""
+
+    WIDE = LatticePolygon(((0, 0), (2000, 0), (0, 600)))   # 2001 * 601
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def fail(*_):
+            raise AssertionError("work started before the cap was checked")
+        for name in ("SplitMix64", "boundary_count", "boundary_points",
+                     "interior_count", "_ear_clip", "_classify"):
+            monkeypatch.setattr(lattice_pick, name, fail)
+
+    @pytest.mark.parametrize("check", [pick_check, empty_triangulation])
+    def test_polygon_refused(self, no_work, check):
+        with pytest.raises(DomainError, match="LATTICE_MAX_POINTS"):
+            check(self.WIDE)
+
+    def test_generator_refused(self, no_work):
+        with pytest.raises(DomainError, match="LATTICE_MAX_POINTS"):
+            random_lattice_polygon(0, 500)    # 1001^2 points
+
+    def test_largest_box_admitted(self):
+        assert 999 ** 2 <= lattice_pick.LATTICE_MAX_POINTS < 1001 ** 2
+        random_lattice_polygon(0, 499)
 
 
 #: sha256 of repr(report.triangles) per (polygon, order), recorded before the
@@ -207,15 +258,43 @@ lattice_points = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
 BIG = 1 << 40
 
 
+def _doubled(t) -> int:
+    (ax, ay), (bx, by), (cx, cy) = t
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+triangles = st.tuples(lattice_points, lattice_points, lattice_points).filter(
+    lambda t: _doubled(t) != 0)
+offsets = st.sampled_from([(0, 0), (BIG, -BIG), (-BIG, BIG), (BIG, BIG)])
+
+
+def _shift(t, offset):
+    return tuple((x + offset[0], y + offset[1]) for x, y in t)
+
+
 class TestContainedCount:
-    """The column count that decides `all_empty`, against a box scan."""
+    """The bulk column count that decides `all_empty`, against a box scan."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.tuples(lattice_points, lattice_points, lattice_points))
-    def test_matches_box_scan(self, t):
-        a, b, c = t
-        assume((b[0] - a[0]) * (c[1] - a[1]) != (b[1] - a[1]) * (c[0] - a[0]))
-        assert _contained_count(t) == triangle_points_scan(t)
+    @given(st.lists(triangles, min_size=1, max_size=12), offsets,
+           st.integers(1, 40))
+    def test_matches_box_scan(self, batch, offset, block):
+        shifted = [_shift(t, offset) for t in batch]
+        # a small block budget splits the batch into many blocks
+        with mock.patch.object(lattice_pick, "_COLUMN_BLOCK", block):
+            counts, doubled = _count_points(shifted)
+        assert counts.tolist() == [triangle_points_scan(t) for t in batch]
+        assert doubled.tolist() == [_doubled(t) for t in batch]
+
+    def test_more_columns_than_one_block(self):
+        # 70 empty slivers of 1001 columns, one of 5001 columns (more than
+        # a block alone), then a 17-point triangle
+        batch = [((0, k), (1000, k + 1), (999, k + 1)) for k in range(70)]
+        batch += [((0, -1), (5000, 0), (4999, 0)), ((2, -1), (2, 5), (-3, 1))]
+        assert 1001 < lattice_pick._COLUMN_BLOCK < 5001
+        counts, doubled = _count_points(batch)
+        assert counts.tolist() == [0] * 71 + [17]
+        assert doubled.tolist() == [1] * 71 + [_doubled(batch[-1])]
 
     @pytest.mark.parametrize("t, count", [
         (((0, 0), (1, 0), (0, 1)), 0),
@@ -229,8 +308,23 @@ class TestContainedCount:
         (((BIG - 3, -BIG - 2), (BIG + 4, -BIG), (BIG, 5 - BIG)), 21),
     ])
     def test_cases(self, t, count):
-        assert _contained_count(t) == _contained_count(t[::-1]) == count
+        counts, doubled = _count_points([t, t[::-1]])
+        assert counts.tolist() == [count, count]
+        assert doubled.tolist() == [_doubled(t), -_doubled(t)]
         assert triangle_points_scan(t) == count
+
+
+class TestClassify:
+    """Ear triangles' points, sorted onto edges and inside, against a scan."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(triangles, min_size=1, max_size=6), offsets)
+    def test_matches_box_scan(self, batch, offset):
+        batch = [_shift(t if _doubled(t) > 0 else t[::-1], offset)
+                 for t in batch]
+        for t, contained in zip(batch, _classify(batch)):
+            assert ([sorted(points) for points in contained]
+                    == triangle_points_by_edge(t))
 
 
 class TestGenerator:
