@@ -70,30 +70,81 @@ def _cell(value) -> str:
 
 
 def _fmt_table(rows: list[dict], columns: list[str]) -> str:
-    widths = {c: max(len(c), *(len(_cell(r.get(c))) for r in rows))
-              if rows else len(c) for c in columns}
-    lines = ["  ".join(c.ljust(widths[c]) for c in columns)]
-    for r in rows:
-        lines.append("  ".join(_cell(r.get(c)).ljust(widths[c])
-                               for c in columns))
-    return "\n".join(lines) + "\n"
+    lines = [columns, *([_cell(r.get(c)) for c in columns] for r in rows)]
+    widths = [max(map(len, col)) for col in zip(*lines)]
+    return "".join(["  ".join(map(str.ljust, line, widths)) + "\n"
+                    for line in lines])
+
+
+def _csv_field(s: str) -> str:
+    if "," in s or '"' in s or "\n" in s:
+        return '"' + s.replace('"', '""') + '"'
+    return s
 
 
 def _fmt_csv(rows: list[dict], columns: list[str]) -> str:
-    def escape(v) -> str:
-        s = _cell(v)
-        if any(ch in s for ch in ",\"\n"):
-            return '"' + s.replace('"', '""') + '"'
-        return s
     lines = [",".join(columns)]
     for r in rows:
-        lines.append(",".join(escape(r.get(c)) for c in columns))
+        lines.append(",".join(_csv_field(_cell(r.get(c))) for c in columns))
     return "\n".join(lines) + "\n"
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_value(v, indent: str) -> str:
+    """``v`` as ``json.dumps(indent=2, default=str)`` writes it at ``indent``.
+
+    Strings, None, exact ints and non-empty lists of strings are written
+    here; anything else goes to the stdlib, whose newlines are then
+    re-indented (a JSON string never holds a raw newline).
+    """
+    cls = type(v)
+    if cls is str:
+        return _encode_str(v)
+    if v is None:
+        return "null"
+    if cls is int:
+        return int.__repr__(v)
+    if cls is list and v and all(type(x) is str for x in v):
+        inner = indent + "  "
+        return ("[\n" + inner + (",\n" + inner).join(map(_encode_str, v))
+                + "\n" + indent + "]")
+    return json.dumps(v, indent=2, default=str).replace("\n", "\n" + indent)
+
+
+def _json_rows(rows: list) -> str:
+    """``json.dumps(rows, indent=2, default=str) + "\\n"``, one row at a time.
+
+    With an indent the stdlib encoder runs in pure Python and holds every
+    chunk of the whole document in one list; a dict row with str keys is
+    joined here from its fields instead.
+    """
+    if not rows:
+        return "[]\n"
+    keys: dict[str, str] = {}     # each key encoded once, with its ": "
+    parts = []
+    for row in rows:
+        if type(row) is dict and row:
+            fields = []
+            for k, v in row.items():
+                if type(k) is not str:
+                    break           # the stdlib writes the whole row
+                key = keys.get(k)
+                if key is None:
+                    key = keys[k] = _encode_str(k) + ": "
+                fields.append(key + (_encode_str(v) if type(v) is str
+                                     else _json_value(v, "    ")))
+            else:
+                parts.append("{\n    " + ",\n    ".join(fields) + "\n  }")
+                continue
+        parts.append(_json_value(row, "  "))
+    return "[\n  " + ",\n  ".join(parts) + "\n]\n"
 
 
 def _emit(rows: list[dict], columns: list[str], fmt: str, out_path) -> None:
     if fmt == "json":
-        text = json.dumps(rows, indent=2, default=str) + "\n"
+        text = _json_rows(rows)
     elif fmt == "csv":
         text = _fmt_csv(rows, columns)
     else:

@@ -74,7 +74,10 @@ def _int_to_str(n: int) -> str:
 
 def rat_to_str(q: RationalLike) -> str:
     """Render as "p/q", or just "p" for integers."""
-    q = Fraction(q)
+    if type(q) is int:
+        return _int_to_str(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if q.denominator == 1:
         return _int_to_str(q.numerator)
     return f"{_int_to_str(q.numerator)}/{_int_to_str(q.denominator)}"

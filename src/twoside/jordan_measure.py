@@ -22,6 +22,11 @@ from .exact_core import Bracket, DomainError, RationalLike, rat_from_str
 
 Point = tuple[Fraction, Fraction]
 
+#: Rows one bracket may classify.  A bracket on the 1/n grid has
+#: ceil(bounding-box height * n) rows, each classified in constant time, so
+#: this bounds its work before any row is looked at.
+JORDAN_MAX_ROWS = 10 ** 6
+
 
 def _as_point(p) -> Point:
     x, y = p
@@ -195,10 +200,21 @@ def _poly_counts(poly: ConvexPolygon, n: int) -> tuple[int, int]:
 
 # --- public operations -----------------------------------------------------------
 
+def _require_rows(region: Region, n: int) -> None:
+    """Refuse a bracket of more than `JORDAN_MAX_ROWS` rows."""
+    _, y0, _, y1 = region.bounding_box()
+    rows = math.ceil((y1 - y0) * n)
+    if rows > JORDAN_MAX_ROWS:
+        raise DomainError(f"Jordan brackets capped at JORDAN_MAX_ROWS = "
+                          f"{JORDAN_MAX_ROWS} rows; the grid at n={n} on "
+                          f"this region has {rows}")
+
+
 def jordan_bracket(region: Region, n: int) -> Bracket:
     """[inner grid area, outer grid area] on the 1/n grid."""
     if n < 1:
         raise DomainError("grid refinement n must be a positive integer")
+    _require_rows(region, n)
     if isinstance(region, Disk):
         inner_cells, outer_cells = _disk_counts(region, n)
     else:
@@ -220,6 +236,7 @@ def jordan_refine(region: Region, tol: RationalLike,
     if max_n < 1:
         raise DomainError("max_n must be a positive integer")
     rungs = max_n.bit_length()  # n = 1, 2, 4, ... <= max_n
+    _require_rows(region, 1 << (rungs - 1))
     ladder = (jordan_bracket(region, 1 << i) for i in range(rungs))
     steps = tuple((1 << i, bracket) for i, bracket
                   in enumerate(refine(ladder, tol, rungs)))

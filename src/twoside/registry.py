@@ -73,14 +73,16 @@ def _rows(reports: Iterable[IdentityReport], case: Case,
           expected_fail: bool | frozenset[str]) -> list[dict]:
     rows = []
     for r in reports:
+        params = None
         if case is None:
             label = None
         elif callable(case):
             label = case(r)
         else:
-            label = case.format(*map(render_value, r.params))
+            params = [render_value(p) for p in r.params]
+            label = case.format(*params)
         expected = expected_fail is True or label in (expected_fail or ())
-        rows.append(r.row(label, expected))
+        rows.append(r.row(label, expected, params))
     return rows
 
 

@@ -49,6 +49,13 @@ def sigma_gate(deviation: Fraction, sigma: Bracket) -> str:
 
 def render_value(v: Any) -> str:
     """Stable string form for report fields: rationals as "p/q", never floats."""
+    cls = type(v)       # the common exact types first, then their subclasses
+    if cls is str:
+        return v
+    if cls is int:
+        return _int_to_str(v)
+    if cls is Fraction:
+        return rat_to_str(v)
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
@@ -92,12 +99,19 @@ class IdentityReport:
     def status(self, expected_fail: bool = False) -> str:
         return row_status(self.passed, expected_fail, self.gate)
 
-    def row(self, case: str | None = None, expected_fail: bool = False) -> dict:
-        """Flatten into the CLI/JSON row shape."""
+    def row(self, case: str | None = None, expected_fail: bool = False,
+            params: list[str] | None = None) -> dict:
+        """Flatten into the CLI/JSON row shape.
+
+        ``params`` is ``self.params`` rendered, for a caller that has
+        already rendered them for its case label.
+        """
+        if params is None:
+            params = [render_value(p) for p in self.params]
         row = {
             "suite": self.suite,
-            "case": case if case is not None else render_value(self.params),
-            "params": [render_value(p) for p in self.params],
+            "case": case if case is not None else f"({', '.join(params)})",
+            "params": params,
             "lhs": render_value(self.lhs),
             "rhs": render_value(self.rhs),
             "status": self.status(expected_fail),

@@ -9,8 +9,9 @@ by recursive descent and conjugated cell by cell, the multiplicative
 formula for binomial coefficients, matrix powers for
 Fibonacci, Jordan rows classified in Fractions, triangles scanned point by
 point, points sorted by angle with a Fraction comparator, pure-Python
-restatements of the numpy simulations, and the Ceva and two-squares checks
-solved in Fractions.  Tests compare package output against these, never
+restatements of the numpy simulations, the Ceva and two-squares checks
+solved in Fractions, and report fields rendered through an isinstance chain
+and a rebuilt Fraction.  Tests compare package output against these, never
 against the package's own formulas.
 """
 
@@ -24,8 +25,8 @@ import numpy as np
 
 from twoside.euclid_checks import SquaresFitReport
 from twoside.lattice_pick import boundary_points
-from twoside.exact_core import (Bracket, DomainError, _PowComparator,
-                                bracket_point)
+from twoside.exact_core import (Bracket, DomainError, _int_to_str,
+                                _PowComparator, bracket_point)
 from twoside.polyform import builtin_identities, identity_check
 from twoside.report import IdentityReport, report_check
 from twoside.rng import MASK64, SplitMix64
@@ -707,3 +708,28 @@ def squares_intersection_check_fraction(a, b) -> SquaresFitReport:
     passed = (h == i and on_bg and h[1] == x_sim and i[1] == y_sim
               and x_sim == y_sim)
     return SquaresFitReport(x_sim, y_sim, h, on_bg, passed)
+
+
+# --- report rendering by isinstance ------------------------------------------
+
+def rat_to_str_fraction(q) -> str:
+    """"p/q" or "p", read from a Fraction rebuilt from any rational."""
+    q = Fraction(q)
+    if q.denominator == 1:
+        return _int_to_str(q.numerator)
+    return f"{_int_to_str(q.numerator)}/{_int_to_str(q.denominator)}"
+
+
+def render_value_isinstance(v) -> str:
+    """A report field's string, dispatched by isinstance alone."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return _int_to_str(v)
+    if isinstance(v, Fraction):
+        return rat_to_str_fraction(v)
+    if isinstance(v, Bracket):
+        return str(v)
+    if isinstance(v, (list, tuple)):
+        return "(" + ", ".join(render_value_isinstance(x) for x in v) + ")"
+    return str(v)

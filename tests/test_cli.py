@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twoside import divisors as dv
-from twoside import lattice_pick
-from twoside.cli import ROW_SCHEMA, build_parser, main
+from twoside import jordan_measure, lattice_pick
+from twoside.cli import ROW_SCHEMA, _json_rows, build_parser, main
 from twoside.registry import SUITES, SuiteParams
 
 
@@ -102,6 +102,20 @@ class TestCheck:
         assert hashlib.sha256(target.read_bytes()).hexdigest() == (
             "32f50fef65b9dcf1ed3bfb9858bf9226d0118c7009d090cea7371b22f9d96408")
 
+    @pytest.mark.parametrize("fmt, digest", [
+        ("table",
+         "0dea0a812ffc735559a528d71653400aed11d61d074430c91d7d1ff0761b12a6"),
+        ("csv",
+         "d0aa75374bc8f8b55ccba628c0cbc38239ffeafab9f64c36236aa9ea0895fcae"),
+    ])
+    def test_check_all_text_formats_pinned(self, fmt, digest, capsys,
+                                           tmp_path, monkeypatch):
+        monkeypatch.delenv("TWOSIDE_FORMAT", raising=False)
+        target = tmp_path / f"all.{fmt}"
+        code, _, _ = run_cli(capsys, "check", "all", "--format", fmt,
+                             "--output", str(target))
+        assert code == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
     def test_suites_that_check_nothing_exit_2(self, capsys):
         for argv, empty in (
@@ -449,6 +463,7 @@ USAGE_ERRORS = [
     (["check", "divisor.bounds", "--max-n", "10001"], None),
     (["jordan", "--region", "blob:1"], None),
     (["jordan", "--region", "disk:1", "--max-n", "0"], None),
+    (["jordan", "--region", "disk:1000000", "--max-n", "4"], None),
     (["pick", "--seeds", "0"], None),
     (["pick", "--extent", "1"], None),
     (["pick", "--seeds", "1", "--extent", "100000"], None),
@@ -502,6 +517,17 @@ class TestCapsBeforeWork:
         assert "LATTICE_MAX_POINTS = 1000000" in err
 
 
+    def test_jordan_refuses_before_any_row(self, capsys, monkeypatch):
+        def fail(*_):
+            raise AssertionError("a Jordan row was classified before the cap")
+        for name in ("_disk_counts", "_poly_counts"):
+            monkeypatch.setattr(jordan_measure, name, fail)
+        code, out, err = run_cli(capsys, "jordan", "--region", "disk:1000000",
+                                 "--max-n", "4")
+        assert (code, out) == (2, "")
+        assert "JORDAN_MAX_ROWS = 1000000" in err
+
+
 class TestOutputPlumbing:
     def test_env_format_override(self, capsys, monkeypatch):
         monkeypatch.setenv("TWOSIDE_FORMAT", "json")
@@ -528,6 +554,49 @@ class TestOutputPlumbing:
                                "--output", "/nonexistent/dir/rows.txt")
         assert code == 3
         assert "i/o error" in err
+
+
+# --- the JSON writer ---------------------------------------------------------
+
+def _stdlib_json(rows) -> str:
+    return json.dumps(rows, indent=2, default=str) + "\n"
+
+
+_JSON_CHARS = st.sampled_from('"\\/\n\r\t\x00\x1f\x7f\xe9\u20ac\U0001f600')
+_JSON_TEXT = st.text(st.one_of(st.characters(), _JSON_CHARS), max_size=6)
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.fractions(),
+    _JSON_TEXT)
+_JSON_KEYS = st.one_of(_JSON_TEXT, st.integers(), st.booleans(), st.none(),
+                       st.floats(allow_nan=False))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.lists(_JSON_TEXT, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_JSON_TEXT, inner, max_size=3),
+        st.dictionaries(_JSON_KEYS, inner, max_size=3)),
+    max_leaves=8)
+_JSON_ROWS = st.lists(st.one_of(
+    st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=5),
+    st.dictionaries(_JSON_KEYS, _JSON_VALUES, max_size=3),
+    _JSON_VALUES), max_size=4)
+
+
+class TestJsonRows:
+    """The check writer's bytes are exactly the stdlib's indent-2 bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_ROWS)
+    def test_matches_stdlib(self, rows):
+        assert _json_rows(rows) == _stdlib_json(rows)
+
+    def test_matches_stdlib_on_check_rows(self):
+        params = SuiteParams(max_n=6, trials=4)
+        rows = [row for suite_id in sorted(SUITES)
+                for row in SUITES[suite_id].runner(params)]
+        assert {"lhs_enclosure", "detail"} <= {k for r in rows for k in r}
+        assert _json_rows(rows) == _stdlib_json(rows)
 
 
 # --- argv fuzzing ------------------------------------------------------------

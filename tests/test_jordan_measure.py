@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from twoside import jordan_measure as jm
 from twoside.exact_core import DomainError, NonConvergenceError
 from twoside.jordan_measure import (ConvexPolygon, Disk, jordan_bracket,
                                     jordan_refine, parse_region)
@@ -252,6 +253,46 @@ class TestRefine:
         with pytest.raises(NonConvergenceError) as exc:
             jordan_refine(disk, Fraction(1, 10 ** 6), max_n=8)
         assert exc.value.last_bracket is not None
+
+
+class TestRowCap:
+    """A bracket of more than JORDAN_MAX_ROWS rows is refused before any
+    row is classified."""
+
+    @pytest.fixture
+    def classified(self, monkeypatch):
+        calls = []
+        for name in ("_disk_counts", "_poly_counts"):
+            monkeypatch.setattr(jm, name, lambda region, n, name=name:
+                                calls.append((name, n)) or (0, 0))
+        return calls
+
+    # ceil(height * n) rows: 2 * 500000 for the unit disk and 8/3 * 375000
+    # for the triangle, each exactly the cap.
+    @pytest.mark.parametrize("region, n_at_cap", [
+        (Disk((0, 0), 1), 500_000),
+        (ConvexPolygon(((0, 0), (1, 0), (0, Fraction(8, 3)))), 375_000),
+    ], ids=["disk", "poly"])
+    def test_bracket_cap_is_exact(self, region, n_at_cap, classified):
+        jordan_bracket(region, n_at_cap)
+        assert len(classified) == 1
+        with pytest.raises(DomainError, match="JORDAN_MAX_ROWS = 1000000"):
+            jordan_bracket(region, n_at_cap + 1)
+        assert len(classified) == 1
+
+    def test_refine_refuses_before_its_first_rung(self, classified):
+        with pytest.raises(DomainError, match="JORDAN_MAX_ROWS"):
+            jordan_refine(Disk((0, 0), 10 ** 6), Fraction(1, 100), max_n=4)
+        assert classified == []
+
+    def test_refine_caps_its_largest_rung_not_max_n(self, monkeypatch):
+        # Height 1/2: max_n = 2^21 - 1 itself would give 1048576 rows, its
+        # largest rung 2^20 gives 524288.  Width 1/n reaches the tolerance
+        # there.
+        monkeypatch.setattr(jm, "_disk_counts", lambda region, n: (0, n))
+        result = jordan_refine(Disk((0, 0), Fraction(1, 4)),
+                               Fraction(1, 2 ** 20), max_n=2 ** 21 - 1)
+        assert result.n == 2 ** 20
 
 
 class TestRegionValidation:

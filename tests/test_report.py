@@ -1,11 +1,15 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twoside import probability_games
+from twoside.exact_core import Bracket, rat_to_str
 from twoside.registry import SUITES, SuiteParams
 from twoside.report import (EXPECTED_FAIL, FAIL, PASS, WARN, IdentityReport,
                             render_value, report_check, row_status)
+from oracles import rat_to_str_fraction, render_value_isinstance
 
 
 class TestRowStatus:
@@ -57,6 +61,43 @@ class TestRenderValue:
 
     def test_int_past_the_digit_limit(self):
         assert render_value(10 ** 5000) == "1" + "0" * 5000
+
+
+# Past the interpreter's 4300-digit str() limit, signed both ways.
+_HUGE = st.builds(lambda digits, sign: sign * (10 ** digits - 7),
+                  st.integers(4301, 4400), st.sampled_from([1, -1]))
+_INTS = st.one_of(st.integers(), _HUGE)
+_RATIONALS = st.one_of(
+    st.booleans(), _INTS, st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.fractions(), st.builds(Fraction, _INTS, _INTS.filter(bool)))
+_BRACKETS = st.lists(st.fractions(), min_size=2, max_size=2).map(
+    lambda ends: Bracket(min(ends), max(ends)))
+_FIELDS = st.recursive(
+    st.one_of(_RATIONALS, _BRACKETS, st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.lists(inner, max_size=3).map(tuple)),
+    max_leaves=6)
+
+
+class TestRenderOracle:
+    """The exact-type fast paths render as the isinstance chain does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_FIELDS)
+    def test_render_value(self, v):
+        assert render_value(v) == render_value_isinstance(v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_RATIONALS)
+    def test_rat_to_str(self, q):
+        assert rat_to_str(q) == rat_to_str_fraction(q)
+
+    def test_row_params_and_case_match_the_oracle(self):
+        report = report_check("s", (True, np.int64(-3), Fraction(-1, 2),
+                                    (1, Fraction(2, 4))), 1, 1, True)
+        row = report.row()
+        assert row["params"] == ["true", "-3", "-1/2", "(1, 1/2)"]
+        assert row["case"] == render_value_isinstance(report.params)
 
 
 def test_coin_series_expected_fail_is_the_one_declared_case():
