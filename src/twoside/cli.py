@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import analysis_brackets as ab
 from . import divisors as dv
@@ -69,11 +69,11 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _fmt_table(rows: list[dict], columns: list[str]) -> str:
+def _fmt_table(rows: list[dict], columns: list[str]) -> Iterator[str]:
     lines = [columns, *([_cell(r.get(c)) for c in columns] for r in rows)]
     widths = [max(map(len, col)) for col in zip(*lines)]
-    return "".join(["  ".join(map(str.ljust, line, widths)) + "\n"
-                    for line in lines])
+    for line in lines:
+        yield "  ".join(map(str.ljust, line, widths)) + "\n"
 
 
 def _csv_field(s: str) -> str:
@@ -82,11 +82,10 @@ def _csv_field(s: str) -> str:
     return s
 
 
-def _fmt_csv(rows: list[dict], columns: list[str]) -> str:
-    lines = [",".join(columns)]
+def _fmt_csv(rows: list[dict], columns: list[str]) -> Iterator[str]:
+    yield ",".join(columns) + "\n"
     for r in rows:
-        lines.append(",".join(_csv_field(_cell(r.get(c))) for c in columns))
-    return "\n".join(lines) + "\n"
+        yield ",".join([_csv_field(_cell(r.get(c))) for c in columns]) + "\n"
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -113,17 +112,19 @@ def _json_value(v, indent: str) -> str:
     return json.dumps(v, indent=2, default=str).replace("\n", "\n" + indent)
 
 
-def _json_rows(rows: list) -> str:
-    """``json.dumps(rows, indent=2, default=str) + "\\n"``, one row at a time.
+def _json_rows(rows: list) -> Iterator[str]:
+    """``json.dumps(rows, indent=2, default=str) + "\\n"``, one row per chunk.
 
     With an indent the stdlib encoder runs in pure Python and holds every
     chunk of the whole document in one list; a dict row with str keys is
-    joined here from its fields instead.
+    joined here from its fields instead.  Writing the chunks as they come
+    keeps no copy of the whole document in memory.
     """
     if not rows:
-        return "[]\n"
+        yield "[]\n"
+        return
     keys: dict[str, str] = {}     # each key encoded once, with its ": "
-    parts = []
+    sep = "[\n  "
     for row in rows:
         if type(row) is dict and row:
             fields = []
@@ -136,24 +137,27 @@ def _json_rows(rows: list) -> str:
                 fields.append(key + (_encode_str(v) if type(v) is str
                                      else _json_value(v, "    ")))
             else:
-                parts.append("{\n    " + ",\n    ".join(fields) + "\n  }")
+                yield sep + "{\n    " + ",\n    ".join(fields) + "\n  }"
+                sep = ",\n  "
                 continue
-        parts.append(_json_value(row, "  "))
-    return "[\n  " + ",\n  ".join(parts) + "\n]\n"
+        yield sep + _json_value(row, "  ")
+        sep = ",\n  "
+    yield "\n]\n"
 
 
 def _emit(rows: list[dict], columns: list[str], fmt: str, out_path) -> None:
+    """Write the rows chunk by chunk to ``out_path``, or to stdout."""
     if fmt == "json":
-        text = _json_rows(rows)
+        chunks = _json_rows(rows)
     elif fmt == "csv":
-        text = _fmt_csv(rows, columns)
+        chunks = _fmt_csv(rows, columns)
     else:
-        text = _fmt_table(rows, columns)
+        chunks = _fmt_table(rows, columns)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 # A command returns (rows, columns) or raises DomainError on a usage error.
