@@ -112,13 +112,18 @@ def geometric_series_sum(a: RationalLike, r: RationalLike,
         raise DomainError("series diverges for |r| >= 1")
     if n_terms < 0:
         raise DomainError("N must be non-negative")
-    partial = Fraction(0)
-    power = Fraction(1)
+    # With r = p/q every term r^k is added as the integer p^k·q^(N-k) over
+    # the common denominator q^N, so one gcd is taken, at the end; a sum of
+    # Fractions would take a gcd of a growing integer at every term.
+    p, q = r.numerator, r.denominator
+    num, power = 0, 1
     for _ in range(n_terms + 1):
-        partial += a * power
-        power *= r
+        num = num * q + power
+        power *= p
+    den = q ** n_terms
+    partial = a * Fraction(num, den)
     closed = a / (1 - r)
-    tail = abs(a * power / (1 - r))
+    tail = abs(a * Fraction(power, den * q) / (1 - r))
     return GeometricReport(partial, closed, Bracket(partial, partial + tail))
 
 

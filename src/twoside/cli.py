@@ -288,6 +288,7 @@ def _cmd_prob(args) -> Rows:
     if args.game == "coin" and args.terms < args.n:
         raise DomainError(f"--terms must be at least --n = {args.n}: the coin "
                           f"series bounds its tail only from the n-th term on")
+    prob.require_terms(args.terms)
     if args.game == "dice":
         game = prob.dice_game(terms=args.terms, trials=args.trials,
                               seed=args.seed)

@@ -15,8 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .exact_core import DomainError
 from .report import IdentityReport, report_check, report_equal
 from .sums_fib import fibonacci

@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
+from ._lazy import np
 from .exact_core import DomainError
 from .report import IdentityReport, report_equal
 

@@ -23,8 +23,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain
 
-import numpy as np
-
+from ._lazy import np
 from .exact_core import DomainError
 from .report import IdentityReport, report_check
 from .rng import SplitMix64

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .analysis_brackets import geometric_series_sum
 from .exact_core import Bracket, DomainError, root_bracket
 from .rng import GAMMA, MASK64, MIX_1, MIX_2
@@ -124,6 +123,19 @@ def dice_chain() -> AbsorbingChain:
         win={"A-wins"},
         lose={"B-wins"},
     )
+
+
+#: Most series terms a game adds.  At this cap `prob coin` takes about 0.7 s,
+#: since each coin term is a `Fraction` whose binomial numerator grows with
+#: the index, and `check prob.dice` about 0.2 s.
+SERIES_MAX_TERMS = 10 ** 4
+
+
+def require_terms(terms: int) -> None:
+    """Refuse more than `SERIES_MAX_TERMS` terms before any is added."""
+    if terms > SERIES_MAX_TERMS:
+        raise DomainError(f"series capped at SERIES_MAX_TERMS = "
+                          f"{SERIES_MAX_TERMS} terms, not {terms}")
 
 
 def dice_series_bracket(terms: int) -> Bracket:

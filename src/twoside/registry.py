@@ -38,7 +38,7 @@ from . import lattice_pick as lattice
 from . import polyform
 from . import probability_games as prob
 from . import sums_fib
-from .exact_core import Bracket, rat_to_str
+from .exact_core import Bracket, DomainError, rat_to_str
 from .report import IdentityReport, render_value, report_check, report_equal
 from .rng import SplitMix64
 
@@ -54,6 +54,18 @@ class SuiteParams:
 
 def _no_check(_: SuiteParams) -> None:
     """A suite without a cap accepts any parameters."""
+
+
+#: Most trials of a suite that makes one row per trial.  At this cap
+#: `check pick.formula` takes about 3 s and each `geom.*` suite about 0.6 s.
+SWEEP_MAX_TRIALS = 10 ** 4
+
+
+def _require_trials(params: SuiteParams) -> None:
+    """Refuse more than `SWEEP_MAX_TRIALS` trials before any is drawn."""
+    if params.trials > SWEEP_MAX_TRIALS:
+        raise DomainError(f"trial sweeps capped at SWEEP_MAX_TRIALS = "
+                          f"{SWEEP_MAX_TRIALS} trials, not {params.trials}")
 
 
 @dataclass(frozen=True)
@@ -332,7 +344,8 @@ def _build() -> dict[str, Suite]:
     ]
     suites += [_suite(f"sum.{kind.value}", "sums",
                       lambda p, kind=kind: sums_fib.sum_identity_sweep(
-                          kind, p.max_n), "n={0}")
+                          kind, p.max_n), "n={0}",
+                      check=lambda p: sums_fib.require_sum_n(p.max_n))
                for kind in sums_fib.SumKind]
     suites += [
         _suite("fib.betweenness", "fibonacci",
@@ -393,18 +406,20 @@ def _build() -> dict[str, Suite]:
                                                  Fraction(1, 10 ** 12)),
                 "doublings={0}"),
         _suite("limit.nthroot", "limits", _limit, "steps={0}"),
-        _suite("geom.ceva", "euclid", _ceva, "p={3}"),
+        _suite("geom.ceva", "euclid", _ceva, "p={3}", check=_require_trials),
         _suite("geom.ceva_converse", "euclid", _ceva_converse,
-               "r=({0},{1},{2})"),
-        _suite("geom.squares_fit", "euclid", _squares, "a={0},b={1}"),
+               "r=({0},{1},{2})", check=_require_trials),
+        _suite("geom.squares_fit", "euclid", _squares, "a={0},b={1}",
+               check=_require_trials),
         _suite("geom.cauchy_schwarz", "euclid", _cauchy,
-               "a=({0},{1}),b=({2},{3})"),
+               "a=({0},{1}),b=({2},{3})", check=_require_trials),
         _suite("pick.formula", "lattice",
                lambda p: (lattice.pick_check(
                    lattice.random_lattice_polygon(p.seed + seed, 20))
                           for seed in range(p.trials)),
-               lambda r: f"vertices={len(r.params)}"),
-        _suite("prob.dice", "probability", _dice, "dice"),
+               lambda r: f"vertices={len(r.params)}", check=_require_trials),
+        _suite("prob.dice", "probability", _dice, "dice",
+               check=lambda p: prob.require_terms(p.terms)),
         _suite("prob.coin", "probability",
                lambda p: (report_equal("prob.coin", (n,),
                                        prob.coin_game_exact(n),

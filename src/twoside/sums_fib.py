@@ -29,6 +29,12 @@ class SumKind(enum.Enum):
     TRIANGULAR_BINOM = "triangular_binom"  # 1+2+...+n = C(n+1, 2)
 
 
+#: Largest n a sum sweep reaches: at this cap `check sum.fib_squares` writes
+#: 43 MB of decimal digits and `check sum.cube_layers` makes 5·10^7 literal
+#: additions, about 3 s each.
+SUM_MAX_N = 10 ** 4
+
+
 def fibonacci(n: int) -> int:
     """Exact n-th Fibonacci number, 1-indexed with f_1 = f_2 = 1.
 
@@ -121,6 +127,13 @@ def _sum_rhs(kind: SumKind, n: int) -> int:
     raise DomainError(f"unknown sum kind {kind!r}")
 
 
+def require_sum_n(max_n: int) -> None:
+    """Refuse a sweep past `SUM_MAX_N` before any term is added."""
+    if max_n > SUM_MAX_N:
+        raise DomainError(f"sum sweeps capped at n <= SUM_MAX_N = "
+                          f"{SUM_MAX_N}, not {max_n}")
+
+
 def sum_identity_sweep(kind: SumKind, max_n: int) -> list[IdentityReport]:
     """Check every n in 1..max_n (none when max_n < 1).
 
@@ -128,6 +141,7 @@ def sum_identity_sweep(kind: SumKind, max_n: int) -> list[IdentityReport]:
     additions, except for cube_layers, which re-sums at every n and makes
     O(max_n^2), done in C by range sums.
     """
+    require_sum_n(max_n)
     return [report_equal(f"sum.{kind.value}", (n,), lhs, _sum_rhs(kind, n))
             for n, lhs in zip(range(1, max_n + 1), _counting_sides(kind))]
 

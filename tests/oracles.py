@@ -6,8 +6,8 @@ trial division and a one-slice-per-divisor sieve for divisor counts, one
 Python division per term for floor sums, sums written out term by term, the
 pentagonal and bounded-part recurrences for partitions, partitions listed
 by recursive descent and conjugated cell by cell, the multiplicative
-formula for binomial coefficients, matrix powers for
-Fibonacci, Jordan rows classified in Fractions, triangles scanned point by
+formula for binomial coefficients, a geometric partial sum added one
+Fraction at a time, matrix powers for Fibonacci, Jordan rows classified in Fractions, triangles scanned point by
 point, points sorted by angle with a Fraction comparator, pure-Python
 restatements of the numpy simulations, the Ceva and two-squares checks
 solved in Fractions, and report fields rendered through an isinstance chain
@@ -23,6 +23,7 @@ from functools import cmp_to_key
 
 import numpy as np
 
+from twoside.analysis_brackets import GeometricReport
 from twoside.euclid_checks import SquaresFitReport
 from twoside.lattice_pick import boundary_points
 from twoside.exact_core import (Bracket, DomainError, _int_to_str,
@@ -177,6 +178,19 @@ def literal_sum(kind: str, n: int) -> int:
         return (sum(n * i for i in range(1, n + 1))
                 + sum(n * i for i in range(n - 1, 0, -1)))
     raise ValueError(f"unknown sum kind {kind!r}")
+
+
+def geometric_series_sum_fraction(a, r, n_terms: int) -> GeometricReport:
+    """a + ar + ... + ar^N, each term added as a Fraction, and the tail."""
+    a, r = Fraction(a), Fraction(r)
+    partial = Fraction(0)
+    power = Fraction(1)
+    for _ in range(n_terms + 1):
+        partial += a * power
+        power *= r
+    closed = a / (1 - r)
+    tail = abs(a * power / (1 - r))
+    return GeometricReport(partial, closed, Bracket(partial, partial + tail))
 
 
 def fibonacci_matrix(n: int) -> int:

@@ -12,7 +12,8 @@ from twoside.analysis_brackets import (MonomialIntegrand, circle_area_bracket,
                                        refine, riemann_bracket,
                                        rows_rearrangement_check,
                                        swineshead_check, sqrt2_truncation)
-from oracles import bisect_root, machin_pi_bracket
+from oracles import (bisect_root, geometric_series_sum_fraction,
+                     machin_pi_bracket)
 
 
 def constant_generator(value):
@@ -175,6 +176,14 @@ class TestGeometricSeries:
     def test_divergent_rejected(self):
         with pytest.raises(DomainError):
             geometric_series_sum(1, 1, 3)
+
+    @pytest.mark.parametrize("a", [1, Fraction(1, 6), Fraction(-7, 3)])
+    @pytest.mark.parametrize("r", [0, Fraction(1, 10), Fraction(25, 36),
+                                   Fraction(-1, 2), Fraction(-35, 36)])
+    def test_matches_fraction_loop(self, a, r):
+        for n in [0, 1, 2, 3, 7, 40, 257]:
+            assert geometric_series_sum(a, r, n) == \
+                geometric_series_sum_fraction(a, r, n), n
 
 
 class TestSwineshead:

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twoside import divisors as dv
-from twoside import jordan_measure, lattice_pick
+from twoside import jordan_measure, lattice_pick, sums_fib
+from twoside import probability_games as prob
 from twoside.cli import ROW_SCHEMA, _json_rows, build_parser, main
-from twoside.registry import SUITES, SuiteParams
+from twoside.registry import SUITES, SWEEP_MAX_TRIALS, SuiteParams
 
 
 def run_cli(capsys, *argv):
@@ -488,8 +489,70 @@ def test_usage_error_message_exits_2(argv, env_format, capsys, monkeypatch):
     assert not err.startswith("domain error")
 
 
+# (suite, flag, the cap's name in the refusal, the largest accepted value)
+SWEEP_CAPS = (
+    [(s, "--max-n", "SUM_MAX_N", sums_fib.SUM_MAX_N)
+     for s in sorted(SUITES) if s.startswith("sum.")]
+    + [(s, "--trials", "SWEEP_MAX_TRIALS", SWEEP_MAX_TRIALS)
+       for s in ("geom.ceva", "geom.ceva_converse", "geom.cauchy_schwarz",
+                 "geom.squares_fit", "pick.formula")]
+    + [("prob.dice", "--terms", "SERIES_MAX_TERMS", prob.SERIES_MAX_TERMS)])
+
+
+def _stub_runners(monkeypatch) -> list[str]:
+    """Replace every runner by one that records its call and passes."""
+    called = []
+
+    def runner(params, suite_id):
+        called.append(suite_id)
+        return [{"suite": suite_id, "case": "", "params": [], "lhs": "1",
+                 "rhs": "1", "status": "PASS", "witness": None}]
+    for suite_id, suite in SUITES.items():
+        monkeypatch.setitem(SUITES, suite_id, dataclasses.replace(
+            suite, runner=lambda params, i=suite_id: runner(params, i)))
+    return called
+
+
 class TestCapsBeforeWork:
     """A size cap exits 2 before any sampling, scan, sieve or suite runs."""
+
+    @pytest.mark.parametrize("suite, flag, name, cap", SWEEP_CAPS,
+                             ids=[c[0] for c in SWEEP_CAPS])
+    def test_sweep_cap_refused_before_any_runner(self, suite, flag, name, cap,
+                                                 capsys, monkeypatch):
+        called = _stub_runners(monkeypatch)
+        code, out, err = run_cli(capsys, "check", "alg.mixture", suite, flag,
+                                 str(cap + 1))
+        assert (code, out, called) == (2, "", [])
+        assert f"{name} = {cap}" in err
+
+    @pytest.mark.parametrize("suite, flag, name, cap", SWEEP_CAPS,
+                             ids=[c[0] for c in SWEEP_CAPS])
+    def test_sweep_cap_accepts_its_boundary(self, suite, flag, name, cap,
+                                            capsys, monkeypatch):
+        called = _stub_runners(monkeypatch)
+        code, _, err = run_cli(capsys, "check", suite, flag, str(cap))
+        assert (code, err, called) == (0, "", [suite])
+
+    @pytest.mark.parametrize("game", ["dice", "coin"])
+    def test_prob_refuses_terms_before_any_term(self, game, capsys,
+                                                monkeypatch):
+        def fail(*_):
+            raise AssertionError("series or simulation work started")
+        for name in ("geometric_series_sum", "coin_game_series_partial",
+                     "monte_carlo_dice", "monte_carlo_coin"):
+            monkeypatch.setattr(prob, name, fail)
+        code, out, err = run_cli(capsys, "prob", game, "--terms",
+                                 str(prob.SERIES_MAX_TERMS + 1))
+        assert (code, out) == (2, "")
+        assert f"SERIES_MAX_TERMS = {prob.SERIES_MAX_TERMS}" in err
+
+    def test_prob_accepts_terms_at_the_cap(self, capsys):
+        code, out, err = run_cli(capsys, "prob", "dice", "--trials", "100",
+                                 "--terms", str(prob.SERIES_MAX_TERMS),
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)[0]["exact"] == "6/11"
 
     @pytest.mark.parametrize("argv", [
         ["check", "all", "--max-n", "20000"],
