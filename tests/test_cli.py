@@ -14,6 +14,11 @@ from twoside import probability_games as prob
 from twoside.cli import ROW_SCHEMA, _json_rows, build_parser, main
 from twoside.registry import SUITES, SWEEP_MAX_TRIALS, SuiteParams
 
+# sha256 of `twoside check all --format json`; test_startup.py checks the same
+# bytes from a fresh interpreter.
+CHECK_ALL_JSON_SHA256 = (
+    "32f50fef65b9dcf1ed3bfb9858bf9226d0118c7009d090cea7371b22f9d96408")
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -101,7 +106,7 @@ class TestCheck:
         assert len(rows) == 28323
         assert sum(r["status"] == "EXPECTED-FAIL" for r in rows) == 3
         assert hashlib.sha256(target.read_bytes()).hexdigest() == (
-            "32f50fef65b9dcf1ed3bfb9858bf9226d0118c7009d090cea7371b22f9d96408")
+            CHECK_ALL_JSON_SHA256)
 
     @pytest.mark.parametrize("fmt, digest", [
         ("table",

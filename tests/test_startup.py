@@ -5,8 +5,7 @@ already (tests/oracles.py uses it), and the lazy module is only made when
 twoside is the first to ask for numpy.
 """
 
-import contextlib
-import io
+import hashlib
 import os
 import subprocess
 import sys
@@ -15,6 +14,7 @@ from pathlib import Path
 import numpy
 import pytest
 
+from test_cli import CHECK_ALL_JSON_SHA256
 from twoside import _lazy
 from twoside.cli import main
 
@@ -79,6 +79,14 @@ def test_numpy_suites_write_the_same_bytes_in_a_fresh_process(capsys,
                  f"sys.exit(twoside.cli.main({argv!r}))")
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout == in_process
+
+
+def test_check_all_json_pinned_in_a_fresh_process():
+    done = fresh("import sys, twoside.cli\n"
+                 "sys.exit(twoside.cli.main(['check', 'all', '--format', "
+                 "'json']))")
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(done.stdout).hexdigest() == CHECK_ALL_JSON_SHA256
 
 
 def test_missing_numpy_fails_at_import():
