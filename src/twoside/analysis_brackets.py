@@ -139,9 +139,12 @@ def swineshead_check(n_terms: int) -> SwinesheadReport:
     """Partial sums of k/2^k equal 2 - (N+2)/2^N exactly and bracket 2."""
     if n_terms < 0:
         raise DomainError("N must be non-negative")
-    partial = Fraction(0)
+    # Each term k/2^k is added as the integer k·2^(N-k) over 2^N, so the
+    # sum is normalised once, at the end.
+    num = 0
     for k in range(n_terms + 1):
-        partial += Fraction(k, 2 ** k)
+        num += k << (n_terms - k)
+    partial = Fraction(num, 2 ** n_terms)
     remainder = Fraction(n_terms + 2, 2 ** n_terms)
     closed_partial = 2 - remainder
     bracket = Bracket(partial, partial + remainder)
@@ -153,16 +156,20 @@ def rows_rearrangement_check(n_rows: int) -> IdentityReport:
     """Row-of-tails double count: sum_j sum_{i>=j} 2^-i = sum_i i*2^-i."""
     if n_rows < 1:
         raise DomainError("N must be a positive integer")
-    by_rows = Fraction(0)
+    # Both sides add every term 2^-i (or i·2^-i) as an integer numerator
+    # over the one denominator 2^N and normalise once, at the end.
+    by_rows = 0
     for j in range(1, n_rows + 1):
-        row = Fraction(0)
+        row = 0
         for i in range(j, n_rows + 1):
-            row += Fraction(1, 2 ** i)
+            row += 1 << (n_rows - i)
         by_rows += row
-    by_columns = Fraction(0)
+    by_columns = 0
     for i in range(1, n_rows + 1):
-        by_columns += Fraction(i, 2 ** i)
-    return report_equal("series.rows", (n_rows,), by_rows, by_columns)
+        by_columns += i << (n_rows - i)
+    den = 2 ** n_rows
+    return report_equal("series.rows", (n_rows,), Fraction(by_rows, den),
+                        Fraction(by_columns, den))
 
 
 # --- Darboux brackets for monomials ---------------------------------------------

@@ -125,9 +125,9 @@ def dice_chain() -> AbsorbingChain:
     )
 
 
-#: Most series terms a game adds.  At this cap `prob coin` takes about 0.7 s,
-#: since each coin term is a `Fraction` whose binomial numerator grows with
-#: the index, and `check prob.dice` about 0.2 s.
+#: Most series terms a game adds.  Each term's numerator grows with its
+#: index; at this cap, in one process on a 2-core x86-64 container with
+#: Python 3.11, `prob coin` takes about 0.03 s and `check prob.dice` 0.07 s.
 SERIES_MAX_TERMS = 10 ** 4
 
 
@@ -172,10 +172,12 @@ def coin_game_series_partial(n: int, l_start: int, l_max: int) -> Fraction:
     """Partial sum of C(2L, n-1) / 2^(2L+1) over l_start <= L <= l_max."""
     if l_start < 0 or l_max < l_start:
         raise DomainError("need 0 <= l_start <= l_max")
-    total = Fraction(0)
+    # Each term is added as the integer C(2L, n-1)·4^(l_max-L) over the one
+    # denominator 2^(2·l_max+1), so the sum is normalised once, at the end.
+    num = 0
     for level in range(l_start, l_max + 1):
-        total += Fraction(math.comb(2 * level, n - 1), 2 ** (2 * level + 1))
-    return total
+        num += math.comb(2 * level, n - 1) << 2 * (l_max - level)
+    return Fraction(num, 2 ** (2 * l_max + 1))
 
 
 def coin_series_tail_bracket(n: int, l_start: int, l_max: int) -> Bracket:

@@ -23,13 +23,13 @@ from functools import cmp_to_key
 
 import numpy as np
 
-from twoside.analysis_brackets import GeometricReport
+from twoside.analysis_brackets import GeometricReport, SwinesheadReport
 from twoside.euclid_checks import SquaresFitReport
 from twoside.lattice_pick import boundary_points
 from twoside.exact_core import (Bracket, DomainError, _int_to_str,
                                 _PowComparator, bracket_point)
 from twoside.polyform import builtin_identities, identity_check
-from twoside.report import IdentityReport, report_check
+from twoside.report import IdentityReport, report_check, report_equal
 from twoside.rng import MASK64, SplitMix64
 
 
@@ -192,6 +192,40 @@ def geometric_series_sum_fraction(a, r, n_terms: int) -> GeometricReport:
     tail = abs(a * power / (1 - r))
     return GeometricReport(partial, closed, Bracket(partial, partial + tail))
 
+
+def swineshead_check_fraction(n_terms: int) -> SwinesheadReport:
+    """Swineshead's partial sum of k/2^k, each term added as a Fraction."""
+    partial = Fraction(0)
+    for k in range(n_terms + 1):
+        partial += Fraction(k, 2 ** k)
+    remainder = Fraction(n_terms + 2, 2 ** n_terms)
+    closed_partial = 2 - remainder
+    bracket = Bracket(partial, partial + remainder)
+    return SwinesheadReport(partial, closed_partial, bracket,
+                            partial == closed_partial and bracket.contains(2))
+
+
+def rows_rearrangement_check_fraction(n_rows: int) -> IdentityReport:
+    """Rows of tails against columns, each term added as a Fraction."""
+    by_rows = Fraction(0)
+    for j in range(1, n_rows + 1):
+        row = Fraction(0)
+        for i in range(j, n_rows + 1):
+            row += Fraction(1, 2 ** i)
+        by_rows += row
+    by_columns = Fraction(0)
+    for i in range(1, n_rows + 1):
+        by_columns += Fraction(i, 2 ** i)
+    return report_equal("series.rows", (n_rows,), by_rows, by_columns)
+
+
+def coin_game_series_partial_fraction(n: int, l_start: int,
+                                      l_max: int) -> Fraction:
+    """Sum of C(2L, n-1) / 2^(2L+1), each term added as a Fraction."""
+    total = Fraction(0)
+    for level in range(l_start, l_max + 1):
+        total += Fraction(math.comb(2 * level, n - 1), 2 ** (2 * level + 1))
+    return total
 
 def fibonacci_matrix(n: int) -> int:
     """f_n via fast 2x2 matrix powers, f_1 = f_2 = 1."""

@@ -13,6 +13,8 @@ from twoside.analysis_brackets import (MonomialIntegrand, circle_area_bracket,
                                        rows_rearrangement_check,
                                        swineshead_check, sqrt2_truncation)
 from oracles import (bisect_root, geometric_series_sum_fraction,
+                     rows_rearrangement_check_fraction,
+                     swineshead_check_fraction,
                      machin_pi_bracket)
 
 
@@ -209,6 +211,15 @@ class TestSwineshead:
         assert report.lhs == Fraction(11, 8) == report.rhs
         for n in (2, 5, 17, 40):
             assert rows_rearrangement_check(n).passed
+
+    def test_matches_fraction_loop(self):
+        for n in range(65):
+            assert swineshead_check(n) == swineshead_check_fraction(n), n
+
+    def test_rows_match_fraction_loop(self):
+        for n in range(1, 41):
+            assert rows_rearrangement_check(n) == \
+                rows_rearrangement_check_fraction(n), n
 
 
 class TestRiemann:

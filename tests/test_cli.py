@@ -319,8 +319,8 @@ class TestDedicatedCommands:
                                                   monkeypatch):
         def no_work(*_args, **_kwargs):
             raise AssertionError("sieve or harmonic numbers started")
-        monkeypatch.setattr(dv, "divisor_counts", no_work)
-        monkeypatch.setattr(dv, "harmonic_numbers", no_work)
+        for name in ("divisor_counts", "harmonic_numbers", "harmonic_number"):
+            monkeypatch.setattr(dv, name, no_work)
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert str(dv.HARMONIC_MAX_N) in err
@@ -552,12 +552,14 @@ class TestCapsBeforeWork:
         assert (code, out) == (2, "")
         assert f"SERIES_MAX_TERMS = {prob.SERIES_MAX_TERMS}" in err
 
-    def test_prob_accepts_terms_at_the_cap(self, capsys):
-        code, out, err = run_cli(capsys, "prob", "dice", "--trials", "100",
+    @pytest.mark.parametrize("game, exact", [("dice", "6/11"),
+                                             ("coin", "2/3")])
+    def test_prob_accepts_terms_at_the_cap(self, game, exact, capsys):
+        code, out, err = run_cli(capsys, "prob", game, "--trials", "100",
                                  "--terms", str(prob.SERIES_MAX_TERMS),
                                  "--format", "json")
         assert (code, err) == (0, "")
-        assert json.loads(out)[0]["exact"] == "6/11"
+        assert json.loads(out)[0]["exact"] == exact
 
     @pytest.mark.parametrize("argv", [
         ["check", "all", "--max-n", "20000"],

@@ -6,7 +6,7 @@ from twoside import divisors
 from twoside.divisors import (HARMONIC_MAX_N, SIEVE_MAX_N,
                               divisor_average_bounds, divisor_counts,
                               divisor_identity_check, floor_sum,
-                              harmonic_numbers)
+                              harmonic_number, harmonic_numbers)
 from twoside.exact_core import DomainError
 from oracles import (divisor_counts_per_i, floor_sum_loop,
                      trial_division_divisor_count)
@@ -14,25 +14,25 @@ from oracles import (divisor_counts_per_i, floor_sum_loop,
 
 class TestDivisorCounts:
     def test_single(self):
-        assert divisor_counts(1).d[1:] == (1,)
+        assert divisor_counts(1).d[1:].tolist() == [1]
 
     def test_first_six(self):
-        assert divisor_counts(6).d[1:] == (1, 2, 2, 3, 2, 4)
+        assert divisor_counts(6).d[1:].tolist() == [1, 2, 2, 3, 2, 4]
 
     def test_twelve(self):
         assert divisor_counts(12).d[12] == 6
 
     def test_sieve_equals_trial_division(self):
-        table = divisor_counts(2000)
+        counts = divisor_counts(2000).d.tolist()
         for k in range(1, 2001):
-            assert table.d[k] == trial_division_divisor_count(k)
+            assert counts[k] == trial_division_divisor_count(k)
 
     def test_pair_sieve_equals_per_i_sieve(self):
         reference = divisor_counts_per_i(3000)
         for n in range(1, 3001):
-            assert divisor_counts(n).d == tuple(reference[:n + 1])
-        assert divisor_counts(300_000).d == tuple(
-            divisor_counts_per_i(300_000))
+            assert divisor_counts(n).d.tolist() == reference[:n + 1]
+        assert divisor_counts(300_000).d.tolist() == \
+            divisor_counts_per_i(300_000)
 
     def test_invalid_n(self):
         with pytest.raises(DomainError):
@@ -94,10 +94,39 @@ class TestAverageBounds:
     def test_refuses_above_cap_before_any_work(self, monkeypatch):
         def no_work(*_args, **_kwargs):
             raise AssertionError("sieve or harmonic numbers started")
-        monkeypatch.setattr(divisors, "divisor_counts", no_work)
-        monkeypatch.setattr(divisors, "harmonic_numbers", no_work)
+        for name in ("divisor_counts", "harmonic_numbers", "harmonic_number"):
+            monkeypatch.setattr(divisors, name, no_work)
         with pytest.raises(DomainError, match=str(HARMONIC_MAX_N)):
             divisor_average_bounds(HARMONIC_MAX_N + 1)
+
+    def test_harmonic_number_refuses_above_cap_before_any_work(
+            self, monkeypatch):
+        def no_work(*_args, **_kwargs):
+            raise AssertionError("binary splitting started")
+        monkeypatch.setattr(divisors, "_harmonic_split", no_work)
+        with pytest.raises(DomainError, match=str(HARMONIC_MAX_N)):
+            harmonic_number(HARMONIC_MAX_N + 1)
+
+    def test_harmonic_number_equals_prefix_sums(self):
+        prefixes = harmonic_numbers(2000)
+        for n in range(2001):
+            assert harmonic_number(n) == prefixes[n], n
+
+    def test_harmonic_number_at_the_cap(self):
+        assert harmonic_number(HARMONIC_MAX_N) == \
+            harmonic_numbers(HARMONIC_MAX_N)[HARMONIC_MAX_N]
+
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 65, 1000, 8192])
+    def test_bounds_without_harmonic_use_the_same_value(self, n,
+                                                        monkeypatch):
+        table = divisor_counts(n)
+        expected = divisor_average_bounds(n, table, harmonic_numbers(n)[n])
+
+        def no_prefixes(*_args, **_kwargs):
+            raise AssertionError("all prefixes built for one H_n")
+        monkeypatch.setattr(divisors, "harmonic_numbers", no_prefixes)
+        assert divisor_average_bounds(n, table) == expected
+        assert divisor_average_bounds(n) == expected
 
     def test_harmonic_values(self):
         hs = harmonic_numbers(4)

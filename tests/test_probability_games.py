@@ -15,7 +15,8 @@ from twoside.probability_games import (AbsorbingChain, GameReport, ModelError,
                                        _gate)
 from twoside.report import FAIL, PASS, WARN
 from twoside.rng import GAMMA, MASK64, MIX_1, MIX_2, mix64
-from oracles import reference_monte_carlo_coin, reference_monte_carlo_dice
+from oracles import (coin_game_series_partial_fraction,
+                     reference_monte_carlo_coin, reference_monte_carlo_dice)
 
 
 class TestChainSolve:
@@ -124,6 +125,14 @@ class TestCoinSeries:
 
     def test_single_term(self):
         assert coin_game_series_partial(1, 0, 0) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_partial_matches_fraction_loop(self, n):
+        for l_start in range(3):
+            for l_max in (0, 1, 2, 3, 5, 8, 13, 21, 34, 60, 100, 127, 200):
+                if l_max >= l_start:
+                    assert coin_game_series_partial(n, l_start, l_max) == \
+                        coin_game_series_partial_fraction(n, l_start, l_max)
 
     def test_tail_bracket_is_rigorous(self):
         for n in range(1, 13):
