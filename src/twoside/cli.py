@@ -94,21 +94,19 @@ _encode_str = json.encoder.encode_basestring_ascii
 def _json_value(v, indent: str) -> str:
     """``v`` as ``json.dumps(indent=2, default=str)`` writes it at ``indent``.
 
-    Strings, None, exact ints and non-empty lists of strings are written
-    here; anything else goes to the stdlib, whose newlines are then
-    re-indented (a JSON string never holds a raw newline).
+    Exact ints and non-empty dicts of str to str (a row's ``detail`` and
+    enclosures) are written here; anything else goes to the stdlib, whose
+    newlines are then re-indented (a JSON string never holds a raw newline).
     """
     cls = type(v)
-    if cls is str:
-        return _encode_str(v)
-    if v is None:
-        return "null"
     if cls is int:
         return int.__repr__(v)
-    if cls is list and v and all(type(x) is str for x in v):
+    if cls is dict and v and all(type(k) is str and type(x) is str
+                                 for k, x in v.items()):
         inner = indent + "  "
-        return ("[\n" + inner + (",\n" + inner).join(map(_encode_str, v))
-                + "\n" + indent + "]")
+        fields = [_encode_str(k) + ": " + _encode_str(x) for k, x in v.items()]
+        return ("{\n" + inner + (",\n" + inner).join(fields)
+                + "\n" + indent + "}")
     return json.dumps(v, indent=2, default=str).replace("\n", "\n" + indent)
 
 
@@ -117,8 +115,9 @@ def _json_rows(rows: list) -> Iterator[str]:
 
     With an indent the stdlib encoder runs in pure Python and holds every
     chunk of the whole document in one list; a dict row with str keys is
-    joined here from its fields instead.  Writing the chunks as they come
-    keeps no copy of the whole document in memory.
+    joined here from its fields instead: strings, None and non-empty lists
+    of strings inline, other values through `_json_value`.  Writing the
+    chunks as they come keeps no copy of the whole document in memory.
     """
     if not rows:
         yield "[]\n"
@@ -134,8 +133,17 @@ def _json_rows(rows: list) -> Iterator[str]:
                 key = keys.get(k)
                 if key is None:
                     key = keys[k] = _encode_str(k) + ": "
-                fields.append(key + (_encode_str(v) if type(v) is str
-                                     else _json_value(v, "    ")))
+                cls = type(v)
+                if cls is str:
+                    fields.append(key + _encode_str(v))
+                elif v is None:
+                    fields.append(key + "null")
+                elif cls is list and v and all(type(x) is str for x in v):
+                    fields.append(key + "[\n      "
+                                  + ",\n      ".join(map(_encode_str, v))
+                                  + "\n    ]")
+                else:
+                    fields.append(key + _json_value(v, "    "))
             else:
                 yield sep + "{\n    " + ",\n    ".join(fields) + "\n  }"
                 sep = ",\n  "

@@ -100,66 +100,19 @@ def binom_identity_check(kind: BinomKind, **params: int) -> IdentityReport:
 
     One side reads the Pascal table of additions; the other is `binomial`
     (`math.comb`) or a closed form, so an error in either route shows.
+    Each kind's two sides are one function, found in `_SIDES`.
     """
-    suite = f"binom.{kind.value}"
+    entry = _SIDES.get(kind)
+    if entry is None:
+        raise DomainError(f"unknown binomial kind {kind!r}")
+    suite, sides = entry
     n = params.get("n")
     if n is None or n < 0:
         raise DomainError("parameter n >= 0 is required")
     if n > BINOM_MAX_N:
         raise DomainError(f"binomial identities capped at n <= {BINOM_MAX_N}")
-    T = _pascal_rows(n + 1)
-    if kind is BinomKind.PASCAL:
-        k = _require_k(params, 0, n + 1)
-        return report_equal(suite, (n, k), binomial(n + 1, k),
-                            _at(T[n], k) + _at(T[n], k - 1))
-    if kind is BinomKind.SQUARE_PASCAL:
-        k = _require_k(params, 2, n)
-        row = T[n - 1]
-        rhs = row[k - 2] + 2 * row[k - 1] + _at(row, k)
-        return report_equal(suite, (n, k), binomial(n + 1, k), rhs)
-    if kind is BinomKind.SPLIT_J:
-        k = _require_k(params, 0, n)
-        j = params.get("j")
-        if j is None or not 0 <= j <= k:
-            raise DomainError("need 0 <= j <= k")
-        a, b = T[j], T[n + 1 - j]
-        # Terms with k - i past the end of row n + 1 - j are 0.
-        rhs = sum(a[i] * b[k - i] for i in range(max(0, k + j - n - 1), j + 1))
-        return report_equal(suite, (n, k, j), binomial(n + 1, k), rhs)
-    if kind is BinomKind.ROW_SUM:
-        return report_equal(suite, (n,), sum(T[n]), 2 ** n)
-    if kind is BinomKind.WEIGHTED_3N:
-        lhs = sum(2 ** (n - k) * c for k, c in enumerate(T[n]))
-        return report_equal(suite, (n,), lhs, 3 ** n)
-    if kind is BinomKind.DOUBLE_3N:
-        # sum over k <= n and m <= k of T[n][k] * T[k][m], inner sum first.
-        lhs = sum(c * sum(T[k]) for k, c in enumerate(T[n]))
-        return report_equal(suite, (n,), lhs, 3 ** n)
-    if kind is BinomKind.FIB_DIAGONAL:
-        if n < 1:
-            raise DomainError("need n >= 1")
-        lhs = sum(T[n - k - 1][k] for k in range((n - 1) // 2 + 1))
-        return report_equal(suite, (n,), lhs, fibonacci(n))
-    if kind is BinomKind.HOCKEY_STICK:
-        k = _require_k(params, 0, n)
-        lhs = sum(T[i][k] for i in range(k, n + 1))
-        return report_equal(suite, (n, k), lhs, binomial(n + 1, k + 1))
-    if kind is BinomKind.ABSORPTION_PRINTED:
-        k = _require_k(params, 1, n - 1)
-        return report_equal(suite, (n, k), n * T[n - 1][k],
-                            k * binomial(n, k))
-    if kind is BinomKind.ABSORPTION_STANDARD:
-        k = _require_k(params, 1, n - 1)
-        return report_equal(suite, (n, k), k * T[n][k],
-                            n * binomial(n - 1, k - 1))
-    if kind is BinomKind.COMMITTEE_PRODUCT:
-        k = _require_k(params, 0, n)
-        l = params.get("l")
-        if l is None or not 0 <= l <= k:
-            raise DomainError("need 0 <= l <= k")
-        return report_equal(suite, (n, k, l), T[n][l] * T[n - l][k - l],
-                            binomial(k, l) * binomial(n, k))
-    raise DomainError(f"unknown binomial kind {kind!r}")
+    point, lhs, rhs = sides(_pascal_rows(n + 1), n, params)
+    return report_equal(suite, point, lhs, rhs)
 
 
 def _require_k(params: dict, lo: int, hi: int) -> int:
@@ -167,6 +120,93 @@ def _require_k(params: dict, lo: int, hi: int) -> int:
     if k is None or not lo <= k <= hi:
         raise DomainError(f"need {lo} <= k <= {hi}")
     return k
+
+
+# The two sides of each kind, from the Pascal table T (rows 0..n + 1) and
+# the parameters: (parameter point, lhs, rhs).
+
+def _pascal_sides(T, n, params):
+    k = _require_k(params, 0, n + 1)
+    return (n, k), binomial(n + 1, k), _at(T[n], k) + _at(T[n], k - 1)
+
+
+def _square_pascal_sides(T, n, params):
+    k = _require_k(params, 2, n)
+    row = T[n - 1]
+    return ((n, k), binomial(n + 1, k),
+            row[k - 2] + 2 * row[k - 1] + _at(row, k))
+
+
+def _split_j_sides(T, n, params):
+    k = _require_k(params, 0, n)
+    j = params.get("j")
+    if j is None or not 0 <= j <= k:
+        raise DomainError("need 0 <= j <= k")
+    a, b = T[j], T[n + 1 - j]
+    # Terms with k - i past the end of row n + 1 - j are 0.
+    rhs = sum(a[i] * b[k - i] for i in range(max(0, k + j - n - 1), j + 1))
+    return (n, k, j), binomial(n + 1, k), rhs
+
+
+def _row_sum_sides(T, n, params):
+    return (n,), sum(T[n]), 2 ** n
+
+
+def _weighted_3n_sides(T, n, params):
+    return (n,), sum(2 ** (n - k) * c for k, c in enumerate(T[n])), 3 ** n
+
+
+def _double_3n_sides(T, n, params):
+    # sum over k <= n and m <= k of T[n][k] * T[k][m], inner sum first.
+    return (n,), sum(c * sum(T[k]) for k, c in enumerate(T[n])), 3 ** n
+
+
+def _fib_diagonal_sides(T, n, params):
+    if n < 1:
+        raise DomainError("need n >= 1")
+    lhs = sum(T[n - k - 1][k] for k in range((n - 1) // 2 + 1))
+    return (n,), lhs, fibonacci(n)
+
+
+def _hockey_stick_sides(T, n, params):
+    k = _require_k(params, 0, n)
+    lhs = sum(T[i][k] for i in range(k, n + 1))
+    return (n, k), lhs, binomial(n + 1, k + 1)
+
+
+def _absorption_printed_sides(T, n, params):
+    k = _require_k(params, 1, n - 1)
+    return (n, k), n * T[n - 1][k], k * binomial(n, k)
+
+
+def _absorption_standard_sides(T, n, params):
+    k = _require_k(params, 1, n - 1)
+    return (n, k), k * T[n][k], n * binomial(n - 1, k - 1)
+
+
+def _committee_product_sides(T, n, params):
+    k = _require_k(params, 0, n)
+    l = params.get("l")
+    if l is None or not 0 <= l <= k:
+        raise DomainError("need 0 <= l <= k")
+    return ((n, k, l), T[n][l] * T[n - l][k - l],
+            binomial(k, l) * binomial(n, k))
+
+
+#: Each kind's suite id and sides.
+_SIDES = {kind: (f"binom.{kind.value}", sides) for kind, sides in (
+    (BinomKind.PASCAL, _pascal_sides),
+    (BinomKind.SQUARE_PASCAL, _square_pascal_sides),
+    (BinomKind.SPLIT_J, _split_j_sides),
+    (BinomKind.ROW_SUM, _row_sum_sides),
+    (BinomKind.WEIGHTED_3N, _weighted_3n_sides),
+    (BinomKind.DOUBLE_3N, _double_3n_sides),
+    (BinomKind.FIB_DIAGONAL, _fib_diagonal_sides),
+    (BinomKind.HOCKEY_STICK, _hockey_stick_sides),
+    (BinomKind.ABSORPTION_PRINTED, _absorption_printed_sides),
+    (BinomKind.ABSORPTION_STANDARD, _absorption_standard_sides),
+    (BinomKind.COMMITTEE_PRODUCT, _committee_product_sides),
+)}
 
 
 def absorption_printed_minimal_witness() -> tuple[int, int]:

@@ -6,7 +6,8 @@ trial division and a one-slice-per-divisor sieve for divisor counts, one
 Python division per term for floor sums, sums written out term by term, the
 pentagonal and bounded-part recurrences for partitions, partitions listed
 by recursive descent and conjugated cell by cell, the multiplicative
-formula for binomial coefficients, a geometric partial sum added one
+formula for binomial coefficients, binomial identity sides picked by an
+if-chain over the kinds, a geometric partial sum added one
 Fraction at a time, matrix powers for Fibonacci, Jordan rows classified in Fractions, triangles scanned point by
 point, points sorted by angle with a Fraction comparator, pure-Python
 restatements of the numpy simulations, the Ceva and two-squares checks
@@ -23,6 +24,7 @@ from functools import cmp_to_key
 
 import numpy as np
 
+from twoside import combinatorics as comb
 from twoside.analysis_brackets import GeometricReport, SwinesheadReport
 from twoside.euclid_checks import SquaresFitReport
 from twoside.lattice_pick import boundary_points
@@ -31,6 +33,7 @@ from twoside.exact_core import (Bracket, DomainError, _int_to_str,
 from twoside.polyform import builtin_identities, identity_check
 from twoside.report import IdentityReport, report_check, report_equal
 from twoside.rng import MASK64, SplitMix64
+from twoside.sums_fib import fibonacci
 
 
 def arctan_bracket(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
@@ -501,6 +504,70 @@ def binomial_multiplicative(n: int, k: int) -> int:
     for i in range(1, k + 1):
         result = result * (n - k + i) // i
     return result
+
+
+def binom_identity_check_chain(kind, **params: int) -> IdentityReport:
+    """`binom_identity_check` with each kind's sides picked by an if-chain,
+    reading the same table and `binomial` through the module."""
+    n = params.get("n")
+    if n is None or n < 0:
+        raise DomainError("parameter n >= 0 is required")
+    if n > comb.BINOM_MAX_N:
+        raise DomainError("binomial identities capped")
+    suite = f"binom.{kind.value}"
+    T = comb._pascal_rows(n + 1)
+    K = comb.BinomKind
+    at, binomial, require_k = comb._at, comb.binomial, comb._require_k
+    if kind is K.PASCAL:
+        k = require_k(params, 0, n + 1)
+        return report_equal(suite, (n, k), binomial(n + 1, k),
+                            at(T[n], k) + at(T[n], k - 1))
+    if kind is K.SQUARE_PASCAL:
+        k = require_k(params, 2, n)
+        row = T[n - 1]
+        rhs = row[k - 2] + 2 * row[k - 1] + at(row, k)
+        return report_equal(suite, (n, k), binomial(n + 1, k), rhs)
+    if kind is K.SPLIT_J:
+        k = require_k(params, 0, n)
+        j = params.get("j")
+        if j is None or not 0 <= j <= k:
+            raise DomainError("need 0 <= j <= k")
+        a, b = T[j], T[n + 1 - j]
+        rhs = sum(a[i] * b[k - i] for i in range(max(0, k + j - n - 1), j + 1))
+        return report_equal(suite, (n, k, j), binomial(n + 1, k), rhs)
+    if kind is K.ROW_SUM:
+        return report_equal(suite, (n,), sum(T[n]), 2 ** n)
+    if kind is K.WEIGHTED_3N:
+        lhs = sum(2 ** (n - k) * c for k, c in enumerate(T[n]))
+        return report_equal(suite, (n,), lhs, 3 ** n)
+    if kind is K.DOUBLE_3N:
+        lhs = sum(c * sum(T[k]) for k, c in enumerate(T[n]))
+        return report_equal(suite, (n,), lhs, 3 ** n)
+    if kind is K.FIB_DIAGONAL:
+        if n < 1:
+            raise DomainError("need n >= 1")
+        lhs = sum(T[n - k - 1][k] for k in range((n - 1) // 2 + 1))
+        return report_equal(suite, (n,), lhs, fibonacci(n))
+    if kind is K.HOCKEY_STICK:
+        k = require_k(params, 0, n)
+        lhs = sum(T[i][k] for i in range(k, n + 1))
+        return report_equal(suite, (n, k), lhs, binomial(n + 1, k + 1))
+    if kind is K.ABSORPTION_PRINTED:
+        k = require_k(params, 1, n - 1)
+        return report_equal(suite, (n, k), n * T[n - 1][k],
+                            k * binomial(n, k))
+    if kind is K.ABSORPTION_STANDARD:
+        k = require_k(params, 1, n - 1)
+        return report_equal(suite, (n, k), k * T[n][k],
+                            n * binomial(n - 1, k - 1))
+    if kind is K.COMMITTEE_PRODUCT:
+        k = require_k(params, 0, n)
+        l = params.get("l")
+        if l is None or not 0 <= l <= k:
+            raise DomainError("need 0 <= l <= k")
+        return report_equal(suite, (n, k, l), T[n][l] * T[n - l][k - l],
+                            binomial(k, l) * binomial(n, k))
+    raise DomainError(f"unknown binomial kind {kind!r}")
 
 
 def partitions_descend(n: int) -> list[tuple[int, ...]]:

@@ -649,6 +649,7 @@ _JSON_VALUES = st.recursive(
     lambda inner: st.one_of(
         st.lists(inner, max_size=3), st.lists(_JSON_TEXT, max_size=3),
         st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_JSON_TEXT, _JSON_TEXT, max_size=3),
         st.dictionaries(_JSON_TEXT, inner, max_size=3),
         st.dictionaries(_JSON_KEYS, inner, max_size=3)),
     max_leaves=8)
@@ -658,6 +659,10 @@ _JSON_ROWS = st.lists(st.one_of(
     _JSON_VALUES), max_size=4)
 
 
+class _Str(str):
+    """A str subclass, which the writer leaves to the stdlib."""
+
+
 class TestJsonRows:
     """The check writer's bytes are exactly the stdlib's indent-2 bytes."""
 
@@ -665,6 +670,29 @@ class TestJsonRows:
     @given(_JSON_ROWS)
     def test_matches_stdlib(self, rows):
         assert "".join(_json_rows(rows)) == _stdlib_json(rows)
+
+    @pytest.mark.parametrize("rows", [
+        [{"suite": "s", "detail": {}}],
+        [{"detail": {"x": _Str("1/2"), "y": "2"}}],
+        [{"params": [{"lo": "0", "hi": "1"}, "a"]}, [{"k": "v"}]],
+    ], ids=["empty_dict", "str_subclass_value", "flat_dict_in_list"])
+    def test_dict_fields_match_stdlib(self, rows):
+        assert "".join(_json_rows(rows)) == _stdlib_json(rows)
+
+    def test_check_all_never_reaches_the_stdlib_encoder(self, capsys,
+                                                        tmp_path,
+                                                        monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.dumps called")
+
+        monkeypatch.delenv("TWOSIDE_FORMAT", raising=False)
+        monkeypatch.setattr(json, "dumps", refuse)
+        target = tmp_path / "all.json"
+        code, _, _ = run_cli(capsys, "check", "all", "--format", "json",
+                             "--output", str(target))
+        assert code == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            CHECK_ALL_JSON_SHA256)
 
     def test_matches_stdlib_on_check_rows(self):
         params = SuiteParams(max_n=6, trials=4)

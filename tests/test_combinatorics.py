@@ -14,10 +14,12 @@ from twoside.combinatorics import (BinomKind,
                                    partition_duality_reports,
                                    partitions_enumerate)
 from twoside.exact_core import DomainError
+from twoside.registry import SUITES, SuiteParams
 from twoside.sums_fib import fibonacci
-from oracles import (binomial_multiplicative, partition_conjugate_cells,
-                     partition_count, partition_count_pentagonal,
-                     partition_duality_oracle, partitions_descend)
+from oracles import (binom_identity_check_chain, binomial_multiplicative,
+                     partition_conjugate_cells, partition_count,
+                     partition_count_pentagonal, partition_duality_oracle,
+                     partitions_descend)
 
 
 @st.composite
@@ -138,6 +140,39 @@ class TestBrokenRoutes:
         monkeypatch.setattr(combinatorics, "binomial",
                             lambda n, k: exact(n, k) + 1)
         assert (small_outcomes(kind) != before) == (kind in BINOMIAL_SIDE)
+
+
+class TestTableDispatch:
+    """Each kind's sides are found in a table; the old if-chain is the
+    oracle."""
+
+    @pytest.mark.parametrize("kind, params", [("pascal", {"n": 3, "k": 1}),
+                                              (None, {"n": 3})],
+                             ids=["pascal", "None"])
+    def test_unknown_kind_refused_before_any_row(self, kind, params,
+                                                 monkeypatch):
+        monkeypatch.setattr(combinatorics, "_PASCAL", [[1]])
+        with pytest.raises(DomainError, match="unknown binomial kind"):
+            binom_identity_check(kind, **params)
+        assert combinatorics._PASCAL == [[1]]
+
+    @pytest.mark.parametrize("kind", list(BinomKind))
+    def test_matches_if_chain_on_every_swept_point(self, kind, monkeypatch):
+        calls = []
+
+        def record(called_kind, **params):
+            calls.append((called_kind, params))
+            return binom_identity_check(called_kind, **params)
+
+        monkeypatch.setattr(combinatorics, "binom_identity_check", record)
+        # Each sweep at max_n <= 12 is a subset of its sweep at 12.
+        SUITES[f"binom.{kind.value}"].runner(SuiteParams(max_n=12))
+        assert calls and {k for k, _ in calls} == {kind}
+        for _, params in calls:
+            got = binom_identity_check(kind, **params)
+            want = binom_identity_check_chain(kind, **params)
+            assert ((got.params, got.lhs, got.rhs, got.passed)
+                    == (want.params, want.lhs, want.rhs, want.passed))
 
 
 class TestEnumerationCrosscheck:

@@ -100,6 +100,32 @@ class TestRenderOracle:
         assert row["case"] == render_value_isinstance(report.params)
 
 
+class TestRowSides:
+    """Each side of a row reads as `render_value` of that side alone, also
+    where the sides are equal but of different types, and past the
+    4300-digit str() limit."""
+
+    @pytest.mark.parametrize("report", [
+        report_check("s", (1,), True, 1, True),
+        report_check("s", (1,), 1, True, True),
+        report_check("s", (1,), Fraction(2), 2, True),
+        report_check("s", (1,), 2, Fraction(2), True),
+        report_check("s", (1,), Fraction(-3, 4), Fraction(-3, 4), True),
+        report_check("s", (1,), 5, 6, False),
+        report_check("s", (1,), Fraction(1, 3), Fraction(1, 2), False),
+        report_check("s", (1,), Bracket(0, 1), Fraction(1, 2), True),
+        report_check("s", (1,), Fraction(1, 2), Bracket(0, 1), True),
+        report_check("s", (1,), 10 ** 5000 - 7, 10 ** 5000 - 7, True),
+        report_check("s", (1,), -10 ** 4400, -10 ** 4400, True),
+    ], ids=["true_1", "1_true", "fraction_int", "int_fraction",
+            "equal_fractions", "failing_ints", "failing_fractions",
+            "bracket_lhs", "bracket_rhs", "huge_int", "huge_negative_int"])
+    def test_each_side_as_render_value(self, report):
+        row = report.row()
+        assert row["lhs"] == render_value(report.lhs)
+        assert row["rhs"] == render_value(report.rhs)
+
+
 def test_coin_series_expected_fail_is_the_one_declared_case():
     rows = SUITES["prob.coin_series"].runner(SuiteParams(max_n=4))
     assert {r["case"]: r["status"] for r in rows} == {
