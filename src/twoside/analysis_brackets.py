@@ -168,7 +168,7 @@ def rows_rearrangement_check(n_rows: int) -> IdentityReport:
     for i in range(1, n_rows + 1):
         by_columns += i << (n_rows - i)
     den = 2 ** n_rows
-    return report_equal("series.rows", (n_rows,), Fraction(by_rows, den),
+    return report_equal((n_rows,), Fraction(by_rows, den),
                         Fraction(by_columns, den))
 
 

@@ -311,7 +311,7 @@ def _cmd_prob(args) -> Rows:
         "series_lo": rat_to_str(game.series_bracket.lo),
         "series_hi": rat_to_str(game.series_bracket.hi),
         "series_width": rat_to_str(game.series_bracket.width),
-        "status": game.report(f"prob.{args.game}", (args.terms,)).status(),
+        "status": game.report((args.terms,)).status(),
         "trials": mc.trials,
         "hits": mc.hits,
         "estimate": rat_to_str(mc.estimate),

@@ -77,8 +77,7 @@ def binomial_enumeration_crosscheck(n: int, k: int) -> IdentityReport:
     paths = _count_paths(n, k)
     formula = binomial(n, k)
     passed = subsets == paths == formula
-    return report_check("binom.crosscheck", (n, k), (subsets, paths),
-                        formula, passed)
+    return report_check((n, k), (subsets, paths), formula, passed)
 
 
 class BinomKind(enum.Enum):
@@ -102,17 +101,16 @@ def binom_identity_check(kind: BinomKind, **params: int) -> IdentityReport:
     (`math.comb`) or a closed form, so an error in either route shows.
     Each kind's two sides are one function, found in `_SIDES`.
     """
-    entry = _SIDES.get(kind)
-    if entry is None:
+    sides = _SIDES.get(kind)
+    if sides is None:
         raise DomainError(f"unknown binomial kind {kind!r}")
-    suite, sides = entry
     n = params.get("n")
     if n is None or n < 0:
         raise DomainError("parameter n >= 0 is required")
     if n > BINOM_MAX_N:
         raise DomainError(f"binomial identities capped at n <= {BINOM_MAX_N}")
     point, lhs, rhs = sides(_pascal_rows(n + 1), n, params)
-    return report_equal(suite, point, lhs, rhs)
+    return report_equal(point, lhs, rhs)
 
 
 def _require_k(params: dict, lo: int, hi: int) -> int:
@@ -193,20 +191,20 @@ def _committee_product_sides(T, n, params):
             binomial(k, l) * binomial(n, k))
 
 
-#: Each kind's suite id and sides.
-_SIDES = {kind: (f"binom.{kind.value}", sides) for kind, sides in (
-    (BinomKind.PASCAL, _pascal_sides),
-    (BinomKind.SQUARE_PASCAL, _square_pascal_sides),
-    (BinomKind.SPLIT_J, _split_j_sides),
-    (BinomKind.ROW_SUM, _row_sum_sides),
-    (BinomKind.WEIGHTED_3N, _weighted_3n_sides),
-    (BinomKind.DOUBLE_3N, _double_3n_sides),
-    (BinomKind.FIB_DIAGONAL, _fib_diagonal_sides),
-    (BinomKind.HOCKEY_STICK, _hockey_stick_sides),
-    (BinomKind.ABSORPTION_PRINTED, _absorption_printed_sides),
-    (BinomKind.ABSORPTION_STANDARD, _absorption_standard_sides),
-    (BinomKind.COMMITTEE_PRODUCT, _committee_product_sides),
-)}
+#: Each kind's sides.
+_SIDES = {
+    BinomKind.PASCAL: _pascal_sides,
+    BinomKind.SQUARE_PASCAL: _square_pascal_sides,
+    BinomKind.SPLIT_J: _split_j_sides,
+    BinomKind.ROW_SUM: _row_sum_sides,
+    BinomKind.WEIGHTED_3N: _weighted_3n_sides,
+    BinomKind.DOUBLE_3N: _double_3n_sides,
+    BinomKind.FIB_DIAGONAL: _fib_diagonal_sides,
+    BinomKind.HOCKEY_STICK: _hockey_stick_sides,
+    BinomKind.ABSORPTION_PRINTED: _absorption_printed_sides,
+    BinomKind.ABSORPTION_STANDARD: _absorption_standard_sides,
+    BinomKind.COMMITTEE_PRODUCT: _committee_product_sides,
+}
 
 
 def absorption_printed_minimal_witness() -> tuple[int, int]:
@@ -272,8 +270,7 @@ def constrained_colorings(n: int) -> ColoringReport:
 def colorings_report(n: int) -> IdentityReport:
     r = constrained_colorings(n)
     passed = r.fib_check and r.binom_check
-    return report_check("binom.colorings", (n,), r.count, fibonacci(n + 2),
-                        passed)
+    return report_check((n,), r.count, fibonacci(n + 2), passed)
 
 
 # --- partitions ----------------------------------------------------------------
@@ -336,8 +333,7 @@ def partition_duality_reports(n: int) -> list[IdentityReport]:
         few_parts.update(by_count[k])
         bijection = mapped == few_parts and len(mapped) == small_parts
         passed = small_parts == len(few_parts) and bijection
-        reports.append(report_check("partition.duality", (n, k), small_parts,
-                                    len(few_parts), passed,
-                                    {"bijection": bijection}))
+        reports.append(report_check((n, k), small_parts, len(few_parts),
+                                    passed, {"bijection": bijection}))
     return reports
 

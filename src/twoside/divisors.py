@@ -68,8 +68,7 @@ def divisor_identity_check(n: int, table: DivisorTable | None = None) -> Identit
     """Sum of divisor counts equals the floor sum, exactly."""
     if table is None or table.n < n:
         table = divisor_counts(n)
-    return report_equal("divisor.identity", (n,), int(table.totals[n]),
-                        floor_sum(n))
+    return report_equal((n,), int(table.totals[n]), floor_sum(n))
 
 
 def require_sieve_n(n: int) -> None:

@@ -156,9 +156,8 @@ def ceva_product(a, b, c, p) -> Fraction:
 def ceva_product_report(a, b, c, p) -> IdentityReport:
     product = ceva_product(a, b, c, p)
     passed = product == 1
-    return IdentityReport("geom.ceva", (_pt(a), _pt(b), _pt(c), _pt(p)),
-                          product, Fraction(1), passed,
-                          None if passed else (_pt(p),))
+    return IdentityReport((_pt(a), _pt(b), _pt(c), _pt(p)), product,
+                          Fraction(1), passed, None if passed else (_pt(p),))
 
 
 def ceva_converse_check(cfg: CevaConfig) -> IdentityReport:
@@ -175,8 +174,8 @@ def ceva_converse_check(cfg: CevaConfig) -> IdentityReport:
     z = _divide(a, b, n3, d3)
     p = _meet(_cross(a, x), _cross(b, y))
     z_prime = _meet(_cross(c, p), _cross(a, b))
-    return report_check("geom.ceva_converse", cfg.ratios, _affine(z_prime),
-                        _affine(z), _same_point(z_prime, z))
+    return report_check(cfg.ratios, _affine(z_prime), _affine(z),
+                        _same_point(z_prime, z))
 
 
 @dataclass(frozen=True)
@@ -216,5 +215,5 @@ def squares_intersection_check(a, b) -> SquaresFitReport:
 
 def squares_fit_report(a, b) -> IdentityReport:
     r = squares_intersection_check(a, b)
-    return report_check("geom.squares_fit", (Fraction(a), Fraction(b)),
-                        r.x, r.y, r.passed, {"intersection": r.intersection})
+    return report_check((Fraction(a), Fraction(b)), r.x, r.y, r.passed,
+                        {"intersection": r.intersection})

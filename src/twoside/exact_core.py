@@ -131,9 +131,6 @@ class Bracket:
             raise DomainError("disjoint brackets have no intersection")
         return Bracket(lo, hi)
 
-    def midpoint(self) -> Rational:
-        return (self.lo + self.hi) / 2
-
     def scale(self, c: RationalLike) -> "Bracket":
         c = Fraction(c)
         if c >= 0:

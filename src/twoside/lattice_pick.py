@@ -249,7 +249,7 @@ def pick_check(p: LatticePolygon) -> IdentityReport:
     b = interior_count(p)
     rhs = Fraction(h, 2) + b - 1
     passed = area == rhs
-    return report_check("pick.formula", p.vertices, area, rhs, passed,
+    return report_check(p.vertices, area, rhs, passed,
                         {"boundary": h, "interior": b})
 
 

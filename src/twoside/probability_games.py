@@ -356,11 +356,11 @@ class GameReport:
     def consistent(self) -> bool:
         return self.series_bracket.contains(self.exact)
 
-    def report(self, suite: str, params: tuple) -> IdentityReport:
+    def report(self, params: tuple) -> IdentityReport:
         """The exact value equals the closed form and lies in the series
         bracket; the simulation gates the result."""
         gate = self.monte_carlo.status
-        return report_check(suite, params, self.exact, self.series_bracket,
+        return report_check(params, self.exact, self.series_bracket,
                             self.exact == self.closed and self.consistent(),
                             {"mc": gate}, gate)
 

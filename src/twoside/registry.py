@@ -16,10 +16,11 @@ A suite is declared by one `_suite` call:
   `DomainError` for parameters above the cap, and `check` runs the checks
   of every selected suite before the first runner starts.
 
-`_rows` is the one path from reports to rows, and `report.row_status`
-gives every row its status, so an expected failure that fails as
-predicted counts as passing and one that passes is a FAIL.  Adding a new
-verified fact means adding one declaration.
+`_rows` is the one path from reports to rows.  It names each row's suite
+by the id of the declaration that ran it, so this module is the only one
+that knows suite ids.  `report.row_status` gives every row its status, so
+an expected failure that fails as predicted counts as passing and one that
+passes is a FAIL.  Adding a new verified fact means adding one declaration.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ Sweep = Callable[[SuiteParams], Iterable[IdentityReport]]
 Case = str | Callable[[IdentityReport], str] | None
 
 
-def _rows(reports: Iterable[IdentityReport], case: Case,
+def _rows(suite_id: str, reports: Iterable[IdentityReport], case: Case,
           expected_fail: bool | frozenset[str]) -> list[dict]:
     rows = []
     for r in reports:
@@ -94,7 +95,7 @@ def _rows(reports: Iterable[IdentityReport], case: Case,
             params = [render_value(p) for p in r.params]
             label = case.format(*params)
         expected = expected_fail is True or label in (expected_fail or ())
-        rows.append(r.row(label, expected, params))
+        rows.append(r.row(suite_id, label, expected, params))
     return rows
 
 
@@ -102,7 +103,7 @@ def _suite(suite_id: str, tag: str, sweep: Sweep, case: Case = None,
            expected_fail: bool | frozenset[str] = False,
            check: Callable[[SuiteParams], None] = _no_check) -> Suite:
     def run(params: SuiteParams) -> list[dict]:
-        return _rows(sweep(params), case, expected_fail)
+        return _rows(suite_id, sweep(params), case, expected_fail)
     return Suite(suite_id, tag, run, expected_fail, check)
 
 
@@ -111,7 +112,7 @@ def _suite(suite_id: str, tag: str, sweep: Sweep, case: Case = None,
 def _identity(name: str) -> Sweep:
     def sweep(_: SuiteParams):
         lhs, rhs, vs = polyform.builtin_identities()[name]
-        return [polyform.identity_check(lhs, rhs, vs, suite=name)]
+        return [polyform.identity_check(lhs, rhs, vs)]
     return sweep
 
 
@@ -141,8 +142,8 @@ def _mixture(_: SuiteParams):
     """The solved concentration x balances the dissolved mass exactly."""
     for m1, m2, c2, c_mix in _MIXTURES:
         x = polyform.mixture_concentration(m1, m2, c2, c_mix)
-        yield report_equal("alg.mixture", (m1, m2, c2, c_mix),
-                           m1 * x + m2 * c2, (m1 + m2) * c_mix, {"x": x})
+        yield report_equal((m1, m2, c2, c_mix), m1 * x + m2 * c2,
+                           (m1 + m2) * c_mix, {"x": x})
 
 
 # --- divisors ----------------------------------------------------------------------
@@ -162,7 +163,7 @@ def _divisor_bounds(params: SuiteParams):
     harmonics = dv.harmonic_numbers(params.max_n)
     for n in range(1, params.max_n + 1):
         b = dv.divisor_average_bounds(n, table, harmonics[n])
-        yield report_check("divisor.bounds", (n,),
+        yield report_check((n,),
                            f"{rat_to_str(b.lower)} < {rat_to_str(b.avg)}",
                            f"<= {rat_to_str(b.upper)}", b.passed)
 
@@ -204,7 +205,7 @@ def _geometric(suite_id: str, a: Fraction, r: Fraction,
     def sweep(params: SuiteParams):
         for n in range(min(params.max_n, 40) + 1):
             g = ab.geometric_series_sum(a, r, n)
-            yield report_check(suite_id, (n,), g.tail_bracket, g.closed,
+            yield report_check((n,), g.tail_bracket, g.closed,
                                g.closed == total
                                and g.tail_bracket.contains(g.closed))
     return _suite(suite_id, "series", sweep, "N={0}")
@@ -213,23 +214,21 @@ def _geometric(suite_id: str, a: Fraction, r: Fraction,
 def _swineshead(params: SuiteParams):
     for n in range(min(params.max_n, 64) + 1):
         s = ab.swineshead_check(n)
-        yield report_check("series.swineshead", (n,), s.partial,
-                           s.closed_partial, s.passed)
+        yield report_check((n,), s.partial, s.closed_partial, s.passed)
 
 
-def _riemann(exponent: int, target: Fraction) -> Suite:
+def _riemann(exponent: int) -> Suite:
     """The Darboux bracket of x^exponent on [0, 1] with n strips contains
-    the integral `target` and has width 1/n."""
-    suite_id = f"riemann.x{exponent}"
-
+    the exact integral and has width 1/n."""
     def sweep(params: SuiteParams):
         f = ab.MonomialIntegrand(Fraction(1), exponent, Fraction(1))
+        target = f.exact_integral()
         for n in range(1, min(params.max_n, 1024) + 1):
             bracket = ab.riemann_bracket(f, n)
-            yield report_check(suite_id, (n,), bracket, target,
+            yield report_check((n,), bracket, target,
                                bracket.contains(target)
                                and bracket.width == f.coefficient / n)
-    return _suite(suite_id, "integration", sweep, "n={0}")
+    return _suite(f"riemann.x{exponent}", "integration", sweep, "n={0}")
 
 
 def _nested(suite_id: str, tag: str,
@@ -239,8 +238,8 @@ def _nested(suite_id: str, tag: str,
     def sweep(params: SuiteParams):
         previous = None
         for level, bracket in enumerate(levels(params)):
-            yield report_check(suite_id, (level,), bracket,
-                               "nested refinement", previous is None
+            yield report_check((level,), bracket, "nested refinement",
+                               previous is None
                                or previous.contains_bracket(bracket))
             previous = bracket
     return _suite(suite_id, tag, sweep, case)
@@ -251,8 +250,7 @@ def _limit(_: SuiteParams):
                               500))
     last = brackets[-1]
     within = Fraction(5) <= last.lo and last.hi <= Fraction(51, 10)
-    return [report_check("limit.nthroot", (len(brackets),), last,
-                         "within [5, 5.1]", within)]
+    return [report_check((len(brackets),), last, "within [5, 5.1]", within)]
 
 
 # --- euclid -------------------------------------------------------------------------
@@ -313,7 +311,7 @@ def _dice(params: SuiteParams):
         return []
     game = prob.dice_game(terms=params.terms, trials=params.trials,
                           seed=params.seed)
-    return [game.report("prob.dice", (params.terms,))]
+    return [game.report((params.terms,))]
 
 
 def _coin_series(params: SuiteParams):
@@ -321,16 +319,15 @@ def _coin_series(params: SuiteParams):
     for n in range(1, min(params.max_n, 12) + 1):
         report = prob.coin_series_index_report(n)
         for l_start, matches in sorted(report.matches.items()):
-            yield report_check("prob.coin_series", (n, l_start),
-                               str(report.brackets[l_start]), report.exact,
-                               matches)
+            yield report_check((n, l_start), str(report.brackets[l_start]),
+                               report.exact, matches)
 
 
 # --- the table -----------------------------------------------------------------------
 
 def _build() -> dict[str, Suite]:
     B = comb.BinomKind
-    suites = [_suite(name, "algebra", _identity(name))
+    suites = [_suite(f"alg.{name}", "algebra", _identity(name))
               for name in polyform.builtin_identities()]
     suites += [
         _suite("alg.pythagoras_trapezoid", "algebra",
@@ -395,8 +392,8 @@ def _build() -> dict[str, Suite]:
         _suite("series.rows", "series",
                lambda p: (ab.rows_rearrangement_check(n)
                           for n in range(1, min(p.max_n, 40) + 1)), "N={0}"),
-        _riemann(2, Fraction(1, 3)),
-        _riemann(3, Fraction(1, 4)),
+        _riemann(2),
+        _riemann(3),
         _nested("power.sqrt2", "powers",
                 lambda p: islice(ab.named_generator("power"),
                                  max(0, p.digits + 1)),
@@ -421,8 +418,7 @@ def _build() -> dict[str, Suite]:
         _suite("prob.dice", "probability", _dice, "dice",
                check=lambda p: prob.require_terms(p.terms)),
         _suite("prob.coin", "probability",
-               lambda p: (report_equal("prob.coin", (n,),
-                                       prob.coin_game_exact(n),
+               lambda p: (report_equal((n,), prob.coin_game_exact(n),
                                        prob.coin_game_closed_form(n))
                           for n in range(1, min(p.max_n, 12) + 1)), "n={0}"),
         # The printed series starts at L = 1 and so drops the L = 0 term,

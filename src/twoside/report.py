@@ -79,7 +79,6 @@ class IdentityReport:
     comparison (PASS or WARN; see :func:`report_check`).
     """
 
-    suite: str
     params: tuple
     lhs: Any
     rhs: Any
@@ -99,9 +98,10 @@ class IdentityReport:
     def status(self, expected_fail: bool = False) -> str:
         return row_status(self.passed, expected_fail, self.gate)
 
-    def row(self, case: str | None = None, expected_fail: bool = False,
+    def row(self, suite: str, case: str | None = None,
+            expected_fail: bool = False,
             params: list[str] | None = None) -> dict:
-        """Flatten into the CLI/JSON row shape.
+        """Flatten into the CLI/JSON row shape of registry suite ``suite``.
 
         ``params`` is ``self.params`` rendered, for a caller that has
         already rendered them for its case label.
@@ -109,7 +109,7 @@ class IdentityReport:
         if params is None:
             params = [render_value(p) for p in self.params]
         row = {
-            "suite": self.suite,
+            "suite": suite,
             "case": case if case is not None else f"({', '.join(params)})",
             "params": params,
             "lhs": render_value(self.lhs),
@@ -126,7 +126,7 @@ class IdentityReport:
         return row
 
 
-def report_check(suite: str, params: Sequence, lhs, rhs, passed: bool,
+def report_check(params: Sequence, lhs, rhs, passed: bool,
                  detail: Mapping[str, Any] | None = None,
                  gate: str = PASS) -> IdentityReport:
     """Report one comparison; when it fails, its parameters witness it.
@@ -136,11 +136,11 @@ def report_check(suite: str, params: Sequence, lhs, rhs, passed: bool,
     """
     params = tuple(params)
     passed = passed and gate != FAIL
-    return IdentityReport(suite, params, lhs, rhs, passed,
+    return IdentityReport(params, lhs, rhs, passed,
                           None if passed else params, detail, gate)
 
 
-def report_equal(suite: str, params: Sequence, lhs, rhs,
+def report_equal(params: Sequence, lhs, rhs,
                  detail: Mapping[str, Any] | None = None) -> IdentityReport:
     """Report exact equality of two already-computed sides."""
-    return report_check(suite, params, lhs, rhs, lhs == rhs, detail)
+    return report_check(params, lhs, rhs, lhs == rhs, detail)

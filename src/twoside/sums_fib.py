@@ -141,7 +141,7 @@ def sum_identity_sweep(kind: SumKind, max_n: int) -> list[IdentityReport]:
     additions, except for cube_layers, which re-sums at every n and makes
     O(max_n^2), done in C by range sums.
     """
-    return [report_equal(f"sum.{kind.value}", (n,), lhs, _sum_rhs(kind, n))
+    return [report_equal((n,), lhs, _sum_rhs(kind, n))
             for n, lhs in zip(range(1, max_n + 1), _counting_sides(kind))]
 
 
@@ -170,6 +170,5 @@ def fib_betweenness_report(m: int, n: int) -> IdentityReport:
     x_lo, x_hi = fib[2 * n + 1], fib[2 * n + 2]
     y_lo, y_hi = fib[2 * n], fib[2 * n + 1]
     passed = telescoped_ok and x_lo < x < x_hi and y_lo < y < y_hi
-    return report_check("fib.betweenness", (m, n), (x, y),
-                        ((x_lo, x_hi), (y_lo, y_hi)), passed,
+    return report_check((m, n), (x, y), ((x_lo, x_hi), (y_lo, y_hi)), passed,
                         {"telescoped": telescoped_ok})

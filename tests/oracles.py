@@ -219,7 +219,7 @@ def rows_rearrangement_check_fraction(n_rows: int) -> IdentityReport:
     by_columns = Fraction(0)
     for i in range(1, n_rows + 1):
         by_columns += Fraction(i, 2 ** i)
-    return report_equal("series.rows", (n_rows,), by_rows, by_columns)
+    return report_equal((n_rows,), by_rows, by_columns)
 
 
 def coin_game_series_partial_fraction(n: int, l_start: int,
@@ -514,19 +514,18 @@ def binom_identity_check_chain(kind, **params: int) -> IdentityReport:
         raise DomainError("parameter n >= 0 is required")
     if n > comb.BINOM_MAX_N:
         raise DomainError("binomial identities capped")
-    suite = f"binom.{kind.value}"
     T = comb._pascal_rows(n + 1)
     K = comb.BinomKind
     at, binomial, require_k = comb._at, comb.binomial, comb._require_k
     if kind is K.PASCAL:
         k = require_k(params, 0, n + 1)
-        return report_equal(suite, (n, k), binomial(n + 1, k),
+        return report_equal((n, k), binomial(n + 1, k),
                             at(T[n], k) + at(T[n], k - 1))
     if kind is K.SQUARE_PASCAL:
         k = require_k(params, 2, n)
         row = T[n - 1]
         rhs = row[k - 2] + 2 * row[k - 1] + at(row, k)
-        return report_equal(suite, (n, k), binomial(n + 1, k), rhs)
+        return report_equal((n, k), binomial(n + 1, k), rhs)
     if kind is K.SPLIT_J:
         k = require_k(params, 0, n)
         j = params.get("j")
@@ -534,38 +533,38 @@ def binom_identity_check_chain(kind, **params: int) -> IdentityReport:
             raise DomainError("need 0 <= j <= k")
         a, b = T[j], T[n + 1 - j]
         rhs = sum(a[i] * b[k - i] for i in range(max(0, k + j - n - 1), j + 1))
-        return report_equal(suite, (n, k, j), binomial(n + 1, k), rhs)
+        return report_equal((n, k, j), binomial(n + 1, k), rhs)
     if kind is K.ROW_SUM:
-        return report_equal(suite, (n,), sum(T[n]), 2 ** n)
+        return report_equal((n,), sum(T[n]), 2 ** n)
     if kind is K.WEIGHTED_3N:
         lhs = sum(2 ** (n - k) * c for k, c in enumerate(T[n]))
-        return report_equal(suite, (n,), lhs, 3 ** n)
+        return report_equal((n,), lhs, 3 ** n)
     if kind is K.DOUBLE_3N:
         lhs = sum(c * sum(T[k]) for k, c in enumerate(T[n]))
-        return report_equal(suite, (n,), lhs, 3 ** n)
+        return report_equal((n,), lhs, 3 ** n)
     if kind is K.FIB_DIAGONAL:
         if n < 1:
             raise DomainError("need n >= 1")
         lhs = sum(T[n - k - 1][k] for k in range((n - 1) // 2 + 1))
-        return report_equal(suite, (n,), lhs, fibonacci(n))
+        return report_equal((n,), lhs, fibonacci(n))
     if kind is K.HOCKEY_STICK:
         k = require_k(params, 0, n)
         lhs = sum(T[i][k] for i in range(k, n + 1))
-        return report_equal(suite, (n, k), lhs, binomial(n + 1, k + 1))
+        return report_equal((n, k), lhs, binomial(n + 1, k + 1))
     if kind is K.ABSORPTION_PRINTED:
         k = require_k(params, 1, n - 1)
-        return report_equal(suite, (n, k), n * T[n - 1][k],
+        return report_equal((n, k), n * T[n - 1][k],
                             k * binomial(n, k))
     if kind is K.ABSORPTION_STANDARD:
         k = require_k(params, 1, n - 1)
-        return report_equal(suite, (n, k), k * T[n][k],
+        return report_equal((n, k), k * T[n][k],
                             n * binomial(n - 1, k - 1))
     if kind is K.COMMITTEE_PRODUCT:
         k = require_k(params, 0, n)
         l = params.get("l")
         if l is None or not 0 <= l <= k:
             raise DomainError("need 0 <= l <= k")
-        return report_equal(suite, (n, k, l), T[n][l] * T[n - l][k - l],
+        return report_equal((n, k, l), T[n][l] * T[n - l][k - l],
                             binomial(k, l) * binomial(n, k))
     raise DomainError(f"unknown binomial kind {kind!r}")
 
@@ -610,16 +609,16 @@ def partition_duality_oracle(n: int) -> list[IdentityReport]:
         mapped = set(small_parts)
         bijection = mapped == few_parts and len(mapped) == len(small_parts)
         passed = len(small_parts) == len(few_parts) and bijection
-        reports.append(report_check("partition.duality", (n, k),
-                                    len(small_parts), len(few_parts), passed,
+        reports.append(report_check((n, k), len(small_parts),
+                                    len(few_parts), passed,
                                     {"bijection": bijection}))
     return reports
 
 
 def run_builtin_suite():
-    """`identity_check` of every built-in polyform identity."""
-    return [identity_check(lhs, rhs, vs, suite=name)
-            for name, (lhs, rhs, vs) in builtin_identities().items()]
+    """`identity_check` of every built-in polyform identity, by name."""
+    return {name: identity_check(lhs, rhs, vs)
+            for name, (lhs, rhs, vs) in builtin_identities().items()}
 
 
 def reference_monte_carlo_dice(trials: int, seed: int,
@@ -805,8 +804,7 @@ def ceva_converse_check_fraction(cfg) -> IdentityReport:
     z = _divide_fraction(cfg.a, cfg.b, r3)
     p = line_intersection_fraction(cfg.a, x, cfg.b, y)
     z_prime = line_intersection_fraction(cfg.c, p, cfg.a, cfg.b)
-    return report_check("geom.ceva_converse", cfg.ratios, z_prime, z,
-                        z_prime == z)
+    return report_check(cfg.ratios, z_prime, z, z_prime == z)
 
 
 def squares_intersection_check_fraction(a, b) -> SquaresFitReport:

@@ -144,7 +144,8 @@ class TestRealPower:
         brackets = [real_power_bracket(2, d) for d in range(7)]
         for a, b in zip(brackets, brackets[1:]):
             assert a.contains_bracket(b)
-        probe = real_power_bracket(2, 8).midpoint()
+        finest = real_power_bracket(2, 8)
+        probe = (finest.lo + finest.hi) / 2
         assert all(b.contains(probe) for b in brackets)
 
     def test_base_one_and_nonpositive_rejected(self):

@@ -1,0 +1,70 @@
+"""Static audit of the package source: rules checked by reading the code.
+
+The first rule: suite ids live in the registry alone.  A row's ``suite``
+comes from the registry declaration that ran it, so no other module may
+spell one, whether as a string constant or as the constant head of an
+f-string.  Docstrings may name suites.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from twoside.registry import SUITES
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "twoside"
+
+#: Each registry id up to and including its first dot: "alg.", "sum.", ...
+ID_PREFIXES = tuple(sorted({s.split(".", 1)[0] + "." for s in SUITES}))
+
+
+def _docstring_nodes(tree: ast.AST) -> set[int]:
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                found.add(id(first.value))
+    return found
+
+
+def suite_id_literals(source: str) -> list[tuple[int, str]]:
+    """(line, text) of each string constant or f-string head that starts
+    with a registry id prefix, docstrings excepted."""
+    tree = ast.parse(source)
+    skip = _docstring_nodes(tree)
+    heads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            skip.update(id(part) for part in node.values)
+            if node.values and isinstance(node.values[0], ast.Constant):
+                heads.append((node.lineno, node.values[0].value))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in skip):
+            heads.append((node.lineno, node.value))
+    return sorted((line, text) for line, text in heads
+                  if text.startswith(ID_PREFIXES))
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")
+                                        if p.name != "registry.py"))
+def test_only_the_registry_names_suites(path):
+    assert suite_id_literals((SRC / path).read_text()) == []
+
+
+def test_audit_sees_constants_and_fstring_heads_but_not_docstrings():
+    source = '''
+"""Module docstring naming sum.cubes."""
+def f(kind):
+    """Docstring naming binom.pascal."""
+    a = "geom.ceva"
+    b = f"sum.{kind}"
+    c = f"{kind} sum.cubes"
+    d = "not a suite: alg.mixture"
+    return a, b, c, d
+'''
+    assert suite_id_literals(source) == [(5, "geom.ceva"), (6, "sum.")]

@@ -3,13 +3,14 @@ import dataclasses
 import hashlib
 import io
 import json
+from fractions import Fraction
 
 import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twoside import divisors as dv
-from twoside import jordan_measure, lattice_pick, sums_fib
+from twoside import jordan_measure, lattice_pick, polyform, sums_fib
 from twoside import probability_games as prob
 from twoside.cli import ROW_SCHEMA, _json_rows, build_parser, main
 from twoside.registry import SUITES, SWEEP_MAX_TRIALS, SuiteParams
@@ -17,7 +18,7 @@ from twoside.registry import SUITES, SWEEP_MAX_TRIALS, SuiteParams
 # sha256 of `twoside check all --format json`; test_startup.py checks the same
 # bytes from a fresh interpreter.
 CHECK_ALL_JSON_SHA256 = (
-    "32f50fef65b9dcf1ed3bfb9858bf9226d0118c7009d090cea7371b22f9d96408")
+    "0381536a92e297cea7f6c4b88a98ff1f12cf64f3edcd4c4054f3939e4bad0224")
 
 
 def run_cli(capsys, *argv):
@@ -110,10 +111,10 @@ class TestCheck:
 
     @pytest.mark.parametrize("fmt, digest", [
         ("table",
-         "0dea0a812ffc735559a528d71653400aed11d61d074430c91d7d1ff0761b12a6"),
+         "769acebd340b09dcdac314eb148afc5b767ef8547f3f20d2569533ceeee16d11"),
         ("csv",
-         "d0aa75374bc8f8b55ccba628c0cbc38239ffeafab9f64c36236aa9ea0895fcae"),
-    ])
+         "21be56f2d025d3cdeec111c0eb05d349d24692d89816b7b9d1d53760ea17a377"),
+    ], ids=["table", "csv"])
     def test_check_all_text_formats_pinned(self, fmt, digest, capsys,
                                            tmp_path, monkeypatch):
         monkeypatch.delenv("TWOSIDE_FORMAT", raising=False)
@@ -142,6 +143,26 @@ class TestCheck:
         assert out == ""
         named = err.strip().split(": ", 1)[1].split(", ")
         assert named == ["sum.even", "divisor.identity", "binom.colorings"]
+
+    def test_pythagoras_area_count_alone_failing_is_a_fail_row(
+            self, capsys, monkeypatch):
+        # The identity holds; only the sample's two area counts disagree.
+        monkeypatch.setattr(polyform, "_PYTHAGORAS_SAMPLE",
+                            (Fraction(3), Fraction(4), Fraction(6)))
+        code, out, err = run_cli(capsys, "check", "alg.pythagoras_trapezoid")
+        assert code == 1
+        assert err == ""
+        row = out.splitlines()[1].split()
+        assert row[0] == "alg.pythagoras_trapezoid"
+        assert row[-4:] == ["FAIL", "3", "4", "6"]
+
+    @pytest.mark.parametrize("params", [SuiteParams(),
+                                        SuiteParams(max_n=6, trials=4)],
+                             ids=["defaults", "tiny"])
+    def test_every_row_names_its_suite(self, params):
+        for suite_id, suite in SUITES.items():
+            assert all(row["suite"] == suite_id
+                       for row in suite.runner(params)), suite_id
 
     def test_check_all_with_no_trials_names_each_empty_suite(self, capsys):
         code, out, err = run_cli(capsys, "check", "all", "--trials", "0",
@@ -174,7 +195,7 @@ PINNED_OUTPUTS = [
     (["converge", "pi", "--doublings", "8"],
      "583940bb3e95bbc23fe47c508be2cc964dc1feb5df2a9a5213929efbb04e406a"),
     (["check", *SCALED_SUITES, "--max-n", "300", "--trials", "100"],
-     "1de8e58801fb2c90dee565c18c523273c6806270410c6f25dc68c88b29882db9"),
+     "e6853d259a12703dc946d33149b66576d2bde425dc759af972d574902814de56"),
     (["jordan", "--region", "disk:1", "--tol", "1/20"],
      "3b71a6d78cffae686312fe921bc2bc78b8de4cb70ee673c3c632b8223ce18708"),
     (["jordan", "--region", "poly:0,0;3,1;2,3;-1,2", "--tol", "1/50"],
@@ -237,7 +258,6 @@ class TestConverge:
         lines = out.strip().splitlines()
         assert lines[0].startswith("step,lo,hi,width")
         assert len(lines) == 14  # header + 13 rows
-        from fractions import Fraction
         widths = [Fraction(line.split(",")[3]) for line in lines[1:]]
         assert all(a >= b for a, b in zip(widths, widths[1:]))
 
@@ -245,7 +265,6 @@ class TestConverge:
         code, out, _ = run_cli(capsys, "converge", "sqrt2", "--tol", "1/50",
                                "--format", "csv")
         assert code == 0
-        from fractions import Fraction
         last = out.strip().splitlines()[-1]
         assert Fraction(last.split(",")[3]) <= Fraction(1, 50)
 

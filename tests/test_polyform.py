@@ -29,7 +29,7 @@ class TestNormalForm:
     def test_cancellation_to_zero(self):
         a = Var("a")
         p = poly_normalize(Const(0) * a + Const(3) - Const(3), ("a",))
-        assert p.is_zero()
+        assert p.terms == {}
 
     def test_undeclared_variable(self):
         with pytest.raises(DomainError):
@@ -65,8 +65,8 @@ class TestNormalForm:
 
 class TestIdentitySuite:
     def test_all_builtins_pass(self):
-        for report in run_builtin_suite():
-            assert report.passed, report.suite
+        for name, report in run_builtin_suite().items():
+            assert report.passed, name
             assert report.witness is None
 
     def test_cube_expansion(self):
@@ -88,7 +88,7 @@ class TestIdentitySuite:
     def test_perturbed_identities_fail_with_witness(self):
         for name, (lhs, rhs, vs) in builtin_identities().items():
             perturbed = rhs + Var(vs[0])
-            report = identity_check(lhs, perturbed, vs, suite=name)
+            report = identity_check(lhs, perturbed, vs)
             assert not report.passed, name
             assert report.witness is not None
 

@@ -77,7 +77,7 @@ class TestDiceSeries:
         assert report.monte_carlo.trials == 1_000
         assert report.monte_carlo.estimate == Fraction(
             report.monte_carlo.hits, 1_000)
-        assert report.report("prob.dice", (40,)).detail == {
+        assert report.report((40,)).detail == {
             "mc": report.monte_carlo.status}
 
     def test_game_requires_a_simulation(self):

@@ -22,19 +22,19 @@ class TestRowStatus:
         assert row_status(True, expected_fail=True) == FAIL
 
     def test_failed_gate_fails_the_report_with_a_witness(self):
-        report = report_check("s", (3,), 1, 1, True, gate=FAIL)
+        report = report_check((3,), 1, 1, True, gate=FAIL)
         assert not report.passed
         assert report.witness == (3,)
-        assert report.row()["status"] == FAIL
+        assert report.row("s")["status"] == FAIL
 
     def test_warn_gate_kept_on_a_passing_report(self):
-        report = report_check("s", (3,), 1, 1, True, gate=WARN)
+        report = report_check((3,), 1, 1, True, gate=WARN)
         assert report.witness is None
-        assert report.row()["status"] == WARN
+        assert report.row("s")["status"] == WARN
 
     def test_passing_report_cannot_carry_a_failed_gate(self):
         with pytest.raises(ValueError):
-            IdentityReport("s", (3,), 1, 1, True, gate=FAIL)
+            IdentityReport((3,), 1, 1, True, gate=FAIL)
 
 
 class TestDiceGate:
@@ -93,9 +93,9 @@ class TestRenderOracle:
         assert rat_to_str(q) == rat_to_str_fraction(q)
 
     def test_row_params_and_case_match_the_oracle(self):
-        report = report_check("s", (True, np.int64(-3), Fraction(-1, 2),
-                                    (1, Fraction(2, 4))), 1, 1, True)
-        row = report.row()
+        report = report_check((True, np.int64(-3), Fraction(-1, 2),
+                               (1, Fraction(2, 4))), 1, 1, True)
+        row = report.row("s")
         assert row["params"] == ["true", "-3", "-1/2", "(1, 1/2)"]
         assert row["case"] == render_value_isinstance(report.params)
 
@@ -106,22 +106,22 @@ class TestRowSides:
     4300-digit str() limit."""
 
     @pytest.mark.parametrize("report", [
-        report_check("s", (1,), True, 1, True),
-        report_check("s", (1,), 1, True, True),
-        report_check("s", (1,), Fraction(2), 2, True),
-        report_check("s", (1,), 2, Fraction(2), True),
-        report_check("s", (1,), Fraction(-3, 4), Fraction(-3, 4), True),
-        report_check("s", (1,), 5, 6, False),
-        report_check("s", (1,), Fraction(1, 3), Fraction(1, 2), False),
-        report_check("s", (1,), Bracket(0, 1), Fraction(1, 2), True),
-        report_check("s", (1,), Fraction(1, 2), Bracket(0, 1), True),
-        report_check("s", (1,), 10 ** 5000 - 7, 10 ** 5000 - 7, True),
-        report_check("s", (1,), -10 ** 4400, -10 ** 4400, True),
+        report_check((1,), True, 1, True),
+        report_check((1,), 1, True, True),
+        report_check((1,), Fraction(2), 2, True),
+        report_check((1,), 2, Fraction(2), True),
+        report_check((1,), Fraction(-3, 4), Fraction(-3, 4), True),
+        report_check((1,), 5, 6, False),
+        report_check((1,), Fraction(1, 3), Fraction(1, 2), False),
+        report_check((1,), Bracket(0, 1), Fraction(1, 2), True),
+        report_check((1,), Fraction(1, 2), Bracket(0, 1), True),
+        report_check((1,), 10 ** 5000 - 7, 10 ** 5000 - 7, True),
+        report_check((1,), -10 ** 4400, -10 ** 4400, True),
     ], ids=["true_1", "1_true", "fraction_int", "int_fraction",
             "equal_fractions", "failing_ints", "failing_fractions",
             "bracket_lhs", "bracket_rhs", "huge_int", "huge_negative_int"])
     def test_each_side_as_render_value(self, report):
-        row = report.row()
+        row = report.row("s")
         assert row["lhs"] == render_value(report.lhs)
         assert row["rhs"] == render_value(report.rhs)
 
