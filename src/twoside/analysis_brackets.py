@@ -305,6 +305,10 @@ def cylinder_volume_bracket(r: RationalLike, m: RationalLike, doublings: int,
 #: power ladder truncates sqrt(2) to 0..8 decimal digits.
 LADDER_RUNGS = {"power": 9}
 
+#: Most brackets `converge` emits from any ladder; the cost grows faster than
+#: the count (pi: 3.5 s at this cap, 76 s at 8000, on a 2-core x86-64 VM).
+CONVERGE_MAX_STEPS = 2000
+
 
 def _generator_factories() -> dict[str, Callable[[], BracketGenerator]]:
     """Each name's ladder of brackets, coarsest first.

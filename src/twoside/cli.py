@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from itertools import islice
@@ -27,35 +26,7 @@ from . import probability_games as prob
 from .exact_core import DomainError, NonConvergenceError, rat_from_str, \
     rat_to_decimal, rat_to_str
 from .registry import SUITES, SuiteParams
-from .report import EXPECTED_FAIL, FAIL, PASS, WARN, row_status
-
-#: JSON shape of one check row; the check subcommand emits arrays of these.
-ROW_SCHEMA = {
-    "type": "object",
-    "required": ["suite", "case", "params", "lhs", "rhs", "status", "witness"],
-    "properties": {
-        "suite": {"type": "string"},
-        "case": {"type": "string"},
-        "params": {"type": "array", "items": {"type": "string"}},
-        "lhs": {"type": "string"},
-        "rhs": {"type": "string"},
-        "status": {"enum": [PASS, FAIL, EXPECTED_FAIL, WARN]},
-        "witness": {"type": ["array", "null"], "items": {"type": "string"}},
-        "detail": {"type": "object"},
-        "lhs_enclosure": {"$ref": "#/$defs/bracket"},
-        "rhs_enclosure": {"$ref": "#/$defs/bracket"},
-    },
-    "$defs": {
-        "bracket": {
-            "type": "object",
-            "required": ["lo", "hi", "width"],
-            "properties": {"lo": {"type": "string"},
-                           "hi": {"type": "string"},
-                           "width": {"type": "string"}},
-        },
-    },
-}
-
+from .report import FAIL, row_status
 
 _FORMATS = ("table", "json", "csv")
 
@@ -203,8 +174,7 @@ def _cmd_list(args) -> Rows:
 
 
 def _cmd_converge(args) -> Rows:
-    gen = ab.named_generator(args.generator)
-    rungs = ab.LADDER_RUNGS.get(args.generator, math.inf)
+    rungs = ab.LADDER_RUNGS.get(args.generator, ab.CONVERGE_MAX_STEPS)
     doublings = min(12, rungs - 1) if args.doublings is None \
         else args.doublings
     if doublings < 0:
@@ -214,6 +184,10 @@ def _cmd_converge(args) -> Rows:
                           f"{args.generator} ladder")
     if args.max_steps < 1:
         raise DomainError("--max-steps must be positive")
+    if args.max_steps > ab.CONVERGE_MAX_STEPS:
+        raise DomainError("--max-steps is at most CONVERGE_MAX_STEPS = "
+                          f"{ab.CONVERGE_MAX_STEPS}")
+    gen = ab.named_generator(args.generator)
     if args.tol is None:
         gen = islice(gen, doublings + 1)
     else:
@@ -304,6 +278,7 @@ def _cmd_prob(args) -> Rows:
         game = prob.coin_game(args.n, terms=args.terms, trials=args.trials,
                               seed=args.seed)
     mc = game.monte_carlo
+    report = game.report((args.terms,))
     payload = {
         "game": args.game if args.game == "dice" else f"coin(n={args.n})",
         "exact": rat_to_str(game.exact),
@@ -311,7 +286,7 @@ def _cmd_prob(args) -> Rows:
         "series_lo": rat_to_str(game.series_bracket.lo),
         "series_hi": rat_to_str(game.series_bracket.hi),
         "series_width": rat_to_str(game.series_bracket.width),
-        "status": game.report((args.terms,)).status(),
+        "status": row_status(report.passed, gate=report.gate),
         "trials": mc.trials,
         "hits": mc.hits,
         "estimate": rat_to_str(mc.estimate),
@@ -354,11 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="refine until width <= this rational, e.g. 1/100")
     last = ", ".join(f"{name} {rungs - 1}"
                      for name, rungs in ab.LADDER_RUNGS.items())
+    cap = ab.CONVERGE_MAX_STEPS
     group.add_argument("--doublings", type=int, default=None,
-                       help="emit exactly N + 1 brackets (default 12); a "
-                            "ladder that ends caps N at, and defaults it to, "
-                            f"its last step: {last}")
-    p_conv.add_argument("--max-steps", type=int, default=200, dest="max_steps")
+                       help="emit exactly N + 1 brackets (default 12, at "
+                            f"most {cap - 1}); a ladder that ends caps N at, "
+                            f"and defaults it to, its last step: {last}")
+    p_conv.add_argument("--max-steps", type=int, default=200, dest="max_steps",
+                        help="with --tol, give up after this many brackets "
+                             f"(default 200, at most {cap})")
     p_conv.set_defaults(run=_cmd_converge)
 
     p_div = sub.add_parser("divisors", parents=[common],

@@ -155,9 +155,9 @@ def ceva_product(a, b, c, p) -> Fraction:
 
 def ceva_product_report(a, b, c, p) -> IdentityReport:
     product = ceva_product(a, b, c, p)
-    passed = product == 1
-    return IdentityReport((_pt(a), _pt(b), _pt(c), _pt(p)), product,
-                          Fraction(1), passed, None if passed else (_pt(p),))
+    p = _pt(p)
+    return report_check((_pt(a), _pt(b), _pt(c), p), product, Fraction(1),
+                        product == 1, witness=(p,))
 
 
 def ceva_converse_check(cfg: CevaConfig) -> IdentityReport:

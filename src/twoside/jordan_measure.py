@@ -78,15 +78,6 @@ class ConvexPolygon:
         ys = [p[1] for p in self.vertices]
         return min(xs), min(ys), max(xs), max(ys)
 
-    def shoelace_area(self) -> Fraction:
-        total = Fraction(0)
-        n = len(self.vertices)
-        for i in range(n):
-            x1, y1 = self.vertices[i]
-            x2, y2 = self.vertices[(i + 1) % n]
-            total += x1 * y2 - x2 * y1
-        return total / 2
-
 
 Region = Disk | ConvexPolygon
 

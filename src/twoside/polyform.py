@@ -229,11 +229,13 @@ def poly_normalize(e: Expr, var_order: Sequence[str]) -> Polynomial:
 
 
 def _search_witness(lhs: Expr, rhs: Expr, var_order: Sequence[str]):
+    """The first small integer point where the sides differ, or
+    ("symbolic",) when they differ at none of them."""
     for point in itertools.product(_WITNESS_COORDS, repeat=len(var_order)):
         env = {name: Fraction(v) for name, v in zip(var_order, point)}
         if evaluate(lhs, env) != evaluate(rhs, env):
             return point
-    return None
+    return ("symbolic",)
 
 
 def identity_check(lhs: Expr, rhs: Expr,
@@ -242,10 +244,9 @@ def identity_check(lhs: Expr, rhs: Expr,
     lp = poly_normalize(lhs, var_order)
     rp = poly_normalize(rhs, var_order)
     if lp == rp:
-        return IdentityReport(tuple(var_order), lp, rp, True)
-    witness = _search_witness(lhs, rhs, var_order)
-    return IdentityReport(tuple(var_order), lp, rp, False,
-                          witness if witness is not None else ("symbolic",))
+        return report_check(var_order, lp, rp, True)
+    return report_check(var_order, lp, rp, False,
+                        witness=_search_witness(lhs, rhs, var_order))
 
 
 # --- built-in identity suite -------------------------------------------------
@@ -296,11 +297,9 @@ def pythagoras_rearrangement_check() -> IdentityReport:
     whole = half * (sa + sb) ** 2
     pieces = sa * sb + half * sc ** 2
     detail = {"area_345_whole": whole, "area_345_pieces": pieces}
-    witness = report.witness
-    if witness is None and whole != pieces:
-        witness = _PYTHAGORAS_SAMPLE
-    return IdentityReport(report.params, report.lhs, report.rhs,
-                          witness is None, witness, detail)
+    return report_check(report.params, report.lhs, report.rhs,
+                        report.passed and whole == pieces, detail,
+                        witness=report.witness or _PYTHAGORAS_SAMPLE)
 
 
 def pythagoras_printed_check() -> IdentityReport:

@@ -73,9 +73,6 @@ class AbsorbingChain:
                 if target not in absorbing and target not in self.transitions:
                     raise ModelError(f"unknown target state {target!r}")
 
-    def states(self) -> tuple:
-        return tuple(self.transitions)
-
 
 def absorbing_chain_solve(chain: AbsorbingChain) -> dict:
     """Exact win probability per transient state by Gaussian elimination."""

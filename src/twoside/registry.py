@@ -16,16 +16,16 @@ A suite is declared by one `_suite` call:
   `DomainError` for parameters above the cap, and `check` runs the checks
   of every selected suite before the first runner starts.
 
-`_rows` is the one path from reports to rows.  It names each row's suite
-by the id of the declaration that ran it, so this module is the only one
-that knows suite ids.  `report.row_status` gives every row its status, so
-an expected failure that fails as predicted counts as passing and one that
-passes is a FAIL.  Adding a new verified fact means adding one declaration.
+Each declaration hands its reports and its own id to `report.rows`, the
+one path from reports to rows, so a row's suite is the declaration that
+ran it and this module is the only one that knows suite ids.
+`report.row_status` gives every row its status, so an expected failure
+that fails as predicted counts as passing and one that passes is a FAIL.
+Adding a new verified fact means adding one declaration.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -40,7 +40,7 @@ from . import polyform
 from . import probability_games as prob
 from . import sums_fib
 from .exact_core import Bracket, DomainError, rat_to_str
-from .report import IdentityReport, render_value, report_check, report_equal
+from .report import Case, IdentityReport, report_check, report_equal, rows
 from .rng import SplitMix64
 
 
@@ -79,31 +79,13 @@ class Suite:
 
 
 Sweep = Callable[[SuiteParams], Iterable[IdentityReport]]
-Case = str | Callable[[IdentityReport], str] | None
-
-
-def _rows(suite_id: str, reports: Iterable[IdentityReport], case: Case,
-          expected_fail: bool | frozenset[str]) -> list[dict]:
-    rows = []
-    for r in reports:
-        params = None
-        if case is None:
-            label = None
-        elif callable(case):
-            label = case(r)
-        else:
-            params = [render_value(p) for p in r.params]
-            label = case.format(*params)
-        expected = expected_fail is True or label in (expected_fail or ())
-        rows.append(r.row(suite_id, label, expected, params))
-    return rows
 
 
 def _suite(suite_id: str, tag: str, sweep: Sweep, case: Case = None,
            expected_fail: bool | frozenset[str] = False,
            check: Callable[[SuiteParams], None] = _no_check) -> Suite:
     def run(params: SuiteParams) -> list[dict]:
-        return _rows(suite_id, sweep(params), case, expected_fail)
+        return rows(suite_id, sweep(params), case, expected_fail)
     return Suite(suite_id, tag, run, expected_fail, check)
 
 
@@ -193,7 +175,8 @@ def _absorption_printed(_: SuiteParams):
     report = comb.binom_identity_check(comb.BinomKind.ABSORPTION_PRINTED,
                                        n=3, k=1)
     minimal = comb.absorption_printed_minimal_witness()
-    return [dataclasses.replace(report, detail={"minimal_witness": minimal})]
+    return [report_check(report.params, report.lhs, report.rhs, report.passed,
+                         {"minimal_witness": minimal})]
 
 
 # --- series and brackets --------------------------------------------------------------

@@ -2,14 +2,15 @@
 
 Every status that a row or a subcommand reports is decided here:
 :func:`row_status` for a comparison and :func:`sigma_gate` for the soft
-gate of a simulation route.
+gate of a simulation route.  Every report is made by :func:`report_check`,
+and every check row by :func:`rows`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .exact_core import Bracket, _int_to_str, rat_to_str
 
@@ -95,52 +96,93 @@ class IdentityReport:
         if self.passed and self.gate not in (PASS, WARN):
             raise ValueError("a report whose gate failed cannot pass")
 
-    def status(self, expected_fail: bool = False) -> str:
-        return row_status(self.passed, expected_fail, self.gate)
-
-    def row(self, suite: str, case: str | None = None,
-            expected_fail: bool = False,
-            params: list[str] | None = None) -> dict:
-        """Flatten into the CLI/JSON row shape of registry suite ``suite``.
-
-        ``params`` is ``self.params`` rendered, for a caller that has
-        already rendered them for its case label.
-        """
-        if params is None:
-            params = [render_value(p) for p in self.params]
-        row = {
-            "suite": suite,
-            "case": case if case is not None else f"({', '.join(params)})",
-            "params": params,
-            "lhs": render_value(self.lhs),
-            "rhs": render_value(self.rhs),
-            "status": self.status(expected_fail),
-            "witness": (None if self.witness is None
-                        else [render_value(w) for w in self.witness]),
-        }
-        for key, value in (("lhs", self.lhs), ("rhs", self.rhs)):
-            if isinstance(value, Bracket):
-                row[f"{key}_enclosure"] = value.to_json()
-        if self.detail:
-            row["detail"] = {k: render_value(v) for k, v in self.detail.items()}
-        return row
-
 
 def report_check(params: Sequence, lhs, rhs, passed: bool,
                  detail: Mapping[str, Any] | None = None,
-                 gate: str = PASS) -> IdentityReport:
-    """Report one comparison; when it fails, its parameters witness it.
+                 gate: str = PASS, witness: tuple | None = None
+                 ) -> IdentityReport:
+    """Report one comparison; when it fails, ``witness`` or else its
+    parameters witness it.
 
-    A simulation ``gate`` of FAIL fails the report, so that every FAIL
-    carries a witness; WARN is kept for the status.
+    A passing report carries no witness.  A simulation ``gate`` of FAIL
+    fails the report, so that every FAIL carries a witness; WARN is kept
+    for the status.
     """
     params = tuple(params)
     passed = passed and gate != FAIL
-    return IdentityReport(params, lhs, rhs, passed,
-                          None if passed else params, detail, gate)
+    witness = None if passed else witness or params
+    return IdentityReport(params, lhs, rhs, passed, witness, detail, gate)
 
 
 def report_equal(params: Sequence, lhs, rhs,
                  detail: Mapping[str, Any] | None = None) -> IdentityReport:
     """Report exact equality of two already-computed sides."""
     return report_check(params, lhs, rhs, lhs == rhs, detail)
+
+
+#: A row's case label: a format string over the report's rendered
+#: parameters, a function of the report, or None for the parameter tuple.
+Case = str | Callable[[IdentityReport], str] | None
+
+#: JSON shape of one check row; the check subcommand emits arrays of these.
+ROW_SCHEMA = {
+    "type": "object",
+    "required": ["suite", "case", "params", "lhs", "rhs", "status", "witness"],
+    "properties": {
+        "suite": {"type": "string"},
+        "case": {"type": "string"},
+        "params": {"type": "array", "items": {"type": "string"}},
+        "lhs": {"type": "string"},
+        "rhs": {"type": "string"},
+        "status": {"enum": [PASS, FAIL, EXPECTED_FAIL, WARN]},
+        "witness": {"type": ["array", "null"], "items": {"type": "string"}},
+        "detail": {"type": "object"},
+        "lhs_enclosure": {"$ref": "#/$defs/bracket"},
+        "rhs_enclosure": {"$ref": "#/$defs/bracket"},
+    },
+    "$defs": {
+        "bracket": {
+            "type": "object",
+            "required": ["lo", "hi", "width"],
+            "properties": {"lo": {"type": "string"},
+                           "hi": {"type": "string"},
+                           "width": {"type": "string"}},
+        },
+    },
+}
+
+
+def rows(suite: str, reports: Iterable[IdentityReport], case: Case,
+         expected_fail: bool | frozenset[str]) -> list[dict]:
+    """The `ROW_SCHEMA` rows of registry suite ``suite``, one per report.
+
+    ``expected_fail`` is True when every row is a misprint kept on display,
+    or the set of case labels that are.
+    """
+    out = []
+    for r in reports:
+        params = [render_value(p) for p in r.params]
+        if case is None:
+            label = f"({', '.join(params)})"
+        elif callable(case):
+            label = case(r)
+        else:
+            label = case.format(*params)
+        expected = expected_fail is True or label in (expected_fail or ())
+        row = {
+            "suite": suite,
+            "case": label,
+            "params": params,
+            "lhs": render_value(r.lhs),
+            "rhs": render_value(r.rhs),
+            "status": row_status(r.passed, expected, r.gate),
+            "witness": (None if r.witness is None
+                        else [render_value(w) for w in r.witness]),
+        }
+        for key, value in (("lhs", r.lhs), ("rhs", r.rhs)):
+            if isinstance(value, Bracket):
+                row[f"{key}_enclosure"] = value.to_json()
+        if r.detail:
+            row["detail"] = {k: render_value(v) for k, v in r.detail.items()}
+        out.append(row)
+    return out

@@ -4,6 +4,10 @@ The first rule: suite ids live in the registry alone.  A row's ``suite``
 comes from the registry declaration that ran it, so no other module may
 spell one, whether as a string constant or as the constant head of an
 f-string.  Docstrings may name suites.
+
+The second rule: every report is made by ``report.report_check``, which
+alone decides that a witness is present exactly when the check fails, so
+no module but ``report.py`` calls ``IdentityReport``.
 """
 
 import ast
@@ -68,3 +72,33 @@ def f(kind):
     return a, b, c, d
 '''
     assert suite_id_literals(source) == [(5, "geom.ceva"), (6, "sum.")]
+
+
+def identity_report_calls(source: str) -> list[int]:
+    """Lines that call ``IdentityReport``, by name or as an attribute."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (isinstance(node.func, ast.Name)
+             and node.func.id == "IdentityReport"
+             or isinstance(node.func, ast.Attribute)
+             and node.func.attr == "IdentityReport"))
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")
+                                        if p.name != "report.py"))
+def test_only_report_check_builds_reports(path):
+    assert identity_report_calls((SRC / path).read_text()) == []
+
+
+def test_audit_sees_direct_and_attribute_calls_but_not_annotations():
+    source = '''
+from .report import IdentityReport
+def f(p) -> IdentityReport:
+    """Docstring naming IdentityReport(...)."""
+    a = IdentityReport(p, 1, 1, True)
+    b = report.IdentityReport(p, 1, 2, False, p)
+    kinds = [IdentityReport]
+    return a, b, isinstance(a, IdentityReport)
+'''
+    assert identity_report_calls(source) == [5, 6]

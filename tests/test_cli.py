@@ -9,11 +9,14 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twoside import analysis_brackets as ab
 from twoside import divisors as dv
-from twoside import jordan_measure, lattice_pick, polyform, sums_fib
+from twoside import euclid_checks, jordan_measure, lattice_pick, polyform
+from twoside import sums_fib
 from twoside import probability_games as prob
-from twoside.cli import ROW_SCHEMA, _json_rows, build_parser, main
+from twoside.cli import _json_rows, build_parser, main
 from twoside.registry import SUITES, SWEEP_MAX_TRIALS, SuiteParams
+from twoside.report import ROW_SCHEMA
 
 # sha256 of `twoside check all --format json`; test_startup.py checks the same
 # bytes from a fresh interpreter.
@@ -155,6 +158,40 @@ class TestCheck:
         row = out.splitlines()[1].split()
         assert row[0] == "alg.pythagoras_trapezoid"
         assert row[-4:] == ["FAIL", "3", "4", "6"]
+
+    def test_failing_ceva_witness_is_the_point_alone(self, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(euclid_checks, "ceva_product",
+                            lambda *_: Fraction(2))
+        code, out, err = run_cli(capsys, "check", "geom.ceva", "--trials",
+                                 "1", "--format", "json")
+        assert (code, err) == (1, "")
+        [row] = json.loads(out)
+        jsonschema.validate(row, ROW_SCHEMA)
+        assert row["status"] == "FAIL"
+        assert len(row["params"]) == 4
+        assert row["witness"] == row["params"][3:]
+        assert row["case"] == f"p={row['witness'][0]}"
+
+    def test_failing_identity_witness_is_the_search_point(self, capsys,
+                                                          monkeypatch):
+        builtins = polyform.builtin_identities
+
+        def broken():
+            table = builtins()
+            a, b, c = polyform.Var("a"), polyform.Var("b"), polyform.Var("c")
+            table["distr"] = ((b + c) * a, b * a + c * a + a, ("a", "b", "c"))
+            return table
+        monkeypatch.setattr(polyform, "builtin_identities", broken)
+        code, out, err = run_cli(capsys, "check", "alg.distr",
+                                 "--format", "json")
+        assert (code, err) == (1, "")
+        [row] = json.loads(out)
+        jsonschema.validate(row, ROW_SCHEMA)
+        assert row["status"] == "FAIL"
+        assert row["params"] == ["a", "b", "c"]
+        # the first point of the search at which a != 0
+        assert row["witness"] == ["1", "0", "0"]
 
     @pytest.mark.parametrize("params", [SuiteParams(),
                                         SuiteParams(max_n=6, trials=4)],
@@ -317,6 +354,31 @@ class TestConverge:
         assert len(out.strip().splitlines()) == 10  # header + 9 digit rows
         assert len(err.strip().splitlines()) == 1
         assert "1/10000000000000000000" in err
+
+    def test_cap_accepts_its_boundary(self, capsys):
+        code, out, err = run_cli(capsys, "converge", "sqrt2", "--doublings",
+                                 str(ab.CONVERGE_MAX_STEPS - 1),
+                                 "--format", "csv")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == ab.CONVERGE_MAX_STEPS + 1  # + header
+        code, out, err = run_cli(capsys, "converge", "sqrt2", "--tol",
+                                 "1/100", "--max-steps",
+                                 str(ab.CONVERGE_MAX_STEPS))
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--doublings", "2000"],
+         "--doublings is at most 1999 on the sqrt2 ladder"),
+        (["--tol", "1/100", "--max-steps", "2001"],
+         "--max-steps is at most CONVERGE_MAX_STEPS = 2000")])
+    def test_cap_refused_before_any_ladder(self, capsys, monkeypatch, argv,
+                                           message):
+        def fail(*_):
+            raise AssertionError("a ladder was built before the cap")
+        monkeypatch.setattr(ab, "named_generator", fail)
+        code, out, err = run_cli(capsys, "converge", "sqrt2", *argv)
+        assert (code, out) == (2, "")
+        assert err.strip().splitlines() == [message]
 
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_max_steps_not_positive_exit_2(self, capsys, steps):
@@ -481,6 +543,8 @@ USAGE_ERRORS = [
     (["converge", "power", "--doublings", "9"], None),
     (["converge", "pi", "--tol", "0"], None),
     (["converge", "sqrt2", "--max-steps", "0"], None),
+    (["converge", "pi", "--doublings", "2000"], None),
+    (["converge", "sqrt2", "--max-steps", "2001"], None),
     (["divisors", "--n", "0"], None),
     (["divisors", "--n", "1000000000000"], None),
     (["divisors", "--n", "10001"], None),

@@ -42,7 +42,7 @@ class TestChainSolve:
         to_win = absorbing_chain_solve(chain)
         flipped = AbsorbingChain(chain.transitions, chain.lose, chain.win)
         to_lose = absorbing_chain_solve(flipped)
-        for state in chain.states():
+        for state in chain.transitions:
             assert to_win[state] + to_lose[state] == 1
 
     def test_validation_errors(self):

@@ -8,8 +8,14 @@ from twoside import probability_games
 from twoside.exact_core import Bracket, rat_to_str
 from twoside.registry import SUITES, SuiteParams
 from twoside.report import (EXPECTED_FAIL, FAIL, PASS, WARN, IdentityReport,
-                            render_value, report_check, row_status)
+                            render_value, report_check, row_status, rows)
 from oracles import rat_to_str_fraction, render_value_isinstance
+
+
+def _row(report: IdentityReport) -> dict:
+    """The row of ``report`` in a suite "s" without case labels."""
+    [row] = rows("s", [report], None, False)
+    return row
 
 
 class TestRowStatus:
@@ -25,12 +31,12 @@ class TestRowStatus:
         report = report_check((3,), 1, 1, True, gate=FAIL)
         assert not report.passed
         assert report.witness == (3,)
-        assert report.row("s")["status"] == FAIL
+        assert _row(report)["status"] == FAIL
 
     def test_warn_gate_kept_on_a_passing_report(self):
         report = report_check((3,), 1, 1, True, gate=WARN)
         assert report.witness is None
-        assert report.row("s")["status"] == WARN
+        assert _row(report)["status"] == WARN
 
     def test_passing_report_cannot_carry_a_failed_gate(self):
         with pytest.raises(ValueError):
@@ -95,7 +101,7 @@ class TestRenderOracle:
     def test_row_params_and_case_match_the_oracle(self):
         report = report_check((True, np.int64(-3), Fraction(-1, 2),
                                (1, Fraction(2, 4))), 1, 1, True)
-        row = report.row("s")
+        row = _row(report)
         assert row["params"] == ["true", "-3", "-1/2", "(1, 1/2)"]
         assert row["case"] == render_value_isinstance(report.params)
 
@@ -121,7 +127,7 @@ class TestRowSides:
             "equal_fractions", "failing_ints", "failing_fractions",
             "bracket_lhs", "bracket_rhs", "huge_int", "huge_negative_int"])
     def test_each_side_as_render_value(self, report):
-        row = report.row("s")
+        row = _row(report)
         assert row["lhs"] == render_value(report.lhs)
         assert row["rhs"] == render_value(report.rhs)
 
