@@ -62,66 +62,47 @@ def _fmt_csv(rows: list[dict], columns: list[str]) -> Iterator[str]:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _json_value(v, indent: str) -> str:
-    """``v`` as ``json.dumps(indent=2, default=str)`` writes it at ``indent``.
+def _json_rows(rows: list[dict]) -> Iterator[str]:
+    """``json.dumps(rows, indent=2) + "\\n"``, one row per chunk.
 
-    Exact ints and non-empty dicts of str to str (a row's ``detail`` and
-    enclosures) are written here; anything else goes to the stdlib, whose
-    newlines are then re-indented (a JSON string never holds a raw newline).
+    A row is a dict with str keys whose values are str, int, None, a list
+    of str or a dict of str to str; any other value is a TypeError.  With
+    an indent the stdlib encoder runs in pure Python and holds every chunk
+    of the whole document in one list; writing the chunks as they come
+    keeps no copy of the whole document in memory.
     """
-    cls = type(v)
-    if cls is int:
-        return int.__repr__(v)
-    if cls is dict and v and all(type(k) is str and type(x) is str
-                                 for k, x in v.items()):
-        inner = indent + "  "
-        fields = [_encode_str(k) + ": " + _encode_str(x) for k, x in v.items()]
-        return ("{\n" + inner + (",\n" + inner).join(fields)
-                + "\n" + indent + "}")
-    return json.dumps(v, indent=2, default=str).replace("\n", "\n" + indent)
-
-
-def _json_rows(rows: list) -> Iterator[str]:
-    """``json.dumps(rows, indent=2, default=str) + "\\n"``, one row per chunk.
-
-    With an indent the stdlib encoder runs in pure Python and holds every
-    chunk of the whole document in one list; a dict row with str keys is
-    joined here from its fields instead: strings, None and non-empty lists
-    of strings inline, other values through `_json_value`.  Writing the
-    chunks as they come keeps no copy of the whole document in memory.
-    """
-    if not rows:
-        yield "[]\n"
-        return
     keys: dict[str, str] = {}     # each key encoded once, with its ": "
     sep = "[\n  "
     for row in rows:
-        if type(row) is dict and row:
-            fields = []
-            for k, v in row.items():
+        fields = []
+        for k, v in row.items():
+            key = keys.get(k)
+            if key is None:
                 if type(k) is not str:
-                    break           # the stdlib writes the whole row
-                key = keys.get(k)
-                if key is None:
-                    key = keys[k] = _encode_str(k) + ": "
-                cls = type(v)
-                if cls is str:
-                    fields.append(key + _encode_str(v))
-                elif v is None:
-                    fields.append(key + "null")
-                elif cls is list and v and all(type(x) is str for x in v):
-                    fields.append(key + "[\n      "
-                                  + ",\n      ".join(map(_encode_str, v))
-                                  + "\n    ]")
-                else:
-                    fields.append(key + _json_value(v, "    "))
+                    raise TypeError(f"a row key must be a str, not {k!r}")
+                key = keys[k] = _encode_str(k) + ": "
+            cls = type(v)
+            if cls is str:
+                fields.append(key + _encode_str(v))
+            elif v is None:
+                fields.append(key + "null")
+            elif cls is int:
+                fields.append(key + int.__repr__(v))
+            elif cls is list and all(type(x) is str for x in v):
+                fields.append(key + ("[\n      "
+                                     + ",\n      ".join(map(_encode_str, v))
+                                     + "\n    ]" if v else "[]"))
+            elif cls is dict and all(type(x) is str and type(y) is str
+                                     for x, y in v.items()):
+                fields.append(key + ("{\n      " + ",\n      ".join(
+                    [_encode_str(x) + ": " + _encode_str(y)
+                     for x, y in v.items()]) + "\n    }" if v else "{}"))
             else:
-                yield sep + "{\n    " + ",\n    ".join(fields) + "\n  }"
-                sep = ",\n  "
-                continue
-        yield sep + _json_value(row, "  ")
+                raise TypeError(f"a row cannot hold {v!r} at {k!r}")
+        yield sep + ("{\n    " + ",\n    ".join(fields) + "\n  }"
+                     if fields else "{}")
         sep = ",\n  "
-    yield "\n]\n"
+    yield "[]\n" if sep == "[\n  " else "\n]\n"
 
 
 def _emit(rows: list[dict], columns: list[str], fmt: str, out_path) -> None:
@@ -175,23 +156,19 @@ def _cmd_list(args) -> Rows:
 
 def _cmd_converge(args) -> Rows:
     rungs = ab.LADDER_RUNGS.get(args.generator, ab.CONVERGE_MAX_STEPS)
-    doublings = min(12, rungs - 1) if args.doublings is None \
-        else args.doublings
+    doublings = args.doublings
+    if doublings is None:
+        doublings = min(12 if args.tol is None else 199, rungs - 1)
     if doublings < 0:
         raise DomainError("--doublings must be non-negative")
     if doublings >= rungs:
         raise DomainError(f"--doublings is at most {rungs - 1} on the "
                           f"{args.generator} ladder")
-    if args.max_steps < 1:
-        raise DomainError("--max-steps must be positive")
-    if args.max_steps > ab.CONVERGE_MAX_STEPS:
-        raise DomainError("--max-steps is at most CONVERGE_MAX_STEPS = "
-                          f"{ab.CONVERGE_MAX_STEPS}")
     gen = ab.named_generator(args.generator)
     if args.tol is None:
         gen = islice(gen, doublings + 1)
     else:
-        gen = ab.refine(gen, rat_from_str(args.tol), args.max_steps)
+        gen = ab.refine(gen, rat_from_str(args.tol), doublings + 1)
     # A generator, so the rows made before a missed tolerance reach `main`.
     rows = ({"step": step,
              "lo": rat_to_str(b.lo),
@@ -324,19 +301,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv = sub.add_parser("converge", parents=[common],
                             help="emit (step, lo, hi, width) refinement rows")
     p_conv.add_argument("generator", help=f"one of {ab.GENERATOR_NAMES}")
-    group = p_conv.add_mutually_exclusive_group()
-    group.add_argument("--tol", default=None,
-                       help="refine until width <= this rational, e.g. 1/100")
+    p_conv.add_argument("--tol", default=None,
+                        help="stop at the first bracket of width <= this "
+                             "rational, e.g. 1/100")
     last = ", ".join(f"{name} {rungs - 1}"
                      for name, rungs in ab.LADDER_RUNGS.items())
-    cap = ab.CONVERGE_MAX_STEPS
-    group.add_argument("--doublings", type=int, default=None,
-                       help="emit exactly N + 1 brackets (default 12, at "
-                            f"most {cap - 1}); a ladder that ends caps N at, "
-                            f"and defaults it to, its last step: {last}")
-    p_conv.add_argument("--max-steps", type=int, default=200, dest="max_steps",
-                        help="with --tol, give up after this many brackets "
-                             f"(default 200, at most {cap})")
+    p_conv.add_argument("--doublings", type=int, default=None,
+                        help="emit at most N + 1 brackets, exactly N + 1 "
+                             "without --tol (default 12, or 199 with --tol; "
+                             f"at most {ab.CONVERGE_MAX_STEPS - 1}); a ladder "
+                             "that ends caps N at, and defaults it to, its "
+                             f"last step: {last}")
     p_conv.set_defaults(run=_cmd_converge)
 
     p_div = sub.add_parser("divisors", parents=[common],

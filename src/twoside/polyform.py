@@ -168,14 +168,6 @@ class Polynomial:
             result = result * self
         return result
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

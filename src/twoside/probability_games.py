@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from ._lazy import np
 from .analysis_brackets import geometric_series_sum
@@ -208,8 +208,13 @@ class SeriesIndexReport:
     matches: Mapping[int, bool]
 
 
-def coin_series_index_report(n: int, candidates: Sequence[int] = (0, 1),
-                             l_max: int = 60) -> SeriesIndexReport:
+#: The lower summation indices `coin_series_index_report` tries, and the
+#: last index it sums before bounding the tail.
+_INDEX_CANDIDATES = (0, 1)
+_INDEX_L_MAX = 60
+
+
+def coin_series_index_report(n: int) -> SeriesIndexReport:
     """Which lower summation index makes the series meet the DP value.
 
     Nothing is silently corrected: the report carries one rigorous bracket
@@ -219,8 +224,8 @@ def coin_series_index_report(n: int, candidates: Sequence[int] = (0, 1),
     exact = coin_game_exact(n)
     brackets = {}
     matches = {}
-    for l_start in candidates:
-        bracket = coin_series_tail_bracket(n, l_start, l_max)
+    for l_start in _INDEX_CANDIDATES:
+        bracket = coin_series_tail_bracket(n, l_start, _INDEX_L_MAX)
         brackets[l_start] = bracket
         matches[l_start] = bracket.contains(exact)
     return SeriesIndexReport(n, exact, brackets, matches)

@@ -8,9 +8,8 @@ and every check row by :func:`rows`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .exact_core import Bracket, _int_to_str, rat_to_str
 
@@ -70,9 +69,8 @@ def render_value(v: Any) -> str:
     return str(v)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """One verified (lhs, rhs) comparison.
+class IdentityReport(NamedTuple):
+    """One verified (lhs, rhs) comparison, made by :func:`report_check`.
 
     ``witness`` is present exactly when the comparison failed; for numeric
     identity checks it is the parameter point at which the two sides differ.
@@ -88,14 +86,6 @@ class IdentityReport:
     detail: Mapping[str, Any] | None = None
     gate: str = PASS
 
-    def __post_init__(self):
-        if self.passed and self.witness is not None:
-            raise ValueError("witness must be absent on a passing report")
-        if not self.passed and self.witness is None:
-            raise ValueError("failing report requires a witness")
-        if self.passed and self.gate not in (PASS, WARN):
-            raise ValueError("a report whose gate failed cannot pass")
-
 
 def report_check(params: Sequence, lhs, rhs, passed: bool,
                  detail: Mapping[str, Any] | None = None,
@@ -106,8 +96,10 @@ def report_check(params: Sequence, lhs, rhs, passed: bool,
 
     A passing report carries no witness.  A simulation ``gate`` of FAIL
     fails the report, so that every FAIL carries a witness; WARN is kept
-    for the status.
+    for the status.  Any other gate is a ValueError.
     """
+    if gate not in (PASS, WARN, FAIL):
+        raise ValueError(f"gate must be PASS, WARN or FAIL, not {gate!r}")
     params = tuple(params)
     passed = passed and gate != FAIL
     witness = None if passed else witness or params

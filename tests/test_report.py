@@ -38,9 +38,20 @@ class TestRowStatus:
         assert report.witness is None
         assert _row(report)["status"] == WARN
 
-    def test_passing_report_cannot_carry_a_failed_gate(self):
-        with pytest.raises(ValueError):
-            IdentityReport((3,), 1, 1, True, gate=FAIL)
+    @given(st.booleans(), st.sampled_from([PASS, WARN, FAIL]),
+           st.one_of(st.none(), st.tuples(st.integers())))
+    def test_report_check_holds_the_witness_rule(self, passed, gate,
+                                                 witness):
+        report = report_check((3,), 1, 2, passed, gate=gate, witness=witness)
+        assert report.passed == (passed and gate != FAIL)
+        assert (report.witness is None) == report.passed
+        if not report.passed:
+            assert report.witness == (witness or (3,))
+        assert report.gate == gate
+
+    def test_unknown_gate_is_refused(self):
+        with pytest.raises(ValueError, match="gate"):
+            report_check((3,), 1, 1, True, gate="pass")
 
 
 class TestDiceGate:
