@@ -204,15 +204,15 @@ def _cmd_divisors(args) -> Rows:
 
 def _cmd_jordan(args) -> Rows:
     region = jm.parse_region(args.region)
-    result = jm.jordan_refine(region, rat_from_str(args.tol), args.max_n)
-    rows = [{
-        "n": n,
-        "inner": rat_to_str(b.lo),
-        "outer": rat_to_str(b.hi),
-        "width": rat_to_str(b.width),
-        "inner_dec": rat_to_decimal(b.lo, 12),
-        "outer_dec": rat_to_decimal(b.hi, 12),
-    } for n, b in result.steps]
+    ladder = jm.jordan_refine(region, rat_from_str(args.tol), args.max_n)
+    # A generator, so the rows made before a missed tolerance reach `main`.
+    rows = ({"n": n,
+             "inner": rat_to_str(b.lo),
+             "outer": rat_to_str(b.hi),
+             "width": rat_to_str(b.width),
+             "inner_dec": rat_to_decimal(b.lo, 12),
+             "outer_dec": rat_to_decimal(b.hi, 12)}
+            for n, b in ladder)
     return rows, ["n", "inner", "outer", "width", "inner_dec", "outer_dec"]
 
 

@@ -13,7 +13,6 @@ import enum
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from ._lazy import np
 from .exact_core import DomainError
@@ -236,7 +235,7 @@ def _count_no_adjacent_ones(n: int) -> int:
     joined and the whole string is tested again, which catches a 1 on both
     sides of the seam.  Pairs go through numpy in blocks of about
     ``_COLORING_BLOCK`` strings.  uint32 words hold n <= 30 bits, the cap
-    that `constrained_colorings` enforces.
+    that `colorings_report` enforces.
     """
     low_bits = n // 2
     high = _no_adjacent_masks(n - low_bits)
@@ -249,28 +248,17 @@ def _count_no_adjacent_ones(n: int) -> int:
     return int(count)
 
 
-@dataclass(frozen=True)
-class ColoringReport:
-    n: int
-    count: int
-    fib_check: bool    # count == f_{n+2}
-    binom_check: bool  # count == sum_k C(n-k+1, k)
-
-
-def constrained_colorings(n: int) -> ColoringReport:
-    """Count length-n strings with no two adjacent 1s by testing candidates."""
+def colorings_report(n: int) -> IdentityReport:
+    """Length-n strings with no two adjacent 1s, counted by testing
+    candidates, against f_{n+2}; the report passes when the count also
+    equals sum_k C(n-k+1, k)."""
     if not 1 <= n <= 30:
         raise DomainError("enumeration capped at 1 <= n <= 30")
     count = _count_no_adjacent_ones(n)
+    fib_side = fibonacci(n + 2)
     binom_side = sum(binomial(n - k + 1, k) for k in range((n + 1) // 2 + 1))
-    return ColoringReport(n, count, count == fibonacci(n + 2),
-                          count == binom_side)
-
-
-def colorings_report(n: int) -> IdentityReport:
-    r = constrained_colorings(n)
-    passed = r.fib_check and r.binom_check
-    return report_check((n,), r.count, fibonacci(n + 2), passed)
+    return report_check((n,), count, fib_side,
+                        count == fib_side and count == binom_side)
 
 
 # --- partitions ----------------------------------------------------------------

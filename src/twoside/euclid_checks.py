@@ -178,22 +178,14 @@ def ceva_converse_check(cfg: CevaConfig) -> IdentityReport:
                         _same_point(z_prime, z))
 
 
-@dataclass(frozen=True)
-class SquaresFitReport:
-    x: Fraction
-    y: Fraction
-    intersection: RatPoint
-    on_bg: bool
-    passed: bool
-
-
-def squares_intersection_check(a, b) -> SquaresFitReport:
+def squares_fit_report(a, b) -> IdentityReport:
     """Two squares on a common baseline: AF and DE cross on side BG.
 
     Square ABCD has side a with A=(-a,0), B=(0,0), C=(0,a), D=(-a,a);
     square BEFG has side b with E=(b,0), F=(b,b), G=(0,b).  The similarity
-    ratios x/a = b/(a+b) and y/b = a/(a+b) both give ab/(a+b), and the
-    exact segment intersection confirms the common point.
+    ratios x/a = b/(a+b) and y/b = a/(a+b) both give ab/(a+b), the two
+    sides of the report, and the exact segment intersection, its
+    ``intersection`` detail, confirms the common point.
     """
     (an, ad), (bn, bd) = _rational(a), _rational(b)
     if an <= 0 or bn <= 0:
@@ -209,11 +201,5 @@ def squares_intersection_check(a, b) -> SquaresFitReport:
     on_bg = h[0] == 0 and 0 < h[1] and h[1] * w < sb * h[2]
     passed = (_same_point(h, i) and on_bg and h[1] * xd == xn * h[2]
               and i[1] * yd == yn * i[2] and xn * yd == yn * xd)
-    return SquaresFitReport(Fraction(xn, xd), Fraction(yn, yd), _affine(h),
-                            on_bg, passed)
-
-
-def squares_fit_report(a, b) -> IdentityReport:
-    r = squares_intersection_check(a, b)
-    return report_check((Fraction(a), Fraction(b)), r.x, r.y, r.passed,
-                        {"intersection": r.intersection})
+    return report_check((Fraction(a), Fraction(b)), Fraction(xn, xd),
+                        Fraction(yn, yd), passed, {"intersection": _affine(h)})

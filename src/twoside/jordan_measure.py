@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .analysis_brackets import refine
 from .exact_core import Bracket, DomainError, RationalLike, rat_from_str
@@ -214,25 +215,22 @@ def jordan_bracket(region: Region, n: int) -> Bracket:
     return Bracket(inner_cells * cell_area, outer_cells * cell_area)
 
 
-@dataclass(frozen=True)
-class RefineResult:
-    bracket: Bracket
-    n: int
-    steps: tuple[tuple[int, Bracket], ...]
-
-
 def jordan_refine(region: Region, tol: RationalLike,
-                  max_n: int = 1 << 12) -> RefineResult:
-    """Double the grid density from n=1 until the bracket width is <= tol."""
+                  max_n: int = 1 << 12) -> Iterator[tuple[int, Bracket]]:
+    """(n, bracket) on grids n = 1, 2, 4, ... <= max_n, up to and including
+    the first bracket of width <= tol.
+
+    `max_n` and the largest rung's rows are refused here, before any row is
+    classified; a ladder that ends without reaching the tolerance raises
+    NonConvergenceError after its last pair.
+    """
     if max_n < 1:
         raise DomainError("max_n must be a positive integer")
-    rungs = max_n.bit_length()  # n = 1, 2, 4, ... <= max_n
+    rungs = max_n.bit_length()
     _require_rows(region, 1 << (rungs - 1))
     ladder = (jordan_bracket(region, 1 << i) for i in range(rungs))
-    steps = tuple((1 << i, bracket) for i, bracket
-                  in enumerate(refine(ladder, tol, rungs)))
-    n, bracket = steps[-1]
-    return RefineResult(bracket, n, steps)
+    return ((1 << i, bracket)
+            for i, bracket in enumerate(refine(ladder, tol, rungs)))
 
 
 def parse_region(spec: str) -> Region:

@@ -33,7 +33,7 @@ __all__ = [
     "coin_game_closed_form",
     "coin_game_series_partial",
     "coin_series_tail_bracket",
-    "coin_series_index_report",
+    "coin_series_index_reports",
     "GameReport",
     "MonteCarloReport",
 ]
@@ -200,35 +200,26 @@ def coin_series_tail_bracket(n: int, l_start: int, l_max: int) -> Bracket:
     return Bracket(partial, partial + first_omitted / (1 - ratio))
 
 
-@dataclass(frozen=True)
-class SeriesIndexReport:
-    n: int
-    exact: Fraction
-    brackets: Mapping[int, Bracket]
-    matches: Mapping[int, bool]
-
-
-#: The lower summation indices `coin_series_index_report` tries, and the
+#: The lower summation indices `coin_series_index_reports` tries, and the
 #: last index it sums before bounding the tail.
 _INDEX_CANDIDATES = (0, 1)
 _INDEX_L_MAX = 60
 
 
-def coin_series_index_report(n: int) -> SeriesIndexReport:
+def coin_series_index_reports(n: int) -> list[IdentityReport]:
     """Which lower summation index makes the series meet the DP value.
 
-    Nothing is silently corrected: the report carries one rigorous bracket
-    per candidate start index and the exact value either lies inside it or
-    provably does not.
+    Nothing is silently corrected: one report per candidate start index
+    compares a rigorous bracket, as its string, with the exact value, which
+    either lies inside it or provably does not.
     """
     exact = coin_game_exact(n)
-    brackets = {}
-    matches = {}
+    reports = []
     for l_start in _INDEX_CANDIDATES:
         bracket = coin_series_tail_bracket(n, l_start, _INDEX_L_MAX)
-        brackets[l_start] = bracket
-        matches[l_start] = bracket.contains(exact)
-    return SeriesIndexReport(n, exact, brackets, matches)
+        reports.append(report_check((n, l_start), str(bracket), exact,
+                                    bracket.contains(exact)))
+    return reports
 
 
 # --- seeded Monte Carlo ------------------------------------------------------------

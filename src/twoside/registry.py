@@ -297,15 +297,6 @@ def _dice(params: SuiteParams):
     return [game.report((params.terms,))]
 
 
-def _coin_series(params: SuiteParams):
-    """One row per candidate start index of the series for the coin game."""
-    for n in range(1, min(params.max_n, 12) + 1):
-        report = prob.coin_series_index_report(n)
-        for l_start, matches in sorted(report.matches.items()):
-            yield report_check((n, l_start), str(report.brackets[l_start]),
-                               report.exact, matches)
-
-
 # --- the table -----------------------------------------------------------------------
 
 def _build() -> dict[str, Suite]:
@@ -383,7 +374,8 @@ def _build() -> dict[str, Suite]:
                 "digits={0}"),
         _nested("pi.doubling", "circle",
                 lambda p: ab.pi_bracket_sequence(min(p.digits + 6, 12),
-                                                 Fraction(1, 10 ** 12)),
+                                                 Fraction(1, 10 ** 12))
+                if p.digits >= -6 else (),
                 "doublings={0}"),
         _suite("limit.nthroot", "limits", _limit, "steps={0}"),
         _suite("geom.ceva", "euclid", _ceva, "p={3}", check=_require_trials),
@@ -406,7 +398,9 @@ def _build() -> dict[str, Suite]:
                           for n in range(1, min(p.max_n, 12) + 1)), "n={0}"),
         # The printed series starts at L = 1 and so drops the L = 0 term,
         # which is nonzero only for the first head.
-        _suite("prob.coin_series", "probability", _coin_series,
+        _suite("prob.coin_series", "probability",
+               lambda p: (r for n in range(1, min(p.max_n, 12) + 1)
+                          for r in prob.coin_series_index_reports(n)),
                "n={0},l_start={1}",
                expected_fail=frozenset({"n=1,l_start=1"})),
     ]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+from functools import partial
 from typing import Iterator
 
 from .exact_core import DomainError
@@ -52,79 +53,83 @@ def fibonacci(n: int) -> int:
     return a
 
 
-def _counting_sides(kind: SumKind) -> Iterator[int]:
-    """The literal sum at n = 1, 2, ...: each n adds only the terms it brings.
+# The counting side of each kind: the literal sum at n = 1, 2, ..., where
+# each n adds only the terms it brings.
 
-    A palindrome is its ascending run plus the previous n's ascending run
-    read downwards.  Every term of a cube layer stack n+2n+...+n*n+...+n
-    changes with n, so that kind alone is re-summed at each n, and a sweep
-    over it costs O(max_n^2) additions.  Those additions still take every
-    term n*i literally; two range sums make them in C.
-    """
-    n = 0
-    total = 0
-    if kind is SumKind.FIB_SQUARES:
-        a, b = 1, 1
-        while True:
-            total += a * a
-            yield total
-            a, b = b, a + b
-    if kind in (SumKind.UPDOWN, SumKind.ADJ_TRIANGULAR):
-        up = 0
-        while True:
-            n += 1
-            previous, up = up, up + n
-            if kind is SumKind.UPDOWN:
-                yield up + previous  # 1+...+n + (n-1)+...+1
-            else:
-                yield up + (up + n + 1)  # T_n + T_{n+1}
-    if kind is SumKind.PALINDROME_ODD:
-        up = 1
-        while True:
-            n += 1
-            previous, up = up, up + 2 * n + 1
-            yield up + previous  # 1+3+...+(2n+1) + (2n-1)+...+3+1
-    if kind is SumKind.CUBE_LAYERS:
-        while True:
-            n += 1
-            # n + 2n + ... + n*n, then n*(n-1) + ... + 2n + n
-            yield sum(range(n, n * n + 1, n)) + sum(range(n * (n - 1), 0, -n))
-    step = {
-        SumKind.TRIANGULAR: lambda n: n,
-        SumKind.TRIANGULAR_BINOM: lambda n: n,
-        SumKind.ODD_SQUARE: lambda n: 2 * n - 1,
-        SumKind.EVEN: lambda n: 2 * n,
-        SumKind.SQUARES: lambda n: n * n,
-        SumKind.CUBES: lambda n: n ** 3,
-    }[kind]
+def _running(step) -> Iterator[int]:
+    """step(1) + ... + step(n), one term added per n."""
+    n = total = 0
     while True:
         n += 1
         total += step(n)
         yield total
 
 
-def _sum_rhs(kind: SumKind, n: int) -> int:
-    if kind is SumKind.TRIANGULAR:
-        return n * (n + 1) // 2
-    if kind is SumKind.ODD_SQUARE or kind is SumKind.UPDOWN:
-        return n * n
-    if kind is SumKind.EVEN:
-        return n * (n + 1)
-    if kind is SumKind.SQUARES:
-        return n * (n + 1) * (2 * n + 1) // 6
-    if kind is SumKind.CUBES:
-        return (n * (n + 1) // 2) ** 2
-    if kind is SumKind.FIB_SQUARES:
-        return fibonacci(n) * fibonacci(n + 1)
-    if kind is SumKind.ADJ_TRIANGULAR:
-        return (n + 1) ** 2
-    if kind is SumKind.PALINDROME_ODD:
-        return n * n + (n + 1) ** 2
-    if kind is SumKind.CUBE_LAYERS:
-        return n ** 3
-    if kind is SumKind.TRIANGULAR_BINOM:
-        return math.comb(n + 1, 2)
-    raise DomainError(f"unknown sum kind {kind!r}")
+def _fib_squares() -> Iterator[int]:
+    a, b, total = 1, 1, 0
+    while True:
+        total += a * a
+        yield total
+        a, b = b, a + b
+
+
+def _updown() -> Iterator[int]:
+    n = up = 0
+    while True:
+        n += 1
+        previous, up = up, up + n
+        yield up + previous  # 1+...+n + (n-1)+...+1
+
+
+def _adj_triangular() -> Iterator[int]:
+    n = up = 0
+    while True:
+        n += 1
+        up += n
+        yield up + (up + n + 1)  # T_n + T_{n+1}
+
+
+def _palindrome_odd() -> Iterator[int]:
+    """Its ascending run plus the previous n's ascending run read down."""
+    n, up = 0, 1
+    while True:
+        n += 1
+        previous, up = up, up + 2 * n + 1
+        yield up + previous  # 1+3+...+(2n+1) + (2n-1)+...+3+1
+
+
+def _cube_layers() -> Iterator[int]:
+    """Every term of n+2n+...+n*n+...+2n+n changes with n, so this kind
+    alone is re-summed at each n, and a sweep over it costs O(max_n^2)
+    additions.  Those additions still take every term n*i literally; two
+    range sums make them in C."""
+    n = 0
+    while True:
+        n += 1
+        # n + 2n + ... + n*n, then n*(n-1) + ... + 2n + n
+        yield sum(range(n, n * n + 1, n)) + sum(range(n * (n - 1), 0, -n))
+
+
+#: Each kind's (counting generator, closed form of n).
+_SUMS = {
+    SumKind.TRIANGULAR: (partial(_running, lambda n: n),
+                         lambda n: n * (n + 1) // 2),
+    SumKind.ODD_SQUARE: (partial(_running, lambda n: 2 * n - 1),
+                         lambda n: n * n),
+    SumKind.EVEN: (partial(_running, lambda n: 2 * n), lambda n: n * (n + 1)),
+    SumKind.UPDOWN: (_updown, lambda n: n * n),
+    SumKind.SQUARES: (partial(_running, lambda n: n * n),
+                      lambda n: n * (n + 1) * (2 * n + 1) // 6),
+    SumKind.CUBES: (partial(_running, lambda n: n ** 3),
+                    lambda n: (n * (n + 1) // 2) ** 2),
+    SumKind.FIB_SQUARES: (_fib_squares,
+                          lambda n: fibonacci(n) * fibonacci(n + 1)),
+    SumKind.ADJ_TRIANGULAR: (_adj_triangular, lambda n: (n + 1) ** 2),
+    SumKind.PALINDROME_ODD: (_palindrome_odd, lambda n: n * n + (n + 1) ** 2),
+    SumKind.CUBE_LAYERS: (_cube_layers, lambda n: n ** 3),
+    SumKind.TRIANGULAR_BINOM: (partial(_running, lambda n: n),
+                               lambda n: math.comb(n + 1, 2)),
+}
 
 
 def require_sum_n(max_n: int) -> None:
@@ -139,10 +144,15 @@ def sum_identity_sweep(kind: SumKind, max_n: int) -> list[IdentityReport]:
 
     The literal sum is extended term by term, so the sweep makes O(max_n)
     additions, except for cube_layers, which re-sums at every n and makes
-    O(max_n^2), done in C by range sums.
+    O(max_n^2), done in C by range sums.  An unknown kind is refused
+    before any term is added.
     """
-    return [report_equal((n,), lhs, _sum_rhs(kind, n))
-            for n, lhs in zip(range(1, max_n + 1), _counting_sides(kind))]
+    sides = _SUMS.get(kind)
+    if sides is None:
+        raise DomainError(f"unknown sum kind {kind!r}")
+    counting, closed = sides
+    return [report_equal((n,), lhs, closed(n))
+            for n, lhs in zip(range(1, max_n + 1), counting())]
 
 
 def fib_betweenness_report(m: int, n: int) -> IdentityReport:

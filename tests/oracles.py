@@ -26,7 +26,6 @@ import numpy as np
 
 from twoside import combinatorics as comb
 from twoside.analysis_brackets import GeometricReport, SwinesheadReport
-from twoside.euclid_checks import SquaresFitReport
 from twoside.lattice_pick import boundary_points
 from twoside.exact_core import (Bracket, DomainError, _int_to_str,
                                 _PowComparator, bracket_point)
@@ -807,8 +806,9 @@ def ceva_converse_check_fraction(cfg) -> IdentityReport:
     return report_check(cfg.ratios, z_prime, z, z_prime == z)
 
 
-def squares_intersection_check_fraction(a, b) -> SquaresFitReport:
-    """AF and DE met with BG in Fractions, against ab/(a+b) by similarity."""
+def squares_intersection_check_fraction(a, b) -> IdentityReport:
+    """AF and DE met with BG in Fractions, against ab/(a+b) by similarity:
+    the report `squares_fit_report` makes."""
     a, b = Fraction(a), Fraction(b)
     if a <= 0 or b <= 0:
         raise DomainError("square sides must be positive")
@@ -820,7 +820,7 @@ def squares_intersection_check_fraction(a, b) -> SquaresFitReport:
     on_bg = h[0] == 0 and 0 < h[1] < b
     passed = (h == i and on_bg and h[1] == x_sim and i[1] == y_sim
               and x_sim == y_sim)
-    return SquaresFitReport(x_sim, y_sim, h, on_bg, passed)
+    return report_check((a, b), x_sim, y_sim, passed, {"intersection": h})
 
 
 # --- report rendering by isinstance ------------------------------------------

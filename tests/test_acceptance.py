@@ -146,9 +146,9 @@ def test_criterion_06_combinatorics():
             for k in range(0, n + 1):
                 assert comb.binomial_enumeration_crosscheck(n, k).passed
         for n in range(1, 31):
-            report = comb.constrained_colorings(n)
-            assert report.count == comb.fibonacci(n + 2)
-            assert report.binom_check
+            report = comb.colorings_report(n)
+            assert report.lhs == comb.fibonacci(n + 2)
+            assert report.passed  # the count also equals the binomial sum
         for n in range(1, 26):
             for k in range(1, n + 1):
                 duality = comb.partition_duality_reports(n)[k - 1]
@@ -171,16 +171,15 @@ def test_criterion_07_pick():
 def test_criterion_08_jordan():
     with criterion(8, "Jordan inner/outer refinement", 20.0):
         machin_lo, machin_hi = machin_pi_bracket()
-        disk = jordan_refine(Disk((Fraction(0), Fraction(0)), Fraction(1)),
-                             Fraction(1, 20))
-        assert disk.bracket.lo <= machin_lo and machin_hi <= disk.bracket.hi
+        disk = [b for _, b in jordan_refine(
+            Disk((Fraction(0), Fraction(0)), Fraction(1)), Fraction(1, 20))]
+        assert disk[-1].lo <= machin_lo and machin_hi <= disk[-1].hi
         poly = ConvexPolygon(((0, 0), (3, 1), (2, 3), (-1, 2)))
         area = shoelace_rational(poly.vertices)
-        refined = jordan_refine(poly, Fraction(1, 50))
-        assert refined.bracket.contains(area)
-        assert refined.bracket.width <= Fraction(1, 50)
-        for result in (disk, refined):
-            steps = [bracket for _, bracket in result.steps]
+        refined = [b for _, b in jordan_refine(poly, Fraction(1, 50))]
+        assert refined[-1].contains(area)
+        assert refined[-1].width <= Fraction(1, 50)
+        for steps in (disk, refined):
             for coarse, fine in zip(steps, steps[1:]):
                 assert fine.lo >= coarse.lo and fine.hi <= coarse.hi
 
@@ -194,9 +193,9 @@ def test_criterion_09_probability():
         assert game.monte_carlo.status in (PASS, WARN)  # soft 3-sigma gate
         for n in range(1, 13):
             assert prob.coin_game_exact(n) == prob.coin_game_closed_form(n)
-        report = prob.coin_series_index_report(1)
-        assert report.matches[0] is True    # index 0 reproduces the DP value
-        assert report.matches[1] is False   # printed index 1 does not
+        index_0, index_1 = prob.coin_series_index_reports(1)
+        assert index_0.passed is True    # index 0 reproduces the DP value
+        assert index_1.passed is False   # printed index 1 does not
 
 
 def test_criterion_10_series():
@@ -234,8 +233,8 @@ def test_criterion_11_geometry():
             report = example(a1, a2, b1, b2)
             assert report.passed
             assert report.detail["equality"] == (a1 * b2 - a2 * b1 == 0)
-        from twoside.euclid_checks import squares_intersection_check
-        assert squares_intersection_check(1, 2).x == Fraction(2, 3)
+        from twoside.euclid_checks import squares_fit_report
+        assert squares_fit_report(1, 2).lhs == Fraction(2, 3)
 
 
 def test_criterion_11_mixture_printed_value():

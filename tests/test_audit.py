@@ -9,6 +9,11 @@ The second rule: every report is made by ``report.report_check``, which
 alone decides that a witness is present exactly when the check fails, so
 no code outside it calls ``IdentityReport`` or a named tuple's other
 constructors, ``_make`` and ``_replace``.
+
+The third rule: no floats.  Every comparison is exact, so the package
+holds no float or complex literal and calls no ``float``.  The one
+exception is the digit split of ``exact_core._int_to_str``, which only
+picks where to cut an integer in two.
 """
 
 import ast
@@ -117,3 +122,46 @@ def report_check(p):
     return IdentityReport(p, 1, 1, True)
 '''
     assert report_builds(source) == [5, 6, 8, 9]
+
+
+#: The one float literal allowed: (the function it is in, its value).
+FLOAT_EXCEPTION = ("_int_to_str", 0.30103)
+
+
+def float_uses(source: str) -> list[int]:
+    """Lines of each float or complex literal and each call of ``float``,
+    `FLOAT_EXCEPTION` excepted."""
+    tree = ast.parse(source)
+    name, value = FLOAT_EXCEPTION
+    allowed = {id(node)
+               for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name == name
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Constant) and node.value == value}
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if id(node) not in allowed
+        and (isinstance(node, ast.Constant)
+             and type(node.value) in (float, complex)
+             or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "float"))
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_floats(path):
+    assert float_uses((SRC / path).read_text()) == []
+
+
+def test_audit_sees_float_literals_and_calls_but_not_the_digit_split():
+    source = '''
+def _int_to_str(n):
+    """Docstring naming 0.5 and float(n)."""
+    return int(n.bit_length() * 0.30103)
+def f(x):
+    a = 0.30103
+    b = -1.5 + 2j
+    c = float(x) + 1e3
+    d = "2.5", isinstance(x, float), 3
+    return a, b, c, d
+'''
+    assert float_uses(source) == [6, 7, 7, 8, 8]

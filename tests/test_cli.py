@@ -131,6 +131,7 @@ class TestCheck:
         for argv, empty in (
                 (["pick.formula", "--trials", "0"], "pick.formula"),
                 (["power.sqrt2", "--digits", "-1"], "power.sqrt2"),
+                (["pi.doubling", "--digits", "-7"], "pi.doubling"),
                 (["prob.dice", "--trials", "0"], "prob.dice"),
                 (["sum.even", "geom.ceva", "--trials", "0"], "geom.ceva")):
             code, out, err = run_cli(capsys, "check", *argv)
@@ -432,12 +433,31 @@ class TestDedicatedCommands:
         assert len(err.strip().splitlines()) == 1
         assert "max_n" in err
 
-    def test_jordan_tol_not_reached_exits_1(self, capsys):
-        code, out, err = run_cli(capsys, "jordan", "--region", "disk:1",
-                                 "--tol", "1/1000000", "--max-n", "8")
+    @pytest.mark.parametrize("argv, made", [
+        (["jordan", "--region", "disk:1", "--tol", "1/1000000", "--max-n",
+          "8"],
+         ["n,inner,outer,width,inner_dec,outer_dec",
+          "1,0,4,4,0.000000000000,4.000000000000",
+          "2,1,4,3,1.000000000000,4.000000000000",
+          "4,2,15/4,7/4,2.000000000000,3.750000000000",
+          "8,41/16,7/2,15/16,2.562500000000,3.500000000000"]),
+        (["converge", "sqrt2", "--tol", "1/1000000000000", "--doublings",
+          "3"],
+         ["step,lo,hi,width,lo_dec,hi_dec,width_dec",
+          "0,1,2,1,1.000000000000000,2.000000000000000,1.000000000000000",
+          "1,1,3/2,1/2,1.000000000000000,1.500000000000000,"
+          "0.500000000000000",
+          "2,5/4,3/2,1/4,1.250000000000000,1.500000000000000,"
+          "0.250000000000000",
+          "3,11/8,3/2,1/8,1.375000000000000,1.500000000000000,"
+          "0.125000000000000"]),
+    ], ids=["jordan", "converge"])
+    def test_missed_tol_prints_rows_made_exits_1(self, capsys, argv, made):
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
         assert code == 1
-        assert out == ""
+        assert out.splitlines() == made  # the header and the four rows
         assert len(err.strip().splitlines()) == 1
+        assert "within 4 steps" in err
 
     def test_jordan_repeated_vertex(self, capsys):
         code, out, _ = run_cli(capsys, "jordan", "--region",

@@ -9,7 +9,7 @@ from twoside.combinatorics import (BinomKind,
                                    absorption_printed_minimal_witness,
                                    binom_identity_check, binomial,
                                    binomial_enumeration_crosscheck,
-                                   colorings_report, constrained_colorings,
+                                   colorings_report,
                                    partition_conjugate,
                                    partition_duality_reports,
                                    partitions_enumerate)
@@ -273,28 +273,37 @@ class TestIdentities:
 
 
 class TestColorings:
+    """The report's lhs is the count and its rhs f_{n+2}; it passes when
+    the count equals both f_{n+2} and sum_k C(n-k+1, k)."""
+
     def test_listed_values(self):
-        assert constrained_colorings(1).count == 2
-        assert constrained_colorings(2).count == 3
-        assert constrained_colorings(5).count == 13
+        assert colorings_report(1).lhs == 2
+        assert colorings_report(2).lhs == 3
+        assert colorings_report(5).lhs == 13
 
     def test_fib_and_binom_checks(self):
         for n in range(1, 19):
-            report = constrained_colorings(n)
-            assert report.fib_check and report.binom_check
-            assert report.count == fibonacci(n + 2)
+            report = colorings_report(n)
+            assert report.passed and report.params == (n,)
+            assert report.lhs == report.rhs == fibonacci(n + 2)
 
     def test_recurrence_from_counts(self):
-        counts = {n: constrained_colorings(n).count for n in range(1, 19)}
+        counts = {n: colorings_report(n).lhs for n in range(1, 19)}
         for n in range(3, 19):
             assert counts[n] == counts[n - 1] + counts[n - 2]
 
     def test_report_row(self):
         assert colorings_report(6).passed
 
+    def test_binom_side_alone_failing_fails_the_report(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "binomial", lambda n, k: 0)
+        report = colorings_report(6)
+        assert report.lhs == report.rhs == 21
+        assert not report.passed and report.witness == (6,)
+
     def test_cap(self):
         with pytest.raises(DomainError):
-            constrained_colorings(31)
+            colorings_report(31)
 
     @pytest.mark.parametrize("block", [None, 1, 16])
     def test_count_matches_brute_force(self, block, monkeypatch):
@@ -303,7 +312,7 @@ class TestColorings:
             monkeypatch.setattr(combinatorics, "_COLORING_BLOCK", block)
         for n in range(1, 17):
             brute = sum(1 for x in range(1 << n) if not x & (x >> 1))
-            assert constrained_colorings(n).count == brute
+            assert colorings_report(n).lhs == brute
 
 
 class TestPartitions:

@@ -10,7 +10,7 @@ from twoside.exact_core import DomainError
 from twoside.euclid_checks import (CevaConfig, _hom, _ratio_along,
                                    ceva_converse_check, ceva_product,
                                    ceva_product_report, line_intersection,
-                                   squares_intersection_check)
+                                   squares_fit_report)
 from twoside.rng import SplitMix64
 
 RIGHT = ((0, 0), (1, 0), (0, 1))
@@ -95,34 +95,38 @@ class TestCevaConverse:
 
 
 class TestSquaresFit:
+    """The report's sides are x and y, its detail the intersection."""
+
     def test_equal_sides(self):
-        report = squares_intersection_check(2, 2)
-        assert report.passed and report.x == 1  # a/2
+        report = squares_fit_report(2, 2)
+        assert report.passed and report.lhs == 1  # a/2
 
     def test_one_two(self):
-        report = squares_intersection_check(1, 2)
+        report = squares_fit_report(1, 2)
         assert report.passed
-        assert report.x == report.y == Fraction(2, 3)
+        assert report.lhs == report.rhs == Fraction(2, 3)
 
     def test_three_five(self):
-        report = squares_intersection_check(3, 5)
+        report = squares_fit_report(3, 5)
         assert report.passed
-        assert report.x == Fraction(15, 8)
-        assert report.intersection == (0, Fraction(15, 8))
+        assert report.lhs == Fraction(15, 8)
+        assert report.detail["intersection"] == (0, Fraction(15, 8))
 
     def test_intersection_strictly_inside_bg(self):
         rng = SplitMix64(99)
         for _ in range(100):
             a = Fraction(rng.below(25) + 1, rng.below(7) + 1)
             b = Fraction(rng.below(25) + 1, rng.below(7) + 1)
-            report = squares_intersection_check(a, b)
-            assert report.passed and report.on_bg
-            assert report.x == report.y == a * b / (a + b)
-            assert 0 < report.intersection[1] < b
+            report = squares_fit_report(a, b)
+            assert report.passed  # passing needs the meet on BG
+            assert report.params == (a, b)
+            assert report.lhs == report.rhs == a * b / (a + b)
+            x, y = report.detail["intersection"]
+            assert x == 0 and 0 < y < b
 
     def test_positive_sides_required(self):
         with pytest.raises(DomainError):
-            squares_intersection_check(0, 1)
+            squares_fit_report(0, 1)
 
 
 # --- the integer routes against the Fraction oracles -------------------------
@@ -247,5 +251,5 @@ class TestAgainstFractionOracles:
     @given(coords, coords)
     @example(Fraction(7, 3), Fraction(5, 2))
     def test_squares_intersection(self, a, b):
-        assert outcome(squares_intersection_check, a, b) == \
+        assert outcome(squares_fit_report, a, b) == \
             outcome(squares_intersection_check_fraction, a, b)

@@ -227,30 +227,33 @@ class TestScaledIntegerRows:
 
 
 class TestRefine:
+    """`jordan_refine` yields (n, bracket); its last pair is the result."""
+
     def test_disk_converges(self):
         disk = Disk((Fraction(0), Fraction(0)), Fraction(1))
-        result = jordan_refine(disk, Fraction(1, 10))
+        _, bracket = list(jordan_refine(disk, Fraction(1, 10)))[-1]
         machin_lo, machin_hi = machin_pi_bracket()
-        assert result.bracket.width <= Fraction(1, 10)
-        assert result.bracket.lo <= machin_lo and machin_hi <= result.bracket.hi
+        assert bracket.width <= Fraction(1, 10)
+        assert bracket.lo <= machin_lo and machin_hi <= bracket.hi
 
     def test_polygon_converges_to_shoelace(self):
         poly = ConvexPolygon(((0, 0), (3, 1), (2, 3), (-1, 2)))
         area = shoelace_rational(poly.vertices)
-        result = jordan_refine(poly, Fraction(1, 50))
-        assert result.bracket.contains(area)
-        assert result.bracket.width <= Fraction(1, 50)
-        for _, bracket in result.steps:
+        steps = list(jordan_refine(poly, Fraction(1, 50)))
+        _, last = steps[-1]
+        assert last.contains(area)
+        assert last.width <= Fraction(1, 50)
+        for _, bracket in steps:
             assert bracket.contains(area)
 
     def test_loose_tolerance_stops_at_one(self):
-        result = jordan_refine(UNIT_SQUARE, Fraction(2))
-        assert result.n == 1
+        steps = list(jordan_refine(UNIT_SQUARE, Fraction(2)))
+        assert steps[-1][0] == 1
 
     def test_max_n_exceeded(self):
         disk = Disk((Fraction(0), Fraction(0)), Fraction(1))
         with pytest.raises(NonConvergenceError) as exc:
-            jordan_refine(disk, Fraction(1, 10 ** 6), max_n=8)
+            list(jordan_refine(disk, Fraction(1, 10 ** 6), max_n=8))
         assert exc.value.last_bracket is not None
 
 
@@ -289,9 +292,9 @@ class TestRowCap:
         # largest rung 2^20 gives 524288.  Width 1/n reaches the tolerance
         # there.
         monkeypatch.setattr(jm, "_disk_counts", lambda region, n: (0, n))
-        result = jordan_refine(Disk((0, 0), Fraction(1, 4)),
-                               Fraction(1, 2 ** 20), max_n=2 ** 21 - 1)
-        assert result.n == 2 ** 20
+        steps = list(jordan_refine(Disk((0, 0), Fraction(1, 4)),
+                                   Fraction(1, 2 ** 20), max_n=2 ** 21 - 1))
+        assert steps[-1][0] == 2 ** 20
 
 
 class TestRegionValidation:

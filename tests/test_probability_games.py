@@ -8,7 +8,7 @@ from twoside.probability_games import (AbsorbingChain, GameReport, ModelError,
                                        absorbing_chain_solve, coin_game,
                                        coin_game_closed_form, coin_game_exact,
                                        coin_game_series_partial,
-                                       coin_series_index_report,
+                                       coin_series_index_reports,
                                        coin_series_tail_bracket, dice_chain,
                                        dice_game, dice_series_bracket,
                                        monte_carlo_coin, monte_carlo_dice,
@@ -146,12 +146,13 @@ class TestCoinSeries:
         assert coin_series_tail_bracket(3, 0, 3).contains(coin_game_exact(3))
 
     def test_index_report(self):
-        report = coin_series_index_report(1)
-        assert report.matches[0] is True
-        assert report.matches[1] is False
+        index_0, index_1 = coin_series_index_reports(1)
+        assert index_0.params == (1, 0) and index_1.params == (1, 1)
+        assert index_0.passed is True
+        assert index_1.passed is False
         for n in range(2, 13):
-            later = coin_series_index_report(n)
-            assert later.matches[0] and later.matches[1]
+            later = coin_series_index_reports(n)
+            assert later[0].passed and later[1].passed
 
 
 def unmix64(y: int) -> int:

@@ -69,6 +69,13 @@ class TestSumIdentities:
     def test_empty_sweep(self, max_n):
         assert sum_identity_sweep(SumKind.EVEN, max_n) == []
 
+    @pytest.mark.parametrize("kind", ["bogus", "even", None])
+    def test_unknown_kind_is_a_domain_error(self, kind):
+        # Refused before the sweep starts, so even an empty sweep refuses it.
+        for max_n in (3, 0):
+            with pytest.raises(DomainError, match="unknown sum kind"):
+                sum_identity_sweep(kind, max_n)
+
     def test_palindrome_matches_listed_rows(self):
         # 1+3+1 = 1^2+2^2, 1+3+5+3+1 = 2^2+3^2, 1+3+5+7+5+3+1 = 3^2+4^2
         reports = sum_identity_sweep(SumKind.PALINDROME_ODD, 3)
