@@ -16,17 +16,18 @@ from typing import Callable, Iterable, Iterator
 
 from .exact_core import (Bracket, DomainError, NonConvergenceError,
                          RationalLike, root_bracket, rational_power_bracket)
-from .report import IdentityReport, report_equal
+from .report import IdentityReport, report_check, report_equal
 
 BracketGenerator = Iterator[Bracket]
 
 
 def refine(brackets: Iterable[Bracket], tol: RationalLike,
            max_steps: int) -> BracketGenerator:
-    """Yield brackets up to and including the first of width <= tol.
+    """Brackets up to and including the first of width <= tol.
 
-    When `max_steps` brackets pass without one, or the brackets run out
-    first, raise NonConvergenceError after the last bracket yielded, so a
+    A bad `tol` or `max_steps` is refused at the call.  When `max_steps`
+    brackets pass without one, or the brackets run out first, the iterator
+    raises NonConvergenceError after the last bracket it yields, so a
     caller keeps every bracket it received.
     """
     tol = Fraction(tol)
@@ -34,6 +35,11 @@ def refine(brackets: Iterable[Bracket], tol: RationalLike,
         raise DomainError("tolerance must be positive")
     if max_steps < 1:
         raise DomainError("max_steps must be at least 1")
+    return _refine(brackets, tol, max_steps)
+
+
+def _refine(brackets: Iterable[Bracket], tol: Fraction,
+            max_steps: int) -> BracketGenerator:
     last, steps = None, 0
     for steps, last in enumerate(islice(brackets, max_steps), 1):
         yield last
@@ -97,16 +103,13 @@ def real_power_bracket(a: RationalLike, digits: int) -> Bracket:
 
 # --- series with exact tails ---------------------------------------------------
 
-@dataclass(frozen=True)
-class GeometricReport:
-    partial: Fraction
-    closed: Fraction
-    tail_bracket: Bracket
-
-
 def geometric_series_sum(a: RationalLike, r: RationalLike,
-                         n_terms: int) -> GeometricReport:
-    """Partial sum, closed form a/(1-r), and a tail bracket through term N."""
+                         n_terms: int) -> Bracket:
+    """[partial sum through term N, partial sum + tail] of a + ar + ar^2 ...
+
+    The tail |a r^(N+1) / (1-r)| bounds what the terms after N add, so the
+    bracket contains the sum a/(1-r).
+    """
     a, r = Fraction(a), Fraction(r)
     if abs(r) >= 1:
         raise DomainError("series diverges for |r| >= 1")
@@ -122,21 +125,12 @@ def geometric_series_sum(a: RationalLike, r: RationalLike,
         power *= p
     den = q ** n_terms
     partial = a * Fraction(num, den)
-    closed = a / (1 - r)
     tail = abs(a * Fraction(power, den * q) / (1 - r))
-    return GeometricReport(partial, closed, Bracket(partial, partial + tail))
+    return Bracket(partial, partial + tail)
 
 
-@dataclass(frozen=True)
-class SwinesheadReport:
-    partial: Fraction
-    closed_partial: Fraction
-    bracket: Bracket
-    passed: bool
-
-
-def swineshead_check(n_terms: int) -> SwinesheadReport:
-    """Partial sums of k/2^k equal 2 - (N+2)/2^N exactly and bracket 2."""
+def swineshead_bracket(n_terms: int) -> Bracket:
+    """[partial sum of k/2^k through N, partial + (N+2)/2^N], around 2."""
     if n_terms < 0:
         raise DomainError("N must be non-negative")
     # Each term k/2^k is added as the integer k·2^(N-k) over 2^N, so the
@@ -145,11 +139,15 @@ def swineshead_check(n_terms: int) -> SwinesheadReport:
     for k in range(n_terms + 1):
         num += k << (n_terms - k)
     partial = Fraction(num, 2 ** n_terms)
-    remainder = Fraction(n_terms + 2, 2 ** n_terms)
-    closed_partial = 2 - remainder
-    bracket = Bracket(partial, partial + remainder)
-    return SwinesheadReport(partial, closed_partial, bracket,
-                            partial == closed_partial and bracket.contains(2))
+    return Bracket(partial, partial + Fraction(n_terms + 2, 2 ** n_terms))
+
+
+def swineshead_check(n_terms: int) -> IdentityReport:
+    """Partial sums of k/2^k equal 2 - (N+2)/2^N exactly and bracket 2."""
+    bracket = swineshead_bracket(n_terms)
+    closed_partial = 2 - Fraction(n_terms + 2, 2 ** n_terms)
+    return report_check((n_terms,), bracket.lo, closed_partial,
+                        bracket.lo == closed_partial and bracket.contains(2))
 
 
 def rows_rearrangement_check(n_rows: int) -> IdentityReport:
@@ -326,9 +324,9 @@ def _generator_factories() -> dict[str, Callable[[], BracketGenerator]]:
                              range(LADDER_RUNGS["power"])),
         "riemann2": lambda: (riemann_bracket(x2, 1 << i) for i in count()),
         "riemann3": lambda: (riemann_bracket(x3, 1 << i) for i in count()),
-        "swineshead": lambda: (swineshead_check(n).bracket for n in count()),
-        "chocolate": lambda: (geometric_series_sum(1, Fraction(1, 10), n)
-                              .tail_bracket for n in count()),
+        "swineshead": lambda: map(swineshead_bracket, count()),
+        "chocolate": lambda: map(geometric_series_sum, repeat(1),
+                                 repeat(Fraction(1, 10)), count()),
     }
 
 

@@ -25,7 +25,7 @@ from . import lattice_pick as lattice
 from . import probability_games as prob
 from .exact_core import DomainError, NonConvergenceError, rat_from_str, \
     rat_to_decimal, rat_to_str
-from .registry import SUITES, SuiteParams
+from .registry import SUITES, SuiteParams, require_trials
 from .report import FAIL, row_status
 
 _FORMATS = ("table", "json", "csv")
@@ -219,6 +219,7 @@ def _cmd_jordan(args) -> Rows:
 def _cmd_pick(args) -> Rows:
     if args.seeds < 1:
         raise DomainError("--seeds must be positive")
+    require_trials(SuiteParams(trials=args.seeds))
     rows = []
     for i in range(args.seeds):
         poly = lattice.random_lattice_polygon(args.seed + i, args.extent)
@@ -249,20 +250,19 @@ def _cmd_prob(args) -> Rows:
                           f"series bounds its tail only from the n-th term on")
     prob.require_terms(args.terms)
     if args.game == "dice":
-        game = prob.dice_game(terms=args.terms, trials=args.trials,
-                              seed=args.seed)
+        report, mc = prob.dice_game(terms=args.terms, trials=args.trials,
+                                    seed=args.seed)
     else:
-        game = prob.coin_game(args.n, terms=args.terms, trials=args.trials,
-                              seed=args.seed)
-    mc = game.monte_carlo
-    report = game.report((args.terms,))
+        report, mc = prob.coin_game(args.n, terms=args.terms,
+                                    trials=args.trials, seed=args.seed)
+    exact, series = report.lhs, report.rhs
     payload = {
         "game": args.game if args.game == "dice" else f"coin(n={args.n})",
-        "exact": rat_to_str(game.exact),
-        "exact_dec": rat_to_decimal(game.exact, 12),
-        "series_lo": rat_to_str(game.series_bracket.lo),
-        "series_hi": rat_to_str(game.series_bracket.hi),
-        "series_width": rat_to_str(game.series_bracket.width),
+        "exact": rat_to_str(exact),
+        "exact_dec": rat_to_decimal(exact, 12),
+        "series_lo": rat_to_str(series.lo),
+        "series_hi": rat_to_str(series.hi),
+        "series_width": rat_to_str(series.width),
         "status": row_status(report.passed, gate=report.gate),
         "trials": mc.trials,
         "hits": mc.hits,

@@ -34,7 +34,6 @@ __all__ = [
     "coin_game_series_partial",
     "coin_series_tail_bracket",
     "coin_series_index_reports",
-    "GameReport",
     "MonteCarloReport",
 ]
 
@@ -137,10 +136,7 @@ def require_terms(terms: int) -> None:
 
 def dice_series_bracket(terms: int) -> Bracket:
     """Partial sum of (1/6)(25/36)^k plus the exact geometric tail."""
-    if terms < 0:
-        raise DomainError("term count must be non-negative")
-    return geometric_series_sum(Fraction(1, 6), Fraction(25, 36),
-                                terms).tail_bracket
+    return geometric_series_sum(Fraction(1, 6), Fraction(25, 36), terms)
 
 
 # --- the n-th head coin game -----------------------------------------------------
@@ -339,37 +335,30 @@ def _gate(exact: Fraction, hits: int, trials: int) -> MonteCarloReport:
                             sigma_gate(deviation, sigma))
 
 
-@dataclass(frozen=True)
-class GameReport:
-    exact: Fraction
-    closed: Fraction
-    series_bracket: Bracket
-    monte_carlo: MonteCarloReport
-
-    def consistent(self) -> bool:
-        return self.series_bracket.contains(self.exact)
-
-    def report(self, params: tuple) -> IdentityReport:
-        """The exact value equals the closed form and lies in the series
-        bracket; the simulation gates the result."""
-        gate = self.monte_carlo.status
-        return report_check(params, self.exact, self.series_bracket,
-                            self.exact == self.closed and self.consistent(),
-                            {"mc": gate}, gate)
+def _game_report(terms: int, exact: Fraction, closed: Fraction,
+                 series: Bracket, mc: MonteCarloReport) -> IdentityReport:
+    """The exact value equals the closed form and lies in the series
+    bracket; the simulation gates the result."""
+    return report_check((terms,), exact, series,
+                        exact == closed and series.contains(exact),
+                        {"mc": mc.status}, mc.status)
 
 
-def dice_game(trials: int, terms: int = 40, seed: int = 42) -> GameReport:
-    """Chain-solved value, closed form 6/11, series bracket, simulation."""
+def dice_game(trials: int, terms: int = 40,
+              seed: int = 42) -> tuple[IdentityReport, MonteCarloReport]:
+    """Chain-solved value against closed form 6/11 and the series bracket,
+    gated by the simulation."""
     exact = absorbing_chain_solve(dice_chain())["S"]
     series = dice_series_bracket(terms)
     mc = _gate(exact, monte_carlo_dice(trials, seed), trials)
-    return GameReport(exact, Fraction(6, 11), series, mc)
+    return _game_report(terms, exact, Fraction(6, 11), series, mc), mc
 
 
 def coin_game(n: int, trials: int, terms: int = 60,
-              seed: int = 42) -> GameReport:
-    """Exact DP value, closed form, (index-0) series bracket, simulation."""
+              seed: int = 42) -> tuple[IdentityReport, MonteCarloReport]:
+    """Exact DP value against the closed form and the (index-0) series
+    bracket, gated by the simulation."""
     exact = coin_game_exact(n)
     series = coin_series_tail_bracket(n, 0, terms)
     mc = _gate(exact, monte_carlo_coin(n, trials, seed), trials)
-    return GameReport(exact, coin_game_closed_form(n), series, mc)
+    return _game_report(terms, exact, coin_game_closed_form(n), series, mc), mc

@@ -62,7 +62,7 @@ def _no_check(_: SuiteParams) -> None:
 SWEEP_MAX_TRIALS = 10 ** 4
 
 
-def _require_trials(params: SuiteParams) -> None:
+def require_trials(params: SuiteParams) -> None:
     """Refuse more than `SWEEP_MAX_TRIALS` trials before any is drawn."""
     if params.trials > SWEEP_MAX_TRIALS:
         raise DomainError(f"trial sweeps capped at SWEEP_MAX_TRIALS = "
@@ -186,18 +186,12 @@ def _geometric(suite_id: str, a: Fraction, r: Fraction,
     """a + ar + ar^2 + ...: the closed form is `total` and the tail bracket
     through term N contains it."""
     def sweep(params: SuiteParams):
+        closed = a / (1 - r)
         for n in range(min(params.max_n, 40) + 1):
-            g = ab.geometric_series_sum(a, r, n)
-            yield report_check((n,), g.tail_bracket, g.closed,
-                               g.closed == total
-                               and g.tail_bracket.contains(g.closed))
+            bracket = ab.geometric_series_sum(a, r, n)
+            yield report_check((n,), bracket, closed,
+                               closed == total and bracket.contains(closed))
     return _suite(suite_id, "series", sweep, "N={0}")
-
-
-def _swineshead(params: SuiteParams):
-    for n in range(min(params.max_n, 64) + 1):
-        s = ab.swineshead_check(n)
-        yield report_check((n,), s.partial, s.closed_partial, s.passed)
 
 
 def _riemann(exponent: int) -> Suite:
@@ -292,9 +286,9 @@ def _dice(params: SuiteParams):
     """No report without a simulation: it is one of the three routes."""
     if params.trials < 1:
         return []
-    game = prob.dice_game(terms=params.terms, trials=params.trials,
-                          seed=params.seed)
-    return [game.report((params.terms,))]
+    report, _ = prob.dice_game(terms=params.terms, trials=params.trials,
+                               seed=params.seed)
+    return [report]
 
 
 # --- the table -----------------------------------------------------------------------
@@ -362,7 +356,9 @@ def _build() -> dict[str, Suite]:
         _geometric("series.chocolate", Fraction(1), Fraction(1, 10),
                    Fraction(10, 9)),
         _geometric("series.cake", Fraction(1, 2), Fraction(1, 2), Fraction(1)),
-        _suite("series.swineshead", "series", _swineshead, "N={0}"),
+        _suite("series.swineshead", "series",
+               lambda p: map(ab.swineshead_check, range(min(p.max_n, 64) + 1)),
+               "N={0}"),
         _suite("series.rows", "series",
                lambda p: (ab.rows_rearrangement_check(n)
                           for n in range(1, min(p.max_n, 40) + 1)), "N={0}"),
@@ -378,18 +374,18 @@ def _build() -> dict[str, Suite]:
                 if p.digits >= -6 else (),
                 "doublings={0}"),
         _suite("limit.nthroot", "limits", _limit, "steps={0}"),
-        _suite("geom.ceva", "euclid", _ceva, "p={3}", check=_require_trials),
+        _suite("geom.ceva", "euclid", _ceva, "p={3}", check=require_trials),
         _suite("geom.ceva_converse", "euclid", _ceva_converse,
-               "r=({0},{1},{2})", check=_require_trials),
+               "r=({0},{1},{2})", check=require_trials),
         _suite("geom.squares_fit", "euclid", _squares, "a={0},b={1}",
-               check=_require_trials),
+               check=require_trials),
         _suite("geom.cauchy_schwarz", "euclid", _cauchy,
-               "a=({0},{1}),b=({2},{3})", check=_require_trials),
+               "a=({0},{1}),b=({2},{3})", check=require_trials),
         _suite("pick.formula", "lattice",
                lambda p: (lattice.pick_check(
                    lattice.random_lattice_polygon(p.seed + seed, 20))
                           for seed in range(p.trials)),
-               lambda r: f"vertices={len(r.params)}", check=_require_trials),
+               lambda r: f"vertices={len(r.params)}", check=require_trials),
         _suite("prob.dice", "probability", _dice, "dice",
                check=lambda p: prob.require_terms(p.terms)),
         _suite("prob.coin", "probability",

@@ -25,7 +25,6 @@ from functools import cmp_to_key
 import numpy as np
 
 from twoside import combinatorics as comb
-from twoside.analysis_brackets import GeometricReport, SwinesheadReport
 from twoside.lattice_pick import boundary_points
 from twoside.exact_core import (Bracket, DomainError, _int_to_str,
                                 _PowComparator, bracket_point)
@@ -182,7 +181,7 @@ def literal_sum(kind: str, n: int) -> int:
     raise ValueError(f"unknown sum kind {kind!r}")
 
 
-def geometric_series_sum_fraction(a, r, n_terms: int) -> GeometricReport:
+def geometric_series_sum_fraction(a, r, n_terms: int) -> Bracket:
     """a + ar + ... + ar^N, each term added as a Fraction, and the tail."""
     a, r = Fraction(a), Fraction(r)
     partial = Fraction(0)
@@ -190,12 +189,11 @@ def geometric_series_sum_fraction(a, r, n_terms: int) -> GeometricReport:
     for _ in range(n_terms + 1):
         partial += a * power
         power *= r
-    closed = a / (1 - r)
     tail = abs(a * power / (1 - r))
-    return GeometricReport(partial, closed, Bracket(partial, partial + tail))
+    return Bracket(partial, partial + tail)
 
 
-def swineshead_check_fraction(n_terms: int) -> SwinesheadReport:
+def swineshead_check_fraction(n_terms: int) -> IdentityReport:
     """Swineshead's partial sum of k/2^k, each term added as a Fraction."""
     partial = Fraction(0)
     for k in range(n_terms + 1):
@@ -203,8 +201,8 @@ def swineshead_check_fraction(n_terms: int) -> SwinesheadReport:
     remainder = Fraction(n_terms + 2, 2 ** n_terms)
     closed_partial = 2 - remainder
     bracket = Bracket(partial, partial + remainder)
-    return SwinesheadReport(partial, closed_partial, bracket,
-                            partial == closed_partial and bracket.contains(2))
+    return report_check((n_terms,), partial, closed_partial,
+                        partial == closed_partial and bracket.contains(2))
 
 
 def rows_rearrangement_check_fraction(n_rows: int) -> IdentityReport:

@@ -186,11 +186,11 @@ def test_criterion_08_jordan():
 
 def test_criterion_09_probability():
     with criterion(9, "dice and coin games three ways", 30.0):
-        game = prob.dice_game(terms=40, trials=10 ** 6, seed=42)
-        assert game.exact == Fraction(6, 11)
-        assert game.series_bracket.width <= Fraction(1, 10 ** 6)
-        assert game.series_bracket.contains(Fraction(6, 11))
-        assert game.monte_carlo.status in (PASS, WARN)  # soft 3-sigma gate
+        report, mc = prob.dice_game(terms=40, trials=10 ** 6, seed=42)
+        assert report.lhs == Fraction(6, 11)    # the chain-solved value
+        assert report.rhs.width <= Fraction(1, 10 ** 6)   # the series bracket
+        assert report.rhs.contains(Fraction(6, 11))
+        assert mc.status in (PASS, WARN)  # soft 3-sigma gate
         for n in range(1, 13):
             assert prob.coin_game_exact(n) == prob.coin_game_closed_form(n)
         index_0, index_1 = prob.coin_series_index_reports(1)
@@ -200,18 +200,23 @@ def test_criterion_09_probability():
 
 def test_criterion_10_series():
     with criterion(10, "chocolate, Swineshead, row rearrangement", 1.0):
-        for n in range(0, 41):
-            chocolate = ab.geometric_series_sum(1, Fraction(1, 10), n)
-            assert chocolate.closed == Fraction(10, 9)
-            assert chocolate.tail_bracket.contains(chocolate.closed)
+        from twoside.registry import SuiteParams, SUITES
+        params = SuiteParams(max_n=40)
+        chocolate_rows = SUITES["series.chocolate"].runner(params)
+        assert len(chocolate_rows) == 41
+        for n, row in enumerate(chocolate_rows):
+            assert row["rhs"] == "10/9"     # the sweep's closed form
+            assert row["status"] == PASS
+            assert ab.geometric_series_sum(1, Fraction(1, 10), n).contains(
+                Fraction(10, 9))
         for n in range(0, 65):
-            swineshead = ab.swineshead_check(n)
-            assert swineshead.partial == 2 - Fraction(n + 2, 2 ** n)
-            assert swineshead.bracket.contains(2)
+            assert ab.swineshead_check(n).lhs == 2 - Fraction(n + 2, 2 ** n)
+            assert ab.swineshead_bracket(n).contains(2)
         for n in range(1, 41):
             assert ab.rows_rearrangement_check(n).passed
-        cake = ab.geometric_series_sum(Fraction(1, 2), Fraction(1, 2), 10)
-        assert cake.closed == 1
+        cake_rows = SUITES["series.cake"].runner(SuiteParams(max_n=10))
+        assert cake_rows[-1]["rhs"] == "1"
+        assert cake_rows[-1]["status"] == PASS
 
 
 def test_criterion_11_geometry():

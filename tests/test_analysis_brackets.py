@@ -11,7 +11,8 @@ from twoside.analysis_brackets import (MonomialIntegrand, circle_area_bracket,
                                        pi_bracket_sequence, real_power_bracket,
                                        refine, riemann_bracket,
                                        rows_rearrangement_check,
-                                       swineshead_check, sqrt2_truncation)
+                                       swineshead_bracket, swineshead_check,
+                                       sqrt2_truncation)
 from oracles import (bisect_root, geometric_series_sum_fraction,
                      rows_rearrangement_check_fraction,
                      swineshead_check_fraction,
@@ -88,7 +89,7 @@ class TestRefine:
             raise AssertionError("no bracket may be made")
             yield
         with pytest.raises(DomainError):
-            next(refine(ladder(), tol, steps))
+            refine(ladder(), tol, steps)    # at the call, not at next()
 
 
 class TestNthRootSequence:
@@ -155,26 +156,29 @@ class TestRealPower:
 
 
 class TestGeometricSeries:
+    """The bracket is [partial sum, partial sum + tail]; the closed form
+    a/(1-r) is written out here, as the registry sweep computes it."""
+
     def test_chocolate(self):
-        report = geometric_series_sum(1, Fraction(1, 10), 5)
-        assert report.closed == Fraction(10, 9)
-        assert report.partial == Fraction(111111, 100000)
-        assert report.tail_bracket.contains(report.closed)
+        bracket = geometric_series_sum(1, Fraction(1, 10), 5)
+        assert 1 / (1 - Fraction(1, 10)) == Fraction(10, 9)
+        assert bracket.lo == Fraction(111111, 100000)
+        assert bracket.contains(Fraction(10, 9))
 
     def test_cake(self):
-        report = geometric_series_sum(Fraction(1, 2), Fraction(1, 2), 30)
-        assert report.closed == 1
-        assert report.tail_bracket.contains(1)
+        bracket = geometric_series_sum(Fraction(1, 2), Fraction(1, 2), 30)
+        assert Fraction(1, 2) / (1 - Fraction(1, 2)) == 1
+        assert bracket.contains(1)
 
     def test_single_term(self):
-        report = geometric_series_sum(1, 0, 0)
-        assert report.partial == 1 == report.closed
-        assert report.tail_bracket.width == 0
+        bracket = geometric_series_sum(1, 0, 0)
+        assert bracket.lo == 1 == 1 / (1 - Fraction(0))
+        assert bracket.width == 0
 
     def test_tail_contains_closed_everywhere(self):
+        closed = 3 / (1 - Fraction(2, 7))
         for n in range(0, 30):
-            report = geometric_series_sum(3, Fraction(2, 7), n)
-            assert report.tail_bracket.contains(report.closed)
+            assert geometric_series_sum(3, Fraction(2, 7), n).contains(closed)
 
     def test_divergent_rejected(self):
         with pytest.raises(DomainError):
@@ -190,21 +194,26 @@ class TestGeometricSeries:
 
 
 class TestSwineshead:
+    """The report compares the partial sum (lhs) with 2 - (N+2)/2^N (rhs);
+    `swineshead_bracket` is [partial sum, partial sum + (N+2)/2^N]."""
+
     def test_base(self):
         report = swineshead_check(0)
-        assert report.partial == 0 == report.closed_partial
+        assert report.lhs == 0 == report.rhs
 
     def test_three_terms(self):
         report = swineshead_check(3)
-        assert report.partial == Fraction(11, 8)
-        assert report.closed_partial == 2 - Fraction(5, 8)
+        assert report.lhs == Fraction(11, 8)
+        assert report.rhs == 2 - Fraction(5, 8)
         assert report.passed
 
     def test_sixty_four_terms(self):
         report = swineshead_check(64)
         assert report.passed
-        assert report.bracket.contains(2)
-        assert report.bracket.width == Fraction(66, 2 ** 64)
+        bracket = swineshead_bracket(64)
+        assert bracket.lo == report.lhs
+        assert bracket.contains(2)
+        assert bracket.width == Fraction(66, 2 ** 64)
 
     def test_rows_rearrangement(self):
         assert rows_rearrangement_check(1).lhs == Fraction(1, 2)

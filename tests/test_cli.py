@@ -16,7 +16,7 @@ from twoside import sums_fib
 from twoside import probability_games as prob
 from twoside.cli import _json_rows, build_parser, main
 from twoside.registry import SUITES, SWEEP_MAX_TRIALS, SuiteParams
-from twoside.report import ROW_SCHEMA
+from twoside.report import ROW_SCHEMA, rows as report_rows
 
 # sha256 of `twoside check all --format json`; test_startup.py checks the same
 # bytes from a fresh interpreter.
@@ -232,6 +232,12 @@ PINNED_OUTPUTS = [
      "f566ec81157a81501c299ba0ee40fe3758e9f2890f3a0f5c0e22857d98446627"),
     (["converge", "pi", "--doublings", "8"],
      "583940bb3e95bbc23fe47c508be2cc964dc1feb5df2a9a5213929efbb04e406a"),
+    # Both digests were recorded before the two ladders were rebuilt on
+    # `swineshead_bracket` and the `geometric_series_sum` bracket.
+    (["converge", "swineshead", "--doublings", "64"],
+     "cf94241f9030fd0d013dbe4c15f51cdb40323d3656824f83ac7eca931974c966"),
+    (["converge", "chocolate", "--doublings", "40"],
+     "e978e70b03c9198be5f4c594648e97ca84a86c52894fd3ffd194415afa1e5f1f"),
     (["check", *SCALED_SUITES, "--max-n", "300", "--trials", "100"],
      "e6853d259a12703dc946d33149b66576d2bde425dc759af972d574902814de56"),
     (["jordan", "--region", "disk:1", "--tol", "1/20"],
@@ -241,9 +247,16 @@ PINNED_OUTPUTS = [
 ]
 
 
+def _pin_id(argv: list[str]) -> str:
+    """The command, or the game or ladder for `prob` and `converge` runs
+    other than pi's."""
+    if argv[0] == "prob" or argv[0] == "converge" and argv[1] != "pi":
+        return argv[1]
+    return argv[0]
+
+
 @pytest.mark.parametrize("argv, digest", PINNED_OUTPUTS,
-                         ids=[argv[0] if argv[0] != "prob" else argv[1]
-                              for argv, _ in PINNED_OUTPUTS])
+                         ids=[_pin_id(argv) for argv, _ in PINNED_OUTPUTS])
 def test_output_pinned(argv, digest, capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("TWOSIDE_FORMAT", raising=False)
     target = tmp_path / "out.json"
@@ -541,6 +554,17 @@ class TestDedicatedCommands:
         assert out == ""
         assert "--seeds" in err
 
+    def test_prob_dice_and_check_share_one_report(self, capsys):
+        report, _ = prob.dice_game(trials=500, terms=12, seed=7)
+        params = SuiteParams(trials=500, terms=12, seed=7)
+        [row] = SUITES["prob.dice"].runner(params)
+        assert report_rows("prob.dice", [report], "dice", False) == [row]
+        code, out, _ = run_cli(capsys, "prob", "dice", "--trials", "500",
+                               "--terms", "12", "--seed", "7",
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)[0]["status"] == row["status"]
+
     def test_prob_coin(self, capsys):
         code, out, _ = run_cli(capsys, "prob", "coin", "--n", "2",
                                "--trials", "5000", "--format", "json")
@@ -570,12 +594,15 @@ USAGE_ERRORS = [
     (["check", "divisor.bounds", "--max-n", "10001"], None),
     (["jordan", "--region", "blob:1"], None),
     (["jordan", "--region", "disk:1", "--max-n", "0"], None),
+    (["jordan", "--region", "disk:1", "--tol", "0"], None),
     (["jordan", "--region", "disk:1000000", "--max-n", "4"], None),
     (["pick", "--seeds", "0"], None),
     (["pick", "--extent", "1"], None),
     (["pick", "--seeds", "1", "--extent", "100000"], None),
+    (["pick", "--seeds", "10001"], None),
     (["prob", "dice", "--trials", "0"], None),
     (["prob", "dice", "--terms", "-1"], None),
+    (["check", "prob.dice", "--terms", "-1"], None),
     (["prob", "coin", "--n", "10", "--terms", "3"], None),
 ]
 
@@ -692,6 +719,14 @@ class TestCapsBeforeWork:
         assert (code, out) == (2, "")
         assert "LATTICE_MAX_POINTS = 1000000" in err
 
+    def test_pick_refuses_seeds_before_sampling(self, capsys, monkeypatch):
+        def fail(*_):
+            raise AssertionError("a polygon was drawn before the cap")
+        monkeypatch.setattr(lattice_pick, "random_lattice_polygon", fail)
+        code, out, err = run_cli(capsys, "pick", "--seeds",
+                                 str(SWEEP_MAX_TRIALS + 1))
+        assert (code, out) == (2, "")
+        assert f"SWEEP_MAX_TRIALS = {SWEEP_MAX_TRIALS}" in err
 
     def test_jordan_refuses_before_any_row(self, capsys, monkeypatch):
         def fail(*_):

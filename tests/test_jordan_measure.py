@@ -256,6 +256,11 @@ class TestRefine:
             list(jordan_refine(disk, Fraction(1, 10 ** 6), max_n=8))
         assert exc.value.last_bracket is not None
 
+    @pytest.mark.parametrize("tol, max_n", [(0, 8), (1, 0)])
+    def test_bad_arguments_refused_at_the_call(self, tol, max_n):
+        with pytest.raises(DomainError):
+            jordan_refine(parse_region("disk:1"), tol, max_n)
+
 
 class TestRowCap:
     """A bracket of more than JORDAN_MAX_ROWS rows is refused before any

@@ -4,7 +4,8 @@ import pytest
 
 from twoside import probability_games
 from twoside.exact_core import DomainError
-from twoside.probability_games import (AbsorbingChain, GameReport, ModelError,
+from twoside.probability_games import (AbsorbingChain, ModelError,
+                                       MonteCarloReport,
                                        absorbing_chain_solve, coin_game,
                                        coin_game_closed_form, coin_game_exact,
                                        coin_game_series_partial,
@@ -13,7 +14,7 @@ from twoside.probability_games import (AbsorbingChain, GameReport, ModelError,
                                        dice_game, dice_series_bracket,
                                        monte_carlo_coin, monte_carlo_dice,
                                        _gate)
-from twoside.report import FAIL, PASS, WARN
+from twoside.report import FAIL, PASS, WARN, IdentityReport
 from twoside.rng import GAMMA, MASK64, MIX_1, MIX_2, mix64
 from oracles import (coin_game_series_partial_fraction,
                      reference_monte_carlo_coin, reference_monte_carlo_dice)
@@ -71,14 +72,13 @@ class TestDiceSeries:
         assert dice_series_bracket(40).width <= Fraction(1, 10 ** 6)
 
     def test_game_report(self):
-        report = dice_game(trials=1_000, terms=40)
-        assert report.exact == Fraction(6, 11)
-        assert report.consistent()
-        assert report.monte_carlo.trials == 1_000
-        assert report.monte_carlo.estimate == Fraction(
-            report.monte_carlo.hits, 1_000)
-        assert report.report((40,)).detail == {
-            "mc": report.monte_carlo.status}
+        report, mc = dice_game(trials=1_000, terms=40)
+        assert report.lhs == Fraction(6, 11)     # the chain-solved value
+        assert report.rhs.contains(report.lhs)   # inside the series bracket
+        assert report.params == (40,)
+        assert mc.trials == 1_000
+        assert mc.estimate == Fraction(mc.hits, 1_000)
+        assert report.detail == {"mc": mc.status}
 
     def test_game_requires_a_simulation(self):
         with pytest.raises(TypeError):
@@ -218,12 +218,12 @@ class TestMonteCarlo:
                         reference_monte_carlo_coin(n, trials, seed)
 
     def test_dice_estimate_close(self):
-        report = dice_game(trials=40_000, seed=42).monte_carlo
+        _, report = dice_game(trials=40_000, seed=42)
         assert report.status in (PASS, WARN)
         assert report.estimate == Fraction(report.hits, 40_000)
 
     def test_coin_estimate_close(self):
-        report = coin_game(2, trials=40_000, seed=42).monte_carlo
+        _, report = coin_game(2, trials=40_000, seed=42)
         assert report.status in (PASS, WARN)
 
     def test_gate_statuses(self):
@@ -238,7 +238,8 @@ class TestMonteCarlo:
         assert _gate(exact, center + trials // 10, trials).status == FAIL
 
     def test_coin_game_report_with_mc(self):
-        report = coin_game(2, terms=60, trials=2_000, seed=42)
-        assert isinstance(report, GameReport)
-        assert report.consistent()
-        assert report.monte_carlo.trials == 2_000
+        report, mc = coin_game(2, terms=60, trials=2_000, seed=42)
+        assert isinstance(report, IdentityReport)
+        assert isinstance(mc, MonteCarloReport)
+        assert report.rhs.contains(report.lhs)
+        assert mc.trials == 2_000
