@@ -219,7 +219,7 @@ def _cmd_jordan(args) -> Rows:
 def _cmd_pick(args) -> Rows:
     if args.seeds < 1:
         raise DomainError("--seeds must be positive")
-    require_trials(SuiteParams(trials=args.seeds))
+    require_trials(SuiteParams(trials=args.seeds), "--seeds")
     rows = []
     for i in range(args.seeds):
         poly = lattice.random_lattice_polygon(args.seed + i, args.extent)
@@ -249,6 +249,7 @@ def _cmd_prob(args) -> Rows:
         raise DomainError(f"--terms must be at least --n = {args.n}: the coin "
                           f"series bounds its tail only from the n-th term on")
     prob.require_terms(args.terms)
+    prob.require_mc_trials(args.trials)
     if args.game == "dice":
         report, mc = prob.dice_game(terms=args.terms, trials=args.trials,
                                     seed=args.seed)

@@ -134,6 +134,19 @@ def require_terms(terms: int) -> None:
                           f"{SERIES_MAX_TERMS} terms, not {terms}")
 
 
+#: Most trials a game simulates.  At this cap a fresh `prob dice` process
+#: takes about 6.5 s on a 2-core x86-64 container with Python 3.11 and
+#: numpy 2.4.
+MC_MAX_TRIALS = 10 ** 8
+
+
+def require_mc_trials(trials: int) -> None:
+    """Refuse more than `MC_MAX_TRIALS` trials before any is drawn."""
+    if trials > MC_MAX_TRIALS:
+        raise DomainError(f"simulation capped at MC_MAX_TRIALS = "
+                          f"{MC_MAX_TRIALS} trials, not {trials}")
+
+
 def dice_series_bracket(terms: int) -> Bracket:
     """Partial sum of (1/6)(25/36)^k plus the exact geometric tail."""
     return geometric_series_sum(Fraction(1, 6), Fraction(25, 36), terms)
@@ -226,6 +239,22 @@ _DICE_LIMIT = (1 << 64) - ((1 << 64) % 6)
 _MC_BLOCK = 1 << 16
 
 
+def _premix64_np(z, out, tmp):
+    """splitmix64's output function without its last step, y ^ (y >> 31),
+    written into out.  y >> 31 has bit 63 clear, so that step leaves bit 63
+    as it is: a caller that reads bit 63 alone may stop here.
+
+    out and tmp are scratch arrays of z's length; z itself is not changed.
+    """
+    np.right_shift(z, np.uint64(30), out=out)
+    out ^= z
+    out *= np.uint64(MIX_1)
+    np.right_shift(out, np.uint64(27), out=tmp)
+    out ^= tmp
+    out *= np.uint64(MIX_2)
+    return out
+
+
 def _mix64_np(z, out=None, tmp=None):
     """splitmix64 output of every word of z, written into out.
 
@@ -234,12 +263,7 @@ def _mix64_np(z, out=None, tmp=None):
     """
     if out is None:
         out, tmp = np.empty_like(z), np.empty_like(z)
-    np.right_shift(z, np.uint64(30), out=out)
-    out ^= z
-    out *= np.uint64(MIX_1)
-    np.right_shift(out, np.uint64(27), out=tmp)
-    out ^= tmp
-    out *= np.uint64(MIX_2)
+    _premix64_np(z, out, tmp)
     np.right_shift(out, np.uint64(31), out=tmp)
     out ^= tmp
     return out
@@ -260,8 +284,9 @@ def monte_carlo_dice(trials: int, seed: int) -> int:
     Trial t reads its own splitmix64 substream seeded with seed XOR t; die
     rolls reject raw 64-bit draws at or above the top multiple of six.
     Trials run in blocks of ``_MC_BLOCK``: a block's states advance in
-    place by GAMMA per draw and are compacted as trials finish, so working
-    memory is O(block), not O(trials).
+    place by GAMMA per draw.  After each roll the block keeps the states
+    at the ascending indices of the trials still playing, so every trial
+    keeps its stream, and working memory is O(block), not O(trials).
     """
     if trials < 1:
         raise DomainError("trials must be positive")
@@ -281,10 +306,10 @@ def monte_carlo_dice(trials: int, seed: int) -> int:
             np.floor_divide(draws, np.uint64(6), out=multiple)
             multiple *= np.uint64(6)
             draws -= multiple
-            go_on = draws != np.uint64(5)
+            alive = np.flatnonzero(draws != np.uint64(5))
             if starter_turn:
-                hits += z.size - int(np.count_nonzero(go_on))
-            z = z[go_on]
+                hits += z.size - alive.size
+            z = z.take(alive)
             starter_turn = not starter_turn
     return hits
 
@@ -293,8 +318,9 @@ def monte_carlo_coin(n: int, trials: int, seed: int) -> int:
     """Starter wins in the n-th head coin game; one bit per flip.
 
     Substreams as in ``monte_carlo_dice``, in blocks of ``_MC_BLOCK`` whose
-    states advance in place; a block's head counts are compacted with its
-    states, so working memory is O(block), not O(trials).
+    states advance in place; a block's head counts are kept at the same
+    indices as its states, so working memory is O(block), not O(trials).
+    A flip reads bit 63 of the draw alone, so it stops at ``_premix64_np``.
     """
     if trials < 1:
         raise DomainError("trials must be positive")
@@ -306,12 +332,12 @@ def monte_carlo_coin(n: int, trials: int, seed: int) -> int:
         starter_turn = True
         while z.size:
             z += np.uint64(GAMMA)
-            draws = _mix64_np(z, out[:z.size], tmp[:z.size])
+            draws = _premix64_np(z, out[:z.size], tmp[:z.size])
             heads += draws >= np.uint64(1 << 63)
-            go_on = heads != n
+            alive = np.flatnonzero(heads != n)
             if starter_turn:
-                hits += z.size - int(np.count_nonzero(go_on))
-            z, heads = z[go_on], heads[go_on]
+                hits += z.size - alive.size
+            z, heads = z.take(alive), heads.take(alive)
             starter_turn = not starter_turn
     return hits
 

@@ -62,11 +62,12 @@ def _no_check(_: SuiteParams) -> None:
 SWEEP_MAX_TRIALS = 10 ** 4
 
 
-def require_trials(params: SuiteParams) -> None:
-    """Refuse more than `SWEEP_MAX_TRIALS` trials before any is drawn."""
+def require_trials(params: SuiteParams, flag: str = "--trials") -> None:
+    """Refuse more than `SWEEP_MAX_TRIALS` trials before any is drawn; the
+    refusal names the flag that set them."""
     if params.trials > SWEEP_MAX_TRIALS:
-        raise DomainError(f"trial sweeps capped at SWEEP_MAX_TRIALS = "
-                          f"{SWEEP_MAX_TRIALS} trials, not {params.trials}")
+        raise DomainError(f"{flag} capped at SWEEP_MAX_TRIALS = "
+                          f"{SWEEP_MAX_TRIALS}, not {params.trials}")
 
 
 @dataclass(frozen=True)
@@ -282,6 +283,11 @@ def _cauchy(params: SuiteParams):
 
 # --- probability ---------------------------------------------------------------------
 
+def _dice_check(params: SuiteParams) -> None:
+    prob.require_terms(params.terms)
+    prob.require_mc_trials(params.trials)
+
+
 def _dice(params: SuiteParams):
     """No report without a simulation: it is one of the three routes."""
     if params.trials < 1:
@@ -386,8 +392,7 @@ def _build() -> dict[str, Suite]:
                    lattice.random_lattice_polygon(p.seed + seed, 20))
                           for seed in range(p.trials)),
                lambda r: f"vertices={len(r.params)}", check=require_trials),
-        _suite("prob.dice", "probability", _dice, "dice",
-               check=lambda p: prob.require_terms(p.terms)),
+        _suite("prob.dice", "probability", _dice, "dice", check=_dice_check),
         _suite("prob.coin", "probability",
                lambda p: (report_equal((n,), prob.coin_game_exact(n),
                                        prob.coin_game_closed_form(n))

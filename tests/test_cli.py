@@ -629,7 +629,17 @@ SWEEP_CAPS = (
     + [(s, "--trials", "SWEEP_MAX_TRIALS", SWEEP_MAX_TRIALS)
        for s in ("geom.ceva", "geom.ceva_converse", "geom.cauchy_schwarz",
                  "geom.squares_fit", "pick.formula")]
-    + [("prob.dice", "--terms", "SERIES_MAX_TERMS", prob.SERIES_MAX_TERMS)])
+    + [("prob.dice", "--terms", "SERIES_MAX_TERMS", prob.SERIES_MAX_TERMS),
+       ("prob.dice", "--trials", "MC_MAX_TRIALS", prob.MC_MAX_TRIALS)])
+
+
+def _cap_ids(caps) -> list[str]:
+    """Each cap's suite id, followed by its flag after the suite's first."""
+    seen, ids = set(), []
+    for suite, flag, _, _ in caps:
+        ids.append(suite + flag if suite in seen else suite)
+        seen.add(suite)
+    return ids
 
 
 def _stub_runners(monkeypatch) -> list[str]:
@@ -650,7 +660,7 @@ class TestCapsBeforeWork:
     """A size cap exits 2 before any sampling, scan, sieve or suite runs."""
 
     @pytest.mark.parametrize("suite, flag, name, cap", SWEEP_CAPS,
-                             ids=[c[0] for c in SWEEP_CAPS])
+                             ids=_cap_ids(SWEEP_CAPS))
     def test_sweep_cap_refused_before_any_runner(self, suite, flag, name, cap,
                                                  capsys, monkeypatch):
         called = _stub_runners(monkeypatch)
@@ -660,7 +670,7 @@ class TestCapsBeforeWork:
         assert f"{name} = {cap}" in err
 
     @pytest.mark.parametrize("suite, flag, name, cap", SWEEP_CAPS,
-                             ids=[c[0] for c in SWEEP_CAPS])
+                             ids=_cap_ids(SWEEP_CAPS))
     def test_sweep_cap_accepts_its_boundary(self, suite, flag, name, cap,
                                             capsys, monkeypatch):
         called = _stub_runners(monkeypatch)
@@ -679,6 +689,18 @@ class TestCapsBeforeWork:
                                  str(prob.SERIES_MAX_TERMS + 1))
         assert (code, out) == (2, "")
         assert f"SERIES_MAX_TERMS = {prob.SERIES_MAX_TERMS}" in err
+
+    @pytest.mark.parametrize("game", ["dice", "coin"])
+    def test_prob_refuses_trials_before_any_draw(self, game, capsys,
+                                                 monkeypatch):
+        def fail(*_):
+            raise AssertionError("a simulation started before the cap")
+        for name in ("monte_carlo_dice", "monte_carlo_coin"):
+            monkeypatch.setattr(prob, name, fail)
+        code, out, err = run_cli(capsys, "prob", game, "--trials",
+                                 str(prob.MC_MAX_TRIALS + 1))
+        assert (code, out) == (2, "")
+        assert f"MC_MAX_TRIALS = {prob.MC_MAX_TRIALS}" in err
 
     def test_prob_accepts_terms_at_the_cap(self, capsys):
         code, out, err = run_cli(capsys, "prob", "dice", "--trials", "100",
@@ -727,6 +749,7 @@ class TestCapsBeforeWork:
                                  str(SWEEP_MAX_TRIALS + 1))
         assert (code, out) == (2, "")
         assert f"SWEEP_MAX_TRIALS = {SWEEP_MAX_TRIALS}" in err
+        assert "--seeds" in err
 
     def test_jordan_refuses_before_any_row(self, capsys, monkeypatch):
         def fail(*_):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from twoside import probability_games
 from twoside.exact_core import DomainError
@@ -168,6 +170,31 @@ def unmix64(y: int) -> int:
     return unshift(y, 30)
 
 
+_WORDS = st.lists(st.integers(0, MASK64), min_size=1, max_size=64)
+# zero, the words either side of bit 63, and all ones
+_EDGE_WORDS = [0, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1]
+
+
+class TestMixSplit:
+    @given(_WORDS)
+    @example(_EDGE_WORDS)
+    def test_mix_matches_mix64(self, words):
+        z = np.array(words, dtype=np.uint64)
+        assert probability_games._mix64_np(z).tolist() == \
+            [mix64(w) for w in words]
+        assert z.tolist() == words
+
+    @given(_WORDS)
+    @example(_EDGE_WORDS)
+    def test_premix_keeps_bit_63_of_mix64(self, words):
+        z = np.array(words, dtype=np.uint64)
+        premix = probability_games._premix64_np(z, np.empty_like(z),
+                                                np.empty_like(z))
+        top = premix >> np.uint64(63)
+        assert top.tolist() == [mix64(w) >> 63 for w in words]
+        assert z.tolist() == words
+
+
 class TestMonteCarlo:
     def test_deterministic(self):
         assert monte_carlo_dice(10, 7) == monte_carlo_dice(10, 7)
@@ -205,11 +232,12 @@ class TestMonteCarlo:
             assert reference_monte_carlo_dice(1, seed) != \
                 reference_monte_carlo_dice(1, seed, limit + 6)
 
-    @pytest.mark.parametrize("block", [7, 16])
+    # With a block of 1, every block's last round keeps no index at all.
+    @pytest.mark.parametrize("block", [1, 7, 16])
     def test_block_boundaries_match_reference(self, block, monkeypatch):
         monkeypatch.setattr(probability_games, "_MC_BLOCK", block)
         # below one block, exactly one, a multiple, and across several
-        for trials in (1, block - 1, block, 2 * block, 5 * block + 3):
+        for trials in (1, max(block - 1, 1), block, 2 * block, 5 * block + 3):
             for seed in (11, 2**63 + 5):
                 assert monte_carlo_dice(trials, seed) == \
                     reference_monte_carlo_dice(trials, seed)
