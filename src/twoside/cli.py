@@ -130,6 +130,10 @@ def _cmd_check(args) -> Rows:
     if unknown:
         raise DomainError(f"unknown suite id(s): {', '.join(unknown)}\n"
                           "run 'twoside list' for the available ids")
+    repeated = [s for i, s in enumerate(ids) if s in ids[:i]]
+    if repeated:
+        raise DomainError("suite id(s) given more than once: "
+                          + ", ".join(dict.fromkeys(repeated)))
     params = SuiteParams(max_n=args.max_n, seed=args.seed, trials=args.trials,
                          terms=args.terms, digits=args.digits)
     for suite_id in ids:    # every cap is refused before any suite runs

@@ -146,9 +146,15 @@ def _divisor_bounds(params: SuiteParams):
     harmonics = dv.harmonic_numbers(params.max_n)
     for n in range(1, params.max_n + 1):
         b = dv.divisor_average_bounds(n, table, harmonics[n])
-        yield report_check((n,),
-                           f"{rat_to_str(b.lower)} < {rat_to_str(b.avg)}",
-                           f"<= {rat_to_str(b.upper)}", b.passed)
+        # H_n = p/q and H_n - 1 = (p - q)/q share the lowest-terms
+        # denominator, as gcd(p - q, q) = gcd(p, q) = 1, so its thousand-odd
+        # digits are rendered once; H_1 = 1 has none.
+        q = b.upper.denominator
+        over = "" if q == 1 else "/" + rat_to_str(q)
+        lower = rat_to_str(b.lower.numerator) + over
+        upper = rat_to_str(b.upper.numerator) + over
+        yield report_check((n,), f"{lower} < {rat_to_str(b.avg)}",
+                           f"<= {upper}", b.passed)
 
 
 # --- binomials ----------------------------------------------------------------------

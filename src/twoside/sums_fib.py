@@ -12,6 +12,7 @@ import math
 from functools import partial
 from typing import Iterator
 
+from ._lazy import np
 from .exact_core import DomainError
 from .report import IdentityReport, report_check, report_equal
 
@@ -32,12 +33,18 @@ class SumKind(enum.Enum):
 
 #: Largest n a sum sweep reaches: at this cap `check sum.fib_squares` writes
 #: 43 MB of decimal digits and `check sum.cube_layers` makes 5·10^7 literal
-#: additions, about 3 s each.
+#: additions.  The cap also keeps every cube-layer partial sum at most
+#: SUM_MAX_N^3 = 10^12 < 2^63, so `_cube_layers` adds them exactly in int64.
 SUM_MAX_N = 10 ** 4
 
 
 def fibonacci(n: int) -> int:
-    """Exact n-th Fibonacci number, 1-indexed with f_1 = f_2 = 1.
+    """Exact n-th Fibonacci number, 1-indexed with f_1 = f_2 = 1."""
+    return _fibonacci_pair(n)[0]
+
+
+def _fibonacci_pair(n: int) -> tuple[int, int]:
+    """(f_n, f_{n+1}) for n >= 1.
 
     Fast doubling over the bits of n: (f_k, f_{k+1}) becomes (f_2k, f_2k+1)
     as f_2k = f_k (2 f_{k+1} - f_k) and f_2k+1 = f_k^2 + f_{k+1}^2, then
@@ -50,7 +57,7 @@ def fibonacci(n: int) -> int:
         a, b = a * (2 * b - a), a * a + b * b
         if bit == "1":
             a, b = b, a + b
-    return a
+    return a, b
 
 
 # The counting side of each kind: the literal sum at n = 1, 2, ..., where
@@ -102,12 +109,14 @@ def _cube_layers() -> Iterator[int]:
     """Every term of n+2n+...+n*n+...+2n+n changes with n, so this kind
     alone is re-summed at each n, and a sweep over it costs O(max_n^2)
     additions.  Those additions still take every term n*i literally; two
-    range sums make them in C."""
+    int64 array sums make them in C.  They are exact because `SUM_MAX_N`
+    keeps every partial sum at most n^3 <= 10^12 < 2^63."""
     n = 0
     while True:
         n += 1
+        up = np.arange(n, n * n + 1, n, dtype=np.int64)  # n, 2n, ..., n*n
         # n + 2n + ... + n*n, then n*(n-1) + ... + 2n + n
-        yield sum(range(n, n * n + 1, n)) + sum(range(n * (n - 1), 0, -n))
+        yield int(up.sum()) + int(up[:-1][::-1].sum())
 
 
 #: Each kind's (counting generator, closed form of n).
@@ -123,7 +132,7 @@ _SUMS = {
     SumKind.CUBES: (partial(_running, lambda n: n ** 3),
                     lambda n: (n * (n + 1) // 2) ** 2),
     SumKind.FIB_SQUARES: (_fib_squares,
-                          lambda n: fibonacci(n) * fibonacci(n + 1)),
+                          lambda n: math.prod(_fibonacci_pair(n))),
     SumKind.ADJ_TRIANGULAR: (_adj_triangular, lambda n: (n + 1) ** 2),
     SumKind.PALINDROME_ODD: (_palindrome_odd, lambda n: n * n + (n + 1) ** 2),
     SumKind.CUBE_LAYERS: (_cube_layers, lambda n: n ** 3),
@@ -144,7 +153,7 @@ def sum_identity_sweep(kind: SumKind, max_n: int) -> list[IdentityReport]:
 
     The literal sum is extended term by term, so the sweep makes O(max_n)
     additions, except for cube_layers, which re-sums at every n and makes
-    O(max_n^2), done in C by range sums.  An unknown kind is refused
+    O(max_n^2), done in C by int64 array sums.  An unknown kind is refused
     before any term is added.
     """
     sides = _SUMS.get(kind)

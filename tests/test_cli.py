@@ -71,6 +71,21 @@ class TestCheck:
         assert code == 2
         assert "unknown suite" in err
 
+    def test_repeated_suite_exits_2_before_any_runner(self, capsys,
+                                                      monkeypatch):
+        ran = []
+        for suite_id in ("sum.triangular", "sum.cubes"):
+            suite = SUITES[suite_id]
+            monkeypatch.setitem(SUITES, suite_id, dataclasses.replace(
+                suite, runner=lambda p, s=suite_id: ran.append(s) or []))
+        code, out, err = run_cli(capsys, "check", "sum.cubes",
+                                 "sum.triangular", "sum.cubes",
+                                 "sum.triangular", "sum.cubes", "--max-n", "2",
+                                 "--format", "csv")
+        assert code == 2
+        assert out == "" and ran == []
+        assert "more than once: sum.cubes, sum.triangular\n" in err
+
     def test_json_rows_validate_against_schema(self, capsys):
         code, out, _ = run_cli(capsys, "check", "sum.cubes", "--max-n", "7",
                                "--format", "json")
@@ -282,21 +297,25 @@ def test_million_trials_pinned(argv, digest, capsys, tmp_path, monkeypatch):
     test_output_pinned(argv, digest, capsys, tmp_path, monkeypatch)
 
 
-# The Euclid suites at 1000 trials and the cube-layer stack at n = 3000:
-# the sizes of the check_scaled benchmark workload.
+# The Euclid suites at 1000 trials, and the cube-layer stack, the harmonic
+# bounds and the Fibonacci squares at n = 3000: the sizes of the
+# check_scaled benchmark workload.
 PINNED_SCALED = [
     (["check", "geom.ceva", "geom.ceva_converse", "geom.squares_fit",
       "--trials", "1000"],
      "8179eed684d257cbec91921159f1f4107129357a91578f68ac76136603944483"),
     (["check", "sum.cube_layers", "--max-n", "3000"],
      "c75b89420f483fd77171c3317e7bc76ed54570071ad0ed781ad81816eba06807"),
+    (["check", "divisor.bounds", "sum.fib_squares", "--max-n", "3000"],
+     "63781c9403f3d7337f68efd81354c60b24191a89eb78ae4ce594d3000a297993"),
     (["check", "pick.formula", "--trials", "1000"],
      "73c47f03d43339755ddeb972de493b7bc43c515d2c8220c26f650108e6a8063e"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", PINNED_SCALED,
-                         ids=["geom", "cube_layers", "pick"])
+                         ids=["geom", "cube_layers", "bounds_fib_squares",
+                              "pick"])
 def test_scaled_suites_pinned(argv, digest, capsys, tmp_path, monkeypatch):
     test_output_pinned(argv, digest, capsys, tmp_path, monkeypatch)
 

@@ -71,7 +71,7 @@ def test_numpy_suite_loads_numpy():
 def test_numpy_suites_write_the_same_bytes_in_a_fresh_process(capsys,
                                                               monkeypatch):
     argv = ["check", "binom.colorings", "divisor.identity", "divisor.bounds",
-            "prob.dice", "--format", "json"]
+            "sum.cube_layers", "prob.dice", "--format", "json"]
     monkeypatch.delenv("TWOSIDE_FORMAT", raising=False)
     assert main(argv) == 0
     in_process = capsys.readouterr().out.encode()

@@ -1,7 +1,8 @@
 import pytest
 
 from twoside.exact_core import DomainError
-from twoside.sums_fib import (SumKind, fib_betweenness_report, fibonacci,
+from twoside.sums_fib import (SUM_MAX_N, SumKind, _fibonacci_pair,
+                              fib_betweenness_report, fibonacci,
                               sum_identity_sweep)
 from oracles import fibonacci_matrix, literal_sum
 
@@ -24,6 +25,14 @@ class TestFibonacci:
     def test_index_zero_rejected(self):
         with pytest.raises(DomainError):
             fibonacci(0)
+        with pytest.raises(DomainError):
+            _fibonacci_pair(0)
+
+    def test_pair_against_matrix_oracle(self):
+        # The fib_squares closed form multiplies this pair.
+        for n in range(1, 121):
+            assert _fibonacci_pair(n) == (fibonacci_matrix(n),
+                                          fibonacci_matrix(n + 1))
 
 
 # Expected values computed by hand-checked listings for tiny n.
@@ -81,6 +90,18 @@ class TestSumIdentities:
         reports = sum_identity_sweep(SumKind.PALINDROME_ODD, 3)
         for k, total in ((1, 5), (2, 13), (3, 25)):
             assert reports[k - 1].lhs == total == k * k + (k + 1) ** 2
+
+    def test_cube_layers_fit_int64_at_the_cap(self):
+        # Every cube-layer partial sum is at most n^3, and the layers are
+        # added in int64: raising the cap past this bound must fail here.
+        assert SUM_MAX_N ** 3 < 2 ** 63
+
+    @pytest.mark.parametrize("n", [1, 2, 3, SUM_MAX_N])
+    def test_cube_layers_int64_count(self, n):
+        report = sum_identity_sweep(SumKind.CUBE_LAYERS, n)[-1]
+        assert type(report.lhs) is int
+        assert report.lhs == literal_sum("cube_layers", n) == n ** 3
+        assert report.passed
 
     def test_odd_square_at_1000(self):
         report = sum_identity_sweep(SumKind.ODD_SQUARE, 1000)[-1]
