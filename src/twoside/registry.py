@@ -148,13 +148,14 @@ def _divisor_bounds(params: SuiteParams):
         b = dv.divisor_average_bounds(n, table, harmonics[n])
         # H_n = p/q and H_n - 1 = (p - q)/q share the lowest-terms
         # denominator, as gcd(p - q, q) = gcd(p, q) = 1, so its thousand-odd
-        # digits are rendered once; H_1 = 1 has none.
+        # digits are rendered once; H_1 = 1 has none.  Each cell is one
+        # f-string: joining "p/q" first made a 1-3 KB string per row that
+        # was freed at once and left holes between the rows.
         q = b.upper.denominator
         over = "" if q == 1 else "/" + rat_to_str(q)
-        lower = rat_to_str(b.lower.numerator) + over
-        upper = rat_to_str(b.upper.numerator) + over
-        yield report_check((n,), f"{lower} < {rat_to_str(b.avg)}",
-                           f"<= {upper}", b.passed)
+        lhs = f"{rat_to_str(b.lower.numerator)}{over} < {rat_to_str(b.avg)}"
+        rhs = f"<= {rat_to_str(b.upper.numerator)}{over}"
+        yield report_check((n,), lhs, rhs, b.passed)
 
 
 # --- binomials ----------------------------------------------------------------------

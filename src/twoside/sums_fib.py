@@ -110,11 +110,19 @@ def _cube_layers() -> Iterator[int]:
     alone is re-summed at each n, and a sweep over it costs O(max_n^2)
     additions.  Those additions still take every term n*i literally; two
     int64 array sums make them in C.  They are exact because `SUM_MAX_N`
-    keeps every partial sum at most n^3 <= 10^12 < 2^63."""
+    keeps every partial sum at most n^3 <= 10^12 < 2^63.
+
+    The terms are written into one buffer that is regrown to twice the
+    length n needs only when n outgrows it, so a sweep allocates O(log n)
+    arrays rather than one of a new size for every n."""
+    ramp = terms = np.empty(0, dtype=np.int64)
     n = 0
     while True:
         n += 1
-        up = np.arange(n, n * n + 1, n, dtype=np.int64)  # n, 2n, ..., n*n
+        if n > len(ramp):
+            ramp = np.arange(1, 2 * n + 1, dtype=np.int64)
+            terms = np.empty_like(ramp)
+        up = np.multiply(ramp[:n], n, out=terms[:n])  # n, 2n, ..., n*n
         # n + 2n + ... + n*n, then n*(n-1) + ... + 2n + n
         yield int(up.sum()) + int(up[:-1][::-1].sum())
 
