@@ -69,7 +69,10 @@ def _json_rows(rows: list[dict]) -> Iterator[str]:
     of str or a dict of str to str; any other value is a TypeError.  With
     an indent the stdlib encoder runs in pure Python and holds every chunk
     of the whole document in one list; writing the chunks as they come
-    keeps no copy of the whole document in memory.
+    keeps no copy of the whole document in memory.  The items of a list or
+    dict field are not type-checked here: ``encode_basestring_ascii``
+    itself refuses anything but a str, and its TypeError is raised again
+    naming the field's key.
     """
     keys: dict[str, str] = {}     # each key encoded once, with its ": "
     sep = "[\n  "
@@ -82,23 +85,25 @@ def _json_rows(rows: list[dict]) -> Iterator[str]:
                     raise TypeError(f"a row key must be a str, not {k!r}")
                 key = keys[k] = _encode_str(k) + ": "
             cls = type(v)
-            if cls is str:
-                fields.append(key + _encode_str(v))
-            elif v is None:
-                fields.append(key + "null")
-            elif cls is int:
-                fields.append(key + int.__repr__(v))
-            elif cls is list and all(type(x) is str for x in v):
-                fields.append(key + ("[\n      "
-                                     + ",\n      ".join(map(_encode_str, v))
-                                     + "\n    ]" if v else "[]"))
-            elif cls is dict and all(type(x) is str and type(y) is str
-                                     for x, y in v.items()):
-                fields.append(key + ("{\n      " + ",\n      ".join(
-                    [_encode_str(x) + ": " + _encode_str(y)
-                     for x, y in v.items()]) + "\n    }" if v else "{}"))
-            else:
-                raise TypeError(f"a row cannot hold {v!r} at {k!r}")
+            try:
+                if cls is str:
+                    fields.append(key + _encode_str(v))
+                elif v is None:
+                    fields.append(key + "null")
+                elif cls is int:
+                    fields.append(key + int.__repr__(v))
+                elif cls is list:
+                    fields.append(key + (
+                        "[\n      " + ",\n      ".join(map(_encode_str, v))
+                        + "\n    ]" if v else "[]"))
+                elif cls is dict:
+                    fields.append(key + ("{\n      " + ",\n      ".join(
+                        [_encode_str(x) + ": " + _encode_str(y)
+                         for x, y in v.items()]) + "\n    }" if v else "{}"))
+                else:
+                    raise TypeError(f"{cls.__name__} is not a row value")
+            except TypeError as exc:
+                raise TypeError(f"a row cannot hold {v!r} at {k!r}") from exc
         yield sep + ("{\n    " + ",\n    ".join(fields) + "\n  }"
                      if fields else "{}")
         sep = ",\n  "

@@ -265,30 +265,50 @@ def colorings_report(n: int) -> IdentityReport:
 
 def partitions_enumerate(n: int) -> list[tuple[int, ...]]:
     """All partitions of n as weakly decreasing tuples, in reverse
-    lexicographic order, no duplicates."""
+    lexicographic order, no duplicates.
+
+    Listed without recursion by ZS1 (Zoghbi and Stojmenovic, 1998): the
+    parts live in one list of n entries past whose last part every entry
+    is 1, and ``h`` indexes the last part above 1.  Each step lowers that
+    part by one and spreads it with the 1s after it into copies of the
+    lowered part and a remainder, which gives the next partition.
+    """
     if n < 1:
         raise DomainError("n must be a positive integer")
     if n > 45:
         raise DomainError("partition enumeration capped at n <= 45")
-    out: list[tuple[int, ...]] = []
-
-    def descend(prefix: tuple[int, ...], remaining: int, cap: int):
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            descend(prefix + (part,), remaining - part, part)
-
-    descend((), n, n)
+    x = [1] * n
+    x[0] = n
+    m = 1   # number of parts
+    h = 0   # index of the last part above 1
+    out = [(n,)]
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            h -= 1
+            m += 1
+        else:
+            r = x[h] - 1
+            t = m - h       # the lowered part's share plus the 1s after it
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        out.append(tuple(x[:m]))
     return out
 
 
-def partition_conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Column heights of the Young diagram: entry i counts parts > i."""
-    if list(parts) != sorted(parts, reverse=True):
-        raise DomainError("parts must be weakly decreasing")
-    if parts and parts[-1] < 1:
-        raise DomainError("parts must be positive")
+def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Column heights of the Young diagram of weakly decreasing positive
+    parts: entry i counts parts > i."""
     cols = []
     height = len(parts)
     for i in range(parts[0] if parts else 0):
@@ -298,30 +318,50 @@ def partition_conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(cols)
 
 
+def partition_conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Column heights of the Young diagram: entry i counts parts > i."""
+    if list(parts) != sorted(parts, reverse=True):
+        raise DomainError("parts must be weakly decreasing")
+    if parts and parts[-1] < 1:
+        raise DomainError("parts must be positive")
+    return _conjugate(parts)
+
+
 def partition_duality_reports(n: int) -> list[IdentityReport]:
     """Partitions with max part <= k vs partitions with <= k parts, k = 1..n.
 
     Counts both families and additionally verifies that conjugation is an
     exact bijection between them.  The partitions of n are listed once: each
     one's conjugate is filed under its largest part, and the partition
-    itself under its number of parts, so both families grow with k.
+    itself under its number of parts, so both families grow with k.  The
+    listed partitions are already valid, so they are conjugated without
+    the checks of `partition_conjugate`.  Set equality of the conjugates
+    and the family with few parts is read off a running count of the
+    members in only one of the two sets, kept as each k's members are
+    added, so the whole sweep costs O(p(n)) set operations.
     """
     by_largest: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
     by_count: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
     for parts in partitions_enumerate(n):
-        by_largest[parts[0]].append(partition_conjugate(parts))
+        by_largest[parts[0]].append(_conjugate(parts))
         by_count[len(parts)].append(parts)
     small_parts = 0  # conjugates of partitions with max part <= k
     mapped: set[tuple[int, ...]] = set()
     few_parts: set[tuple[int, ...]] = set()
+    unmatched = 0    # size of the symmetric difference of the two sets
     reports = []
     for k in range(1, n + 1):
         small_parts += len(by_largest[k])
-        mapped.update(by_largest[k])
-        few_parts.update(by_count[k])
-        bijection = mapped == few_parts and len(mapped) == small_parts
+        for q in by_largest[k]:
+            if q not in mapped:
+                mapped.add(q)
+                unmatched += -1 if q in few_parts else 1
+        for p in by_count[k]:
+            if p not in few_parts:
+                few_parts.add(p)
+                unmatched += -1 if p in mapped else 1
+        bijection = unmatched == 0 and len(mapped) == small_parts
         passed = small_parts == len(few_parts) and bijection
         reports.append(report_check((n, k), small_parts, len(few_parts),
                                     passed, {"bijection": bijection}))
     return reports
-

@@ -158,14 +158,17 @@ def coin_game_exact(n: int) -> Fraction:
     """Probability the starter throws the n-th head, by backward DP.
 
     One fair flip per turn, alternating; with x the value after the next
-    head, the flipper's win probability solves w = x/2 + (1 - w)/2.
+    head, the flipper's win probability solves w = x/2 + (1 - w)/2.  With
+    k heads to go, w is an integer a over 3^k, and w = (2 - x)/3 becomes
+    a <- 2·3^k - a.
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
-    w = Fraction(2, 3)  # one head to go
+    a, power = 2, 3  # one head to go: 2/3
     for _ in range(n - 1):
-        w = (2 - w) / 3
-    return w
+        a = 2 * power - a
+        power *= 3
+    return Fraction(a, power)
 
 
 def coin_game_closed_form(n: int) -> Fraction:
@@ -178,11 +181,21 @@ def coin_game_series_partial(n: int, l_start: int, l_max: int) -> Fraction:
     """Partial sum of C(2L, n-1) / 2^(2L+1) over l_start <= L <= l_max."""
     if l_start < 0 or l_max < l_start:
         raise DomainError("need 0 <= l_start <= l_max")
-    # Each term is added as the integer C(2L, n-1)·4^(l_max-L) over the one
-    # denominator 2^(2·l_max+1), so the sum is normalised once, at the end.
+    # Each term is the integer C(2L, n-1)·4^(l_max-L) over the one
+    # denominator 2^(2·l_max+1), summed by Horner's rule, so the sum is
+    # normalised once, at the end.  Terms with 2L < n-1 are 0; from the
+    # first nonzero one, C(a+2, m) = C(a, m)·(a+1)(a+2)/((a+1-m)(a+2-m)),
+    # taken as two exact divisions through C(a+1, m).
+    m = n - 1
+    level = max(l_start, (m + 1) // 2)
     num = 0
-    for level in range(l_start, l_max + 1):
-        num += math.comb(2 * level, n - 1) << 2 * (l_max - level)
+    if level <= l_max:
+        term = math.comb(2 * level, m)
+        num = term
+        for a in range(2 * level, 2 * l_max, 2):
+            term = term * (a + 1) // (a + 1 - m)
+            term = term * (a + 2) // (a + 2 - m)
+            num = (num << 2) + term
     return Fraction(num, 2 ** (2 * l_max + 1))
 
 

@@ -149,31 +149,40 @@ def rows(suite: str, reports: Iterable[IdentityReport], case: Case,
     """The `ROW_SCHEMA` rows of registry suite ``suite``, one per report.
 
     ``expected_fail`` is True when every row is a misprint kept on display,
-    or the set of case labels that are.
+    or the set of case labels that are.  The case's kind and the expected
+    labels are read once per suite; int parameters, the common kind, are
+    rendered without going through `render_value`.
     """
+    every_expected = expected_fail is True
+    expected_labels = () if every_expected else expected_fail or ()
+    fmt = case.format if isinstance(case, str) else None
     out = []
     for r in reports:
-        params = [render_value(p) for p in r.params]
-        if case is None:
+        params = [_int_to_str(p) if type(p) is int else render_value(p)
+                  for p in r.params]
+        if fmt is not None:
+            label = fmt(*params)
+        elif case is None:
             label = f"({', '.join(params)})"
-        elif callable(case):
-            label = case(r)
         else:
-            label = case.format(*params)
-        expected = expected_fail is True or label in (expected_fail or ())
+            label = case(r)
+        lhs, rhs = r.lhs, r.rhs
         row = {
             "suite": suite,
             "case": label,
             "params": params,
-            "lhs": render_value(r.lhs),
-            "rhs": render_value(r.rhs),
-            "status": row_status(r.passed, expected, r.gate),
+            "lhs": render_value(lhs),
+            "rhs": render_value(rhs),
+            "status": row_status(r.passed,
+                                 every_expected or label in expected_labels,
+                                 r.gate),
             "witness": (None if r.witness is None
                         else [render_value(w) for w in r.witness]),
         }
-        for key, value in (("lhs", r.lhs), ("rhs", r.rhs)):
-            if isinstance(value, Bracket):
-                row[f"{key}_enclosure"] = value.to_json()
+        if isinstance(lhs, Bracket):
+            row["lhs_enclosure"] = lhs.to_json()
+        if isinstance(rhs, Bracket):
+            row["rhs_enclosure"] = rhs.to_json()
         if r.detail:
             row["detail"] = {k: render_value(v) for k, v in r.detail.items()}
         out.append(row)

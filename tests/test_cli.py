@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twoside import analysis_brackets as ab
+from twoside import combinatorics
 from twoside import divisors as dv
 from twoside import euclid_checks, jordan_measure, lattice_pick, polyform
 from twoside import sums_fib
@@ -188,6 +189,24 @@ class TestCheck:
         assert len(row["params"]) == 4
         assert row["witness"] == row["params"][3:]
         assert row["case"] == f"p={row['witness'][0]}"
+
+    def test_wrong_conjugate_gives_duality_fail_rows(self, capsys,
+                                                     monkeypatch):
+        # (5, 3) is filed at k = 5 and sent to (2, 2, 1, 1, 1, 1), a
+        # partition of 8 but not its conjugate (2, 2, 2, 1, 1); the wrong
+        # member repeats the conjugate of (6, 2) only from k = 6.
+        conjugate = combinatorics._conjugate
+        monkeypatch.setattr(
+            combinatorics, "_conjugate",
+            lambda parts: (2, 2, 1, 1, 1, 1) if parts == (5, 3)
+            else conjugate(parts))
+        code, out, err = run_cli(capsys, "check", "partition.duality",
+                                 "--max-n", "8", "--format", "json")
+        assert (code, err) == (1, "")
+        failed = [(row["case"], row["witness"], row["detail"])
+                  for row in json.loads(out) if row["status"] != "PASS"]
+        assert failed == [(f"n=8,k={k}", ["8", str(k)],
+                           {"bijection": "false"}) for k in range(5, 9)]
 
     def test_failing_identity_witness_is_the_search_point(self, capsys,
                                                           monkeypatch):
@@ -841,10 +860,12 @@ class TestJsonRows:
     def test_dict_fields_match_stdlib(self, rows):
         assert "".join(_json_rows(rows)) == _stdlib_json(rows)
 
-    @pytest.mark.parametrize("value", [0.5, True, ["a", ["b"]]],
-                             ids=["float", "bool", "nested_list"])
+    @pytest.mark.parametrize(
+        "value", [0.5, True, ["a", ["b"]], ["a", 1], {"k": None}, {1: "a"}],
+        ids=["float", "bool", "nested_list", "list_int", "dict_none",
+             "dict_int_key"])
     def test_other_values_raise_type_error(self, value):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="at 'value'$"):
             "".join(_json_rows([{"suite": "s", "value": value}]))
 
     def test_check_all_never_reaches_the_stdlib_encoder(self, capsys,

@@ -341,7 +341,8 @@ class TestPartitions:
         assert partition_conjugate((5,)) == (1,) * 5
 
     def test_tuples_match_oracle(self):
-        for n in range(1, 21):
+        # `check` lists n <= 25; ZS1's order is pinned up to the cap, 45.
+        for n in [*range(1, 31), 45]:
             listed = partitions_descend(n)
             assert partitions_enumerate(n) == listed
             for p in listed:
@@ -388,6 +389,30 @@ class TestDuality:
             assert [r.params for r in reports] == [(n, k)
                                                    for k in range(1, n + 1)]
             assert all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("index", range(22))
+    def test_wrong_conjugate_fails_from_its_k(self, index, monkeypatch):
+        # One partition of 8 is sent to the conjugate of the one listed
+        # before it, a valid partition of 8 but not the right one.  The
+        # one before usually has a larger largest part, so it is filed at a
+        # later k, and until then no conjugate is repeated: only the set
+        # comparison sees the wrong member.
+        listed = partitions_enumerate(8)
+        assert len(listed) == 22
+        target = listed[index]
+        wrong = partition_conjugate(listed[index - 1])
+        conjugate = combinatorics._conjugate
+        monkeypatch.setattr(
+            combinatorics, "_conjugate",
+            lambda parts: wrong if parts == target else conjugate(parts))
+        for report in partition_duality_reports(8):
+            k = report.params[1]
+            if k < target[0]:
+                assert report.passed and report.detail["bijection"]
+            else:
+                assert report.detail["bijection"] is False
+                assert not report.passed
+                assert report.witness == (8, k)
 
     def test_reports_equal_oracle(self):
         reports = [r for n in range(1, 26) for r in partition_duality_reports(n)]

@@ -103,7 +103,7 @@ class TestCoinGame:
         assert coin_game_closed_form(3) == Fraction(14, 27)
 
     def test_dp_equals_closed_form(self):
-        for n in range(1, 13):
+        for n in range(1, 301):
             assert coin_game_exact(n) == coin_game_closed_form(n)
 
     def test_deviation_from_half_shrinks(self):
@@ -128,10 +128,13 @@ class TestCoinSeries:
     def test_single_term(self):
         assert coin_game_series_partial(1, 0, 0) == Fraction(1, 2)
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", [*range(1, 14), 50, 200, 2000])
     def test_partial_matches_fraction_loop(self, n):
-        for l_start in range(3):
-            for l_max in (0, 1, 2, 3, 5, 8, 13, 21, 34, 60, 100, 127, 200):
+        # Starts below (n - 1) / 2 lie before the first nonzero term.
+        first = -(-(n - 1) // 2)
+        for l_start in sorted({0, 1, 2, first, n}):
+            for l_max in sorted({0, 1, 2, 3, 5, 8, 13, 21, 34, 60, 100, 127,
+                                 200, l_start, n, n + 7}):
                 if l_max >= l_start:
                     assert coin_game_series_partial(n, l_start, l_max) == \
                         coin_game_series_partial_fraction(n, l_start, l_max)
