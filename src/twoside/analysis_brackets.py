@@ -40,14 +40,13 @@ def refine(brackets: Iterable[Bracket], tol: RationalLike,
 
 def _refine(brackets: Iterable[Bracket], tol: Fraction,
             max_steps: int) -> BracketGenerator:
-    last, steps = None, 0
+    steps = 0
     for steps, last in enumerate(islice(brackets, max_steps), 1):
         yield last
         if last.width <= tol:
             return
     raise NonConvergenceError(
-        f"no bracket of width <= {tol} within {steps} steps",
-        last_bracket=last, steps=steps)
+        f"no bracket of width <= {tol} within {steps} steps")
 
 
 def _sqrt_bracket(b: Bracket, eps: Fraction) -> Bracket:
@@ -200,9 +199,6 @@ class MonomialIntegrand:
             raise DomainError("interval endpoint must be positive")
         if self.exponent not in _FAULHABER:
             raise DomainError("unsupported exponent (need k in {1, 2, 3})")
-
-    def value(self, x: RationalLike) -> Fraction:
-        return self.coefficient * Fraction(x) ** self.exponent
 
     def exact_integral(self) -> Fraction:
         return (self.coefficient * self.upper ** (self.exponent + 1)

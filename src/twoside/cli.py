@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from itertools import islice
 from typing import Iterable, Iterator
@@ -251,13 +250,10 @@ def _cmd_prob(args) -> Rows:
     if args.trials < 1:
         raise DomainError("--trials must be positive: the simulation is one "
                           "of the three routes")
-    if args.terms < 0:
-        raise DomainError("--terms must be non-negative: it counts series "
-                          "terms")
+    prob.require_terms(args.terms)
     if args.game == "coin" and args.terms < args.n:
         raise DomainError(f"--terms must be at least --n = {args.n}: the coin "
                           f"series bounds its tail only from the n-th term on")
-    prob.require_terms(args.terms)
     prob.require_mc_trials(args.trials)
     if args.game == "dice":
         report, mc = prob.dice_game(terms=args.terms, trials=args.trials,
@@ -361,10 +357,6 @@ def main(argv=None) -> int:
     rows: list[dict] = []
     missed = False
     try:
-        fmt = os.environ.get("TWOSIDE_FORMAT") or args.format
-        if fmt not in _FORMATS:
-            raise DomainError(f"TWOSIDE_FORMAT must be table, json or csv, "
-                              f"not {fmt!r}")
         try:
             produced, columns = args.run(args)
             rows.extend(produced)
@@ -372,7 +364,7 @@ def main(argv=None) -> int:
             print(exc, file=sys.stderr)
             missed = True
         if rows:
-            _emit(rows, columns, fmt, args.output)
+            _emit(rows, columns, args.format, args.output)
     except DomainError as exc:
         print(exc, file=sys.stderr)
         return 2

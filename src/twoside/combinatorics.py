@@ -318,27 +318,16 @@ def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(cols)
 
 
-def partition_conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Column heights of the Young diagram: entry i counts parts > i."""
-    if list(parts) != sorted(parts, reverse=True):
-        raise DomainError("parts must be weakly decreasing")
-    if parts and parts[-1] < 1:
-        raise DomainError("parts must be positive")
-    return _conjugate(parts)
-
-
 def partition_duality_reports(n: int) -> list[IdentityReport]:
     """Partitions with max part <= k vs partitions with <= k parts, k = 1..n.
 
     Counts both families and additionally verifies that conjugation is an
     exact bijection between them.  The partitions of n are listed once: each
     one's conjugate is filed under its largest part, and the partition
-    itself under its number of parts, so both families grow with k.  The
-    listed partitions are already valid, so they are conjugated without
-    the checks of `partition_conjugate`.  Set equality of the conjugates
-    and the family with few parts is read off a running count of the
-    members in only one of the two sets, kept as each k's members are
-    added, so the whole sweep costs O(p(n)) set operations.
+    itself under its number of parts, so both families grow with k.  Set
+    equality of the conjugates and the family with few parts is read off a
+    running count of the members in only one of the two sets, kept as each
+    k's members are added, so the whole sweep costs O(p(n)) set operations.
     """
     by_largest: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
     by_count: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]

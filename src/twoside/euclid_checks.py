@@ -70,12 +70,6 @@ def _same_point(u: HomPoint, v: HomPoint) -> bool:
     return u[0] * v[2] == v[0] * u[2] and u[1] * v[2] == v[1] * u[2]
 
 
-def line_intersection(p1, p2, p3, p4) -> RatPoint:
-    """Intersection of lines p1p2 and p3p4; parallel pairs are an error."""
-    return _affine(_meet(_cross(_hom(p1), _hom(p2)),
-                         _cross(_hom(p3), _hom(p4))))
-
-
 def _strictly_inside(p: HomPoint, a: HomPoint, b: HomPoint,
                      c: HomPoint) -> bool:
     orient = _det(a, b, c)

@@ -5,7 +5,8 @@ number that has no exact rational representation (roots, powers with
 fractional exponents, pi) is handled as a ``Bracket``: a closed rational
 interval guaranteed to contain it.  Nothing in this module touches floating
 point.  All bracket operations are enclosure-sound: if x is in ``a`` and y is
-in ``b``, then x op y is in ``a op b`` for op in ``+``, ``-``, ``*``.
+in ``b``, then x * y is in ``a * b``, c * x in ``a.scale(c)``, x + c in
+``a.shift(c)``, and x in ``a.intersect(b)`` when it is also in ``b``.
 """
 
 from __future__ import annotations
@@ -37,13 +38,8 @@ class DomainError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """A refinement loop hit its step limit before reaching tolerance."""
-
-    def __init__(self, message: str, last_bracket: "Bracket | None" = None,
-                 steps: int | None = None):
-        super().__init__(message)
-        self.last_bracket = last_bracket
-        self.steps = steps
+    """A refinement loop hit its step limit before reaching tolerance; it
+    has yielded every bracket it made, and the message counts the steps."""
 
 
 def rat_from_str(s: str) -> Rational:
@@ -139,12 +135,6 @@ class Bracket:
 
     def shift(self, c: RationalLike) -> "Bracket":
         return Bracket(self.lo + c, self.hi + c)
-
-    def __add__(self, other: "Bracket") -> "Bracket":
-        return Bracket(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "Bracket") -> "Bracket":
-        return Bracket(self.lo - other.hi, self.hi - other.lo)
 
     def __mul__(self, other: "Bracket") -> "Bracket":
         products = (self.lo * other.lo, self.lo * other.hi,

@@ -28,14 +28,8 @@ class Expr:
     def __add__(self, other):
         return Sum(self, _as_expr(other))
 
-    def __radd__(self, other):
-        return Sum(_as_expr(other), self)
-
     def __sub__(self, other):
         return Diff(self, _as_expr(other))
-
-    def __rsub__(self, other):
-        return Diff(_as_expr(other), self)
 
     def __mul__(self, other):
         return Prod(self, _as_expr(other))

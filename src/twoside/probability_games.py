@@ -128,7 +128,11 @@ SERIES_MAX_TERMS = 10 ** 4
 
 
 def require_terms(terms: int) -> None:
-    """Refuse more than `SERIES_MAX_TERMS` terms before any is added."""
+    """Refuse a negative count, or more than `SERIES_MAX_TERMS` terms,
+    before any term is added."""
+    if terms < 0:
+        raise DomainError("--terms must be non-negative: it counts series "
+                          "terms")
     if terms > SERIES_MAX_TERMS:
         raise DomainError(f"series capped at SERIES_MAX_TERMS = "
                           f"{SERIES_MAX_TERMS} terms, not {terms}")
@@ -179,6 +183,8 @@ def coin_game_closed_form(n: int) -> Fraction:
 
 def coin_game_series_partial(n: int, l_start: int, l_max: int) -> Fraction:
     """Partial sum of C(2L, n-1) / 2^(2L+1) over l_start <= L <= l_max."""
+    if n < 1:
+        raise DomainError("n must be a positive integer")
     if l_start < 0 or l_max < l_start:
         raise DomainError("need 0 <= l_start <= l_max")
     # Each term is the integer C(2L, n-1)·4^(l_max-L) over the one

@@ -41,7 +41,3 @@ class SplitMix64:
             u = self.next_u64()
             if u < limit:
                 return u % n
-
-    def coin_bit(self) -> int:
-        """One fair bit per draw: the top bit of the next output."""
-        return self.next_u64() >> 63

@@ -648,7 +648,7 @@ def reference_monte_carlo_coin(n: int, trials: int, seed: int) -> int:
         heads = 0
         starter_turn = True
         while True:
-            heads += rng.coin_bit()
+            heads += rng.next_u64() >> 63
             if heads == n:
                 hits += starter_turn
                 break

@@ -1,4 +1,5 @@
-"""Static audit of the package source: rules checked by reading the code.
+"""Audit of the package source: three rules checked by reading the code,
+one by running it.
 
 The first rule: suite ids live in the registry alone.  A row's ``suite``
 comes from the registry declaration that ran it, so no other module may
@@ -14,13 +15,23 @@ The third rule: no floats.  Every comparison is exact, so the package
 holds no float or complex literal and calls no ``float``.  The one
 exception is the digit split of ``exact_core._int_to_str``, which only
 picks where to cut an integer in two.
+
+The fourth rule, checked by running the code: every function is on a
+program path.  A trace of the command line over every subcommand, in every
+format, enters each module-level and class-body function of the package,
+but for the few on `REACH_ALLOWLIST`, each with its reason.
 """
 
 import ast
+import contextlib
+import io
+import sys
 from pathlib import Path
 
 import pytest
 
+from twoside import cli, registry
+from twoside.analysis_brackets import GENERATOR_NAMES
 from twoside.registry import SUITES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "twoside"
@@ -165,3 +176,104 @@ def f(x):
     return a, b, c, d
 '''
     assert float_uses(source) == [6, 7, 7, 8, 8]
+
+
+#: The functions no command enters, each with the reason it stays.
+REACH_ALLOWLIST = {
+    "_lazy.lazy_module": "runs once, when the package is imported",
+    "analysis_brackets.pi_bracket": "the benchmark's numeric workload and "
+                                    "acceptance criterion 03 call it",
+    "analysis_brackets.circle_area_bracket": "criterion 03's circle, not "
+                                             "yet a registry suite",
+    "analysis_brackets.cylinder_volume_bracket": "criterion 03's cylinder, "
+                                                 "not yet a registry suite",
+}
+
+#: Every subcommand at small sizes.  Ten `pick` seeds draw a polygon whose
+#: simplicity test meets collinear edges.
+REACH_COMMANDS = [
+    ["check", "all", "--max-n", "6", "--trials", "4"],
+    ["list"],
+    *(["converge", name, "--doublings", "2"] for name in GENERATOR_NAMES),
+    ["converge", "sqrt2", "--tol", "1/100"],
+    ["divisors", "--n", "30"],
+    ["jordan", "--region", "disk:1", "--tol", "1", "--max-n", "8"],
+    ["jordan", "--region", "poly:0,0;2,0;0,2", "--tol", "1", "--max-n", "16"],
+    ["pick", "--seeds", "10"],
+    ["prob", "dice", "--trials", "100"],
+    ["prob", "coin", "--n", "2", "--trials", "100"],
+]
+
+
+def function_lines(source: str) -> dict[int, str]:
+    """The first line of the code object of each module-level and
+    class-body function, to its dotted name; a decorated function's code
+    starts at its first decorator."""
+    tree = ast.parse(source)
+    found = {}
+    for owner, body in [("", tree.body)] + [
+            (node.name + ".", node.body) for node in tree.body
+            if isinstance(node, ast.ClassDef)]:
+        for fn in body:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                line = min([fn.lineno] + [d.lineno for d in fn.decorator_list])
+                found[line] = owner + fn.name
+    return found
+
+
+def test_audit_finds_functions_where_their_code_starts():
+    source = '''
+import functools
+def f():
+    def inner():
+        pass
+class C:
+    @property
+    def p(self):
+        pass
+
+    @staticmethod
+    @functools.cache
+    def s():
+        pass
+'''
+    namespace = {}
+    exec(compile(source, "<audit>", "exec"), namespace)
+    cls = namespace["C"]
+    functions = [namespace["f"], cls.p.fget, cls.s.__wrapped__]
+    assert function_lines(source) == {
+        fn.__code__.co_firstlineno: name
+        for fn, name in zip(functions, ["f", "C.p", "C.s"])}
+
+
+def entered_code() -> set[tuple[str, int]]:
+    """(file, first line) of each function's code entered by
+    `REACH_COMMANDS` in every format and by one build of the registry."""
+    entered = set()
+
+    def profile(frame, event, _):
+        if event == "call":
+            code = frame.f_code
+            entered.add((code.co_filename, code.co_firstlineno))
+    exits = []
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for fmt in ("table", "json", "csv"):
+                exits += [cli.main([*argv, "--format", fmt])
+                          for argv in REACH_COMMANDS]
+            registry._build()
+    finally:
+        sys.setprofile(None)
+    assert set(exits) == {0}
+    return {(str(Path(name).resolve()), line) for name, line in entered}
+
+
+def test_every_function_is_on_a_program_path():
+    entered = entered_code()
+    unreached = {
+        f"{path.stem}.{name}"
+        for path in SRC.glob("*.py")
+        for line, name in function_lines(path.read_text()).items()
+        if (str(path), line) not in entered}
+    assert unreached == set(REACH_ALLOWLIST)

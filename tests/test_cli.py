@@ -114,10 +114,9 @@ class TestCheck:
         second = run_cli(capsys, "check", "geom.ceva", "--trials", "10")
         assert first == second
 
-    def test_check_all_output_pinned(self, capsys, tmp_path, monkeypatch):
+    def test_check_all_output_pinned(self, capsys, tmp_path):
         # The whole default run, byte for byte: a faster or smaller
         # implementation must leave every row exactly as it was.
-        monkeypatch.delenv("TWOSIDE_FORMAT", raising=False)
         target = tmp_path / "all.json"
         code, _, _ = run_cli(capsys, "check", "all", "--format", "json",
                              "--output", str(target))
@@ -135,8 +134,7 @@ class TestCheck:
          "21be56f2d025d3cdeec111c0eb05d349d24692d89816b7b9d1d53760ea17a377"),
     ], ids=["table", "csv"])
     def test_check_all_text_formats_pinned(self, fmt, digest, capsys,
-                                           tmp_path, monkeypatch):
-        monkeypatch.delenv("TWOSIDE_FORMAT", raising=False)
+                                           tmp_path):
         target = tmp_path / f"all.{fmt}"
         code, _, _ = run_cli(capsys, "check", "all", "--format", fmt,
                              "--output", str(target))
@@ -291,8 +289,7 @@ def _pin_id(argv: list[str]) -> str:
 
 @pytest.mark.parametrize("argv, digest", PINNED_OUTPUTS,
                          ids=[_pin_id(argv) for argv, _ in PINNED_OUTPUTS])
-def test_output_pinned(argv, digest, capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("TWOSIDE_FORMAT", raising=False)
+def test_output_pinned(argv, digest, capsys, tmp_path):
     target = tmp_path / "out.json"
     code, _, _ = run_cli(capsys, *argv, "--format", "json",
                          "--output", str(target))
@@ -312,8 +309,8 @@ PINNED_MILLION_TRIALS = [
 
 @pytest.mark.parametrize("argv, digest", PINNED_MILLION_TRIALS,
                          ids=["dice", "coin"])
-def test_million_trials_pinned(argv, digest, capsys, tmp_path, monkeypatch):
-    test_output_pinned(argv, digest, capsys, tmp_path, monkeypatch)
+def test_million_trials_pinned(argv, digest, capsys, tmp_path):
+    test_output_pinned(argv, digest, capsys, tmp_path)
 
 
 # The Euclid suites at 1000 trials, and the cube-layer stack, the harmonic
@@ -335,8 +332,8 @@ PINNED_SCALED = [
 @pytest.mark.parametrize("argv, digest", PINNED_SCALED,
                          ids=["geom", "cube_layers", "bounds_fib_squares",
                               "pick"])
-def test_scaled_suites_pinned(argv, digest, capsys, tmp_path, monkeypatch):
-    test_output_pinned(argv, digest, capsys, tmp_path, monkeypatch)
+def test_scaled_suites_pinned(argv, digest, capsys, tmp_path):
+    test_output_pinned(argv, digest, capsys, tmp_path)
 
 
 class TestConverge:
@@ -614,50 +611,46 @@ class TestDedicatedCommands:
 # Every usage error README names: exit 2, nothing on stdout, and one
 # message as it was raised, without a traceback or a prefix.
 USAGE_ERRORS = [
-    (["check", "sum.even"], "yaml"),
-    (["check", "sum.nonexistent"], None),
-    (["check", "pick.formula", "--trials", "0"], None),
-    (["check", "prob.dice", "--trials", "0"], None),
-    (["converge", "nope"], None),
-    (["converge", "pi", "--doublings", "-1"], None),
-    (["converge", "power", "--doublings", "9"], None),
-    (["converge", "pi", "--tol", "0"], None),
-    (["converge", "pi", "--doublings", "2000"], None),
-    (["converge", "sqrt2", "--tol", "1/100", "--doublings", "-1"], None),
-    (["converge", "sqrt2", "--tol", "1/100", "--doublings", "2000"], None),
-    (["divisors", "--n", "0"], None),
-    (["divisors", "--n", "1000000000000"], None),
-    (["divisors", "--n", "10001"], None),
-    (["check", "divisor.identity", "--max-n", "1000000000000"], None),
-    (["check", "divisor.bounds", "--max-n", "10001"], None),
-    (["jordan", "--region", "blob:1"], None),
-    (["jordan", "--region", "disk:1", "--max-n", "0"], None),
-    (["jordan", "--region", "disk:1", "--tol", "0"], None),
-    (["jordan", "--region", "disk:1000000", "--max-n", "4"], None),
-    (["pick", "--seeds", "0"], None),
-    (["pick", "--extent", "1"], None),
-    (["pick", "--seeds", "1", "--extent", "100000"], None),
-    (["pick", "--seeds", "10001"], None),
-    (["prob", "dice", "--trials", "0"], None),
-    (["prob", "dice", "--terms", "-1"], None),
-    (["check", "prob.dice", "--terms", "-1"], None),
-    (["prob", "coin", "--n", "10", "--terms", "3"], None),
+    ["check", "sum.nonexistent"],
+    ["check", "pick.formula", "--trials", "0"],
+    ["check", "prob.dice", "--trials", "0"],
+    ["converge", "nope"],
+    ["converge", "pi", "--doublings", "-1"],
+    ["converge", "power", "--doublings", "9"],
+    ["converge", "pi", "--tol", "0"],
+    ["converge", "pi", "--doublings", "2000"],
+    ["converge", "sqrt2", "--tol", "1/100", "--doublings", "-1"],
+    ["converge", "sqrt2", "--tol", "1/100", "--doublings", "2000"],
+    ["divisors", "--n", "0"],
+    ["divisors", "--n", "1000000000000"],
+    ["divisors", "--n", "10001"],
+    ["check", "divisor.identity", "--max-n", "1000000000000"],
+    ["check", "divisor.bounds", "--max-n", "10001"],
+    ["jordan", "--region", "blob:1"],
+    ["jordan", "--region", "disk:1", "--max-n", "0"],
+    ["jordan", "--region", "disk:1", "--tol", "0"],
+    ["jordan", "--region", "disk:1000000", "--max-n", "4"],
+    ["pick", "--seeds", "0"],
+    ["pick", "--extent", "1"],
+    ["pick", "--seeds", "1", "--extent", "100000"],
+    ["pick", "--seeds", "10001"],
+    ["prob", "dice", "--trials", "0"],
+    ["prob", "dice", "--terms", "-1"],
+    ["check", "prob.dice", "--terms", "-1"],
+    ["prob", "coin", "--n", "10", "--terms", "3"],
 ]
 
 
-@pytest.mark.parametrize("argv, env_format", USAGE_ERRORS,
-                         ids=[" ".join(argv) + (f" {env}" if env else "")
-                              for argv, env in USAGE_ERRORS])
-def test_usage_error_message_exits_2(argv, env_format, capsys, monkeypatch):
-    monkeypatch.delenv("TWOSIDE_FORMAT", raising=False)
-    if env_format:
-        monkeypatch.setenv("TWOSIDE_FORMAT", env_format)
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_usage_error_message_exits_2(argv, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.strip()
     assert "Traceback" not in err
     assert not err.startswith("domain error")
+    if "--terms" in argv:
+        assert "--terms" in err
 
 
 # (suite, flag, the cap's name in the refusal, the largest accepted value)
@@ -727,6 +720,14 @@ class TestCapsBeforeWork:
                                  str(prob.SERIES_MAX_TERMS + 1))
         assert (code, out) == (2, "")
         assert f"SERIES_MAX_TERMS = {prob.SERIES_MAX_TERMS}" in err
+
+    def test_check_refuses_negative_terms_before_any_runner(self, capsys,
+                                                            monkeypatch):
+        called = _stub_runners(monkeypatch)
+        code, out, err = run_cli(capsys, "check", "alg.mixture", "prob.dice",
+                                 "--terms", "-1")
+        assert (code, out, called) == (2, "", [])
+        assert "--terms" in err
 
     @pytest.mark.parametrize("game", ["dice", "coin"])
     def test_prob_refuses_trials_before_any_draw(self, game, capsys,
@@ -801,17 +802,15 @@ class TestCapsBeforeWork:
 
 
 class TestOutputPlumbing:
-    def test_env_format_override(self, capsys, monkeypatch):
+    def test_format_environment_variable_is_ignored(self, capsys,
+                                                    monkeypatch):
+        argvs = (["--format", "csv"], [])
+        expected = [run_cli(capsys, "check", "sum.even", "--max-n", "3", *a)
+                    for a in argvs]
         monkeypatch.setenv("TWOSIDE_FORMAT", "json")
-        code, out, _ = run_cli(capsys, "check", "sum.even", "--max-n", "3",
-                               "--format", "table")
-        assert code == 0
-        assert json.loads(out)
-
-    def test_bad_env_format(self, capsys, monkeypatch):
-        monkeypatch.setenv("TWOSIDE_FORMAT", "yaml")
-        code, _, err = run_cli(capsys, "check", "sum.even")
-        assert code == 2
+        assert [run_cli(capsys, "check", "sum.even", "--max-n", "3", *a)
+                for a in argvs] == expected
+        assert expected[0][1].startswith("suite,case,")
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "rows.json"
@@ -874,7 +873,6 @@ class TestJsonRows:
         def refuse(*args, **kwargs):
             raise AssertionError("json.dumps called")
 
-        monkeypatch.delenv("TWOSIDE_FORMAT", raising=False)
         monkeypatch.setattr(json, "dumps", refuse)
         target = tmp_path / "all.json"
         code, _, _ = run_cli(capsys, "check", "all", "--format", "json",

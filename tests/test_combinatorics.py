@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twoside import combinatorics
-from twoside.combinatorics import (BinomKind,
+from twoside.combinatorics import (BinomKind, _conjugate,
                                    absorption_printed_minimal_witness,
                                    binom_identity_check, binomial,
                                    binomial_enumeration_crosscheck,
                                    colorings_report,
-                                   partition_conjugate,
                                    partition_duality_reports,
                                    partitions_enumerate)
 from twoside.exact_core import DomainError
@@ -337,8 +336,8 @@ class TestPartitions:
         assert all(sum(p) == 12 for p in seen)
 
     def test_conjugate_examples(self):
-        assert partition_conjugate((3, 1)) == (2, 1, 1)
-        assert partition_conjugate((5,)) == (1,) * 5
+        assert _conjugate((3, 1)) == (2, 1, 1)
+        assert _conjugate((5,)) == (1,) * 5
 
     def test_tuples_match_oracle(self):
         # `check` lists n <= 25; ZS1's order is pinned up to the cap, 45.
@@ -346,26 +345,20 @@ class TestPartitions:
             listed = partitions_descend(n)
             assert partitions_enumerate(n) == listed
             for p in listed:
-                assert partition_conjugate(p) == partition_conjugate_cells(p)
+                assert _conjugate(p) == partition_conjugate_cells(p)
 
     @settings(max_examples=200, deadline=None)
     @given(partitions())
     def test_conjugate_involution(self, p):
-        assert partition_conjugate(partition_conjugate(p)) == p
+        assert _conjugate(_conjugate(p)) == p
 
     @settings(max_examples=100, deadline=None)
     @given(partitions())
     def test_conjugate_swaps_width_and_height(self, p):
-        q = partition_conjugate(p)
+        q = _conjugate(p)
         assert q[0] == len(p)
         assert len(q) == p[0]
         assert sum(q) == sum(p)
-
-    def test_invalid_partitions(self):
-        with pytest.raises(DomainError):
-            partition_conjugate((1, 2))
-        with pytest.raises(DomainError):
-            partition_conjugate((2, 0))
 
 
 class TestDuality:
@@ -400,8 +393,8 @@ class TestDuality:
         listed = partitions_enumerate(8)
         assert len(listed) == 22
         target = listed[index]
-        wrong = partition_conjugate(listed[index - 1])
         conjugate = combinatorics._conjugate
+        wrong = conjugate(listed[index - 1])
         monkeypatch.setattr(
             combinatorics, "_conjugate",
             lambda parts: wrong if parts == target else conjugate(parts))

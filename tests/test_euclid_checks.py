@@ -7,13 +7,19 @@ from oracles import (_ratio_along_fraction, ceva_converse_check_fraction,
                      ceva_product_fraction, line_intersection_fraction,
                      squares_intersection_check_fraction)
 from twoside.exact_core import DomainError
-from twoside.euclid_checks import (CevaConfig, _hom, _ratio_along,
-                                   ceva_converse_check, ceva_product,
-                                   ceva_product_report, line_intersection,
+from twoside.euclid_checks import (CevaConfig, _affine, _cross, _hom, _meet,
+                                   _ratio_along, ceva_converse_check,
+                                   ceva_product, ceva_product_report,
                                    squares_fit_report)
 from twoside.rng import SplitMix64
 
 RIGHT = ((0, 0), (1, 0), (0, 1))
+
+
+def line_meet(p1, p2, p3, p4):
+    """Lines p1p2 and p3p4 met as the checks meet them."""
+    return _affine(_meet(_cross(_hom(p1), _hom(p2)),
+                         _cross(_hom(p3), _hom(p4))))
 
 
 def random_triangle_and_weights(rng):
@@ -28,11 +34,11 @@ def random_triangle_and_weights(rng):
 
 class TestLineIntersection:
     def test_axes(self):
-        assert line_intersection((0, 0), (2, 2), (0, 2), (2, 0)) == (1, 1)
+        assert line_meet((0, 0), (2, 2), (0, 2), (2, 0)) == (1, 1)
 
     def test_parallel(self):
         with pytest.raises(DomainError):
-            line_intersection((0, 0), (1, 0), (0, 1), (1, 1))
+            line_meet((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 class TestCevaProduct:
@@ -205,7 +211,7 @@ class TestAgainstFractionOracles:
     @given(line_pairs())
     @example(((0, 0), (1, 0), (0, 1), (1, 1)))
     def test_line_intersection(self, case):
-        assert outcome(line_intersection, *case) == \
+        assert outcome(line_meet, *case) == \
             outcome(line_intersection_fraction, *case)
 
     @settings(max_examples=200, deadline=None)

@@ -150,6 +150,12 @@ class TestCoinSeries:
                 coin_series_tail_bracket(n, l_start, l_max)
         assert coin_series_tail_bracket(3, 0, 3).contains(coin_game_exact(3))
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_series_refuses_n_below_one(self, n):
+        for series in (coin_game_series_partial, coin_series_tail_bracket):
+            with pytest.raises(DomainError, match="n must be a positive"):
+                series(n, 0, 5)
+
     def test_index_report(self):
         index_0, index_1 = coin_series_index_reports(1)
         assert index_0.params == (1, 0) and index_1.params == (1, 1)

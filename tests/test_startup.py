@@ -42,7 +42,6 @@ def fresh(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    env.pop("TWOSIDE_FORMAT", None)
     return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, timeout=120)
 
@@ -68,11 +67,9 @@ def test_numpy_suite_loads_numpy():
     assert numpy_loaded(RUN_MAIN.format(argv=["check", "binom.colorings"]))
 
 
-def test_numpy_suites_write_the_same_bytes_in_a_fresh_process(capsys,
-                                                              monkeypatch):
+def test_numpy_suites_write_the_same_bytes_in_a_fresh_process(capsys):
     argv = ["check", "binom.colorings", "divisor.identity", "divisor.bounds",
             "sum.cube_layers", "prob.dice", "--format", "json"]
-    monkeypatch.delenv("TWOSIDE_FORMAT", raising=False)
     assert main(argv) == 0
     in_process = capsys.readouterr().out.encode()
     done = fresh(f"import sys, twoside.cli\n"
