@@ -228,6 +228,7 @@ def _cmd_pick(args) -> Rows:
     if args.seeds < 1:
         raise DomainError("--seeds must be positive")
     require_trials(SuiteParams(trials=args.seeds), "--seeds")
+    lattice.require_extent(args.extent, "--extent")
     rows = []
     for i in range(args.seeds):
         poly = lattice.random_lattice_polygon(args.seed + i, args.extent)
@@ -251,6 +252,9 @@ def _cmd_prob(args) -> Rows:
         raise DomainError("--trials must be positive: the simulation is one "
                           "of the three routes")
     prob.require_terms(args.terms)
+    if args.game == "coin" and args.n < 1:
+        raise DomainError("--n must be a positive integer: the coin game "
+                          "ends at the n-th head")
     if args.game == "coin" and args.terms < args.n:
         raise DomainError(f"--terms must be at least --n = {args.n}: the coin "
                           f"series bounds its tail only from the n-th term on")

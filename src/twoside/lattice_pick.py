@@ -6,12 +6,17 @@ no floats anywhere.  Areas are rationals with denominator at most 2.
 
 The empty triangulation keeps each triangle's lattice points sorted onto
 its three edges and its interior, so the next split point is read off those
-lists and a split re-tests only the points it can move.  Whether the
-finished triangles are empty is then counted, column by column in int64
-floor/ceil division over all of them at once, never inferred from their
-areas.  Every polygon stays below 2^62 in each coordinate and, before any
-scan or triangulation, below `LATTICE_MAX_POINTS` lattice points in its
-bounding box, which is what keeps that int64 count exact.
+lists and a split re-tests only the points it can move.  Two kinds of
+triangle are finished without splitting, as their pieces are already fixed:
+one with points on a single edge and none inside fans out from the opposite
+vertex, and one with a single interior point and none on its edges fans
+into three.  Each yields the triangles, in the order, that splitting one
+point at a time would.  Whether the finished triangles are empty is then
+counted, column by column in int64 floor/ceil division over all of them at
+once, never inferred from their areas.  Every polygon stays below 2^62 in
+each coordinate and, before any scan or triangulation, below
+`LATTICE_MAX_POINTS` lattice points in its bounding box, which is what
+keeps that int64 count exact.
 """
 
 from __future__ import annotations
@@ -88,6 +93,7 @@ class LatticePolygon:
     __slots__ = ("vertices",)
 
     def __init__(self, vertices):
+        vertices = list(vertices)      # an iterator is read once, here
         pts = [(int(x), int(y)) for x, y in vertices]
         if any((x, y) != (vx, vy) for (x, y), (vx, vy) in zip(pts, vertices)):
             raise DomainError("vertices must have integer coordinates")
@@ -388,21 +394,28 @@ def _split(t: Triangle, contained: Contained, p: IntPoint,
         w0x, w0y = a[0] - px, a[1] - py
         w1x, w1y = b[0] - px, b[1] - py
         w2x, w2y = c[0] - px, c[1] - py
+        in0, in1, in2 = f0[3].append, f1[3].append, f2[3].append
         for q in inside:
-            qx, qy = q
-            qx -= px
-            qy -= py
-            if not (qx or qy):                 # q is p
-                continue
+            qx = q[0] - px
+            qy = q[1] - py
+            # strictly inside one piece: filed as soon as that is decided
             u0 = w0x * qy - w0y * qx
             u1 = w1x * qy - w1y * qx
+            if u0 > 0 > u1:
+                in0(q)
+                continue
             u2 = w2x * qy - w2y * qx
-            if u0 >= 0 >= u1:
-                f0[1 if u1 == 0 else 2 if u0 == 0 else 3].append(q)
-            if u1 >= 0 >= u2:
-                f1[1 if u2 == 0 else 2 if u1 == 0 else 3].append(q)
-            if u2 >= 0 >= u0:
-                f2[1 if u0 == 0 else 2 if u2 == 0 else 3].append(q)
+            if u1 > 0 > u2:
+                in1(q)
+            elif u2 > 0 > u0:
+                in2(q)
+            elif qx or qy:                     # on a ray from p, not p
+                if u0 >= 0 >= u1:
+                    f0[1 if u1 == 0 else 2 if u0 == 0 else 3].append(q)
+                if u1 >= 0 >= u2:
+                    f1[1 if u2 == 0 else 2 if u1 == 0 else 3].append(q)
+                if u2 >= 0 >= u0:
+                    f2[1 if u0 == 0 else 2 if u2 == 0 else 3].append(q)
         return [((a, b, p), f0), ((b, c, p), f1), ((c, a, p), f2)]
     # p on edge u-v of (u, v, w): pieces (u, p, w) and (p, v, w)
     if edge == 0:
@@ -523,6 +536,16 @@ def empty_triangulation(p: LatticePolygon,
     point is chosen by `order` ("boundary_first": boundary points before
     interior, lexicographically smallest first; "interior_first": the
     reverse) and the final count must not depend on that choice.
+
+    Some triangles are finished at once, with the triangles and the order
+    that splitting them would give.  Along a segment lexicographic order is
+    monotone, so the least or greatest of the points on one edge u-v,
+    opposite w, is an end of their run: splitting there leaves an empty
+    piece and one of the same kind, and as (p, v, w) is popped before
+    (u, p, w) both orders finish (q1, v, w), (q2, q1, w), ..., (u, qk, w),
+    with q1..qk the edge's points from v back to u.  A single interior
+    point p with no edge points fans (a, b, c) into the empty pieces
+    (c, a, p), (b, c, p), (a, b, p), in the order they are popped.
     `all_empty` counts the lattice points of every finished triangle, and
     `all_half_area` and `area_total` read their areas, from one int64
     `_count_points` pass.  A polygon whose bounding box holds more than
@@ -532,6 +555,7 @@ def empty_triangulation(p: LatticePolygon,
         raise DomainError(f"unknown refinement order {order!r}")
     _require_box(p)
     boundary_first = order == "boundary_first"
+    pick = min if boundary_first else max
     ears = _ear_clip(p)
     work = list(zip(ears, _classify(ears)))
     finished: list[Triangle] = []
@@ -539,17 +563,41 @@ def empty_triangulation(p: LatticePolygon,
     while work:
         triangle, contained = pop()
         e0, e1, e2, inside = contained
-        if inside and not (boundary_first and (e0 or e1 or e2)):
-            split_at = min(inside) if boundary_first else max(inside)
-            edge = None
-        elif e0 or e1 or e2:
-            # no point lies on two edges, as the vertices are left out
-            split_at = (min if boundary_first else max)(e0 + e1 + e2)
-            edge = 0 if split_at in e0 else 1 if split_at in e1 else 2
+        on_edges = e0 or e1 or e2
+        if inside and not (boundary_first and on_edges):
+            if on_edges or len(inside) > 1:
+                extend(_split(triangle, contained, pick(inside), None))
+            else:
+                # one-point fan: _split's three empty pieces, as popped
+                a, b, c = triangle
+                q = inside[0]
+                append((c, a, q))
+                append((b, c, q))
+                append((a, b, q))
+        elif inside or (not e0) + (not e1) + (not e2) < 2:
+            # no point lies on two edges, as the vertices are left out, so
+            # the edge index never breaks a tie
+            split_at, edge = pick([(pick(points), i) for i, points
+                                   in enumerate((e0, e1, e2)) if points])
+            extend(_split(triangle, contained, split_at, edge))
         else:
-            append(triangle)
-            continue
-        extend(_split(triangle, contained, split_at, edge))
+            # one-edge fan: points only on edge u-v, none inside, so every
+            # split leaves an empty piece and one of the same kind; both
+            # orders finish (q1, v, w), (q2, q1, w), ..., (u, qk, w) with
+            # q1..qk the edge's points from v back to u
+            if e0:
+                (u, v, w), points = triangle, e0
+            elif e1:
+                (w, u, v), points = triangle, e1
+            elif e2:
+                (v, w, u), points = triangle, e2
+            else:                              # empty: the fan of k = 0
+                append(triangle)
+                continue
+            for q in sorted(points, reverse=u < v):
+                append((q, v, w))
+                v = q
+            append((u, v, w))
     h = boundary_count(p)
     b = interior_count(p)
     expected = h + 2 * b - 2
@@ -565,6 +613,21 @@ def empty_triangulation(p: LatticePolygon,
 
 # --- seeded polygon generation --------------------------------------------------
 
+def require_extent(half_extent: int, name: str = "half_extent") -> None:
+    """Refuse a box [-he, he]^2 too small for the vertices drawn, or over
+    `LATTICE_MAX_POINTS` points, before any sampling; the refusal names
+    `name`, the argument or flag that set he."""
+    if half_extent < 1:
+        raise DomainError(f"{name} must be at least 1")
+    span = 2 * half_extent + 1
+    box = (f"the box [-{half_extent}, {half_extent}]^2 of {name} = "
+           f"{half_extent}")
+    _require_points(span * span, box)
+    if span * span < 12:  # vertex counts are drawn from 6..12
+        raise DomainError(f"cannot place 12 distinct vertices among the "
+                          f"{span * span} lattice points of {box}")
+
+
 def random_lattice_polygon(seed: int, half_extent: int) -> LatticePolygon:
     """Deterministic simple lattice polygon inside [-he, he]^2.
 
@@ -572,14 +635,8 @@ def random_lattice_polygon(seed: int, half_extent: int) -> LatticePolygon:
     centroid (ties broken by radius), and rejected wholesale if the result
     violates any polygon invariant.
     """
-    if half_extent < 1:
-        raise DomainError("half_extent must be at least 1")
+    require_extent(half_extent)
     span = 2 * half_extent + 1
-    _require_points(span * span, f"[-{half_extent}, {half_extent}]^2")
-    if span * span < 12:  # vertex counts are drawn from 6..12
-        raise DomainError(f"cannot place 12 distinct vertices among the "
-                          f"{span * span} lattice points of "
-                          f"[-{half_extent}, {half_extent}]^2")
     rng = SplitMix64(seed)
     for _ in range(10_000):
         k = 6 + rng.below(7)

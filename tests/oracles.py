@@ -688,6 +688,90 @@ def triangle_points_by_edge(t) -> list[list]:
     return out
 
 
+def _split_triangle(t, contained, p, edge):
+    """The pieces of t split at its point p, each with its own points: an
+    edge point halves t, an interior point (edge None) fans it into three."""
+    px, py = p
+    e0, e1, e2, inside = contained
+    if edge is None:
+        # piece k = (v_k, v_k+1, p) holds q iff u_k >= 0 >= u_k+1, where
+        # u_k = cross(p, v_k, q); u_k+1 = 0 puts q on the piece's edge
+        # v_k+1-p, u_k = 0 on its edge p-v_k
+        a, b, c = t
+        f0, f1, f2 = (e0, [], [], []), (e1, [], [], []), (e2, [], [], [])
+        w0x, w0y = a[0] - px, a[1] - py
+        w1x, w1y = b[0] - px, b[1] - py
+        w2x, w2y = c[0] - px, c[1] - py
+        for q in inside:
+            qx, qy = q
+            qx -= px
+            qy -= py
+            if not (qx or qy):                 # q is p
+                continue
+            u0 = w0x * qy - w0y * qx
+            u1 = w1x * qy - w1y * qx
+            u2 = w2x * qy - w2y * qx
+            if u0 >= 0 >= u1:
+                f0[1 if u1 == 0 else 2 if u0 == 0 else 3].append(q)
+            if u1 >= 0 >= u2:
+                f1[1 if u2 == 0 else 2 if u1 == 0 else 3].append(q)
+            if u2 >= 0 >= u0:
+                f2[1 if u0 == 0 else 2 if u2 == 0 else 3].append(q)
+        return [((a, b, p), f0), ((b, c, p), f1), ((c, a, p), f2)]
+    # p on edge u-v of (u, v, w): pieces (u, p, w) and (p, v, w)
+    if edge == 0:
+        (u, v, w), on_uv, on_vw, on_wu = t, e0, e1, e2
+    elif edge == 1:
+        (w, u, v), on_uv, on_vw, on_wu = t, e1, e2, e0
+    else:
+        (v, w, u), on_uv, on_vw, on_wu = t, e2, e0, e1
+    first = ([], [], on_wu, [])
+    second = ([], on_vw, [], [])
+    ux, uy = u[0] - px, u[1] - py
+    for q in on_uv:
+        if q != p:
+            toward_u = (q[0] - px) * ux + (q[1] - py) * uy > 0
+            (first if toward_u else second)[0].append(q)
+    wx, wy = w[0] - px, w[1] - py
+    for q in inside:
+        side = wx * (q[1] - py) - wy * (q[0] - px)
+        if side > 0:
+            first[3].append(q)
+        elif side < 0:
+            second[3].append(q)
+        else:                              # on the new edge p-w
+            first[1].append(q)
+            second[2].append(q)
+    return [((u, p, w), first), ((p, v, w), second)]
+
+
+def split_triangles_reference(ears, boundary_first: bool) -> list:
+    """The finished triangles of `empty_triangulation`, split one point at a
+    time.  Every triangle with a lattice point is cut at the least (boundary
+    first) or greatest (interior first) of them, its edge points taken
+    first when boundary first and its interior points first otherwise, and
+    the pieces are pushed on a stack.  Each ear's points are found by
+    `triangle_points_by_edge`."""
+    work = [(t, tuple(triangle_points_by_edge(t))) for t in ears]
+    finished = []
+    pop, extend, append = work.pop, work.extend, finished.append
+    while work:
+        triangle, contained = pop()
+        e0, e1, e2, inside = contained
+        if inside and not (boundary_first and (e0 or e1 or e2)):
+            split_at = min(inside) if boundary_first else max(inside)
+            edge = None
+        elif e0 or e1 or e2:
+            # no point lies on two edges, as the vertices are left out
+            split_at = (min if boundary_first else max)(e0 + e1 + e2)
+            edge = 0 if split_at in e0 else 1 if split_at in e1 else 2
+        else:
+            append(triangle)
+            continue
+        extend(_split_triangle(triangle, contained, split_at, edge))
+    return finished
+
+
 def interior_count_fraction(p) -> int:
     """Lattice points strictly inside a `LatticePolygon`: each row's edge
     crossings as `Fraction`s, sorted, and every x between a pair tested

@@ -631,13 +631,16 @@ USAGE_ERRORS = [
     ["jordan", "--region", "disk:1", "--tol", "0"],
     ["jordan", "--region", "disk:1000000", "--max-n", "4"],
     ["pick", "--seeds", "0"],
+    ["pick", "--extent", "0"],
     ["pick", "--extent", "1"],
+    ["pick", "--extent", "500"],
     ["pick", "--seeds", "1", "--extent", "100000"],
     ["pick", "--seeds", "10001"],
     ["prob", "dice", "--trials", "0"],
     ["prob", "dice", "--terms", "-1"],
     ["check", "prob.dice", "--terms", "-1"],
     ["prob", "coin", "--n", "10", "--terms", "3"],
+    ["prob", "coin", "--n", "0"],
 ]
 
 
@@ -649,8 +652,9 @@ def test_usage_error_message_exits_2(argv, capsys):
     assert err.strip()
     assert "Traceback" not in err
     assert not err.startswith("domain error")
-    if "--terms" in argv:
-        assert "--terms" in err
+    for flag in ("--terms", "--extent"):
+        if flag in argv:
+            assert flag in err
 
 
 # (suite, flag, the cap's name in the refusal, the largest accepted value)
@@ -789,6 +793,33 @@ class TestCapsBeforeWork:
         assert (code, out) == (2, "")
         assert f"SWEEP_MAX_TRIALS = {SWEEP_MAX_TRIALS}" in err
         assert "--seeds" in err
+
+    @pytest.mark.parametrize("extent, message", [
+        ("0", "--extent must be at least 1"),
+        ("1", "cannot place 12 distinct vertices among the 9 lattice points "
+              "of the box [-1, 1]^2 of --extent = 1"),
+        ("500", "the box [-500, 500]^2 of --extent = 500 holds 1002001"),
+    ])
+    def test_pick_refuses_extent_before_sampling(self, extent, message,
+                                                 capsys, monkeypatch):
+        def fail(*_):
+            raise AssertionError("a polygon was drawn before the check")
+        monkeypatch.setattr(lattice_pick, "SplitMix64", fail)
+        code, out, err = run_cli(capsys, "pick", "--extent", extent)
+        assert (code, out) == (2, "")
+        assert message in err
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_prob_coin_refuses_n_before_any_draw(self, n, capsys,
+                                                 monkeypatch):
+        def fail(*_):
+            raise AssertionError("coin game work started before the check")
+        for name in ("coin_game_exact", "coin_game_series_partial",
+                     "monte_carlo_coin"):
+            monkeypatch.setattr(prob, name, fail)
+        code, out, err = run_cli(capsys, "prob", "coin", "--n", n)
+        assert (code, out) == (2, "")
+        assert "--n must be a positive integer" in err
 
     def test_jordan_refuses_before_any_row(self, capsys, monkeypatch):
         def fail(*_):

@@ -9,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 from twoside import lattice_pick
 from twoside.exact_core import DomainError
 from twoside.lattice_pick import (LatticePolygon, _angular_sort, _classify,
-                                  _count_points, boundary_count,
+                                  _count_points, _ear_clip, boundary_count,
                                   empty_triangulation, interior_count,
                                   pick_check, random_lattice_polygon,
                                   shoelace_area)
 from oracles import (angular_sort_comparator, interior_count_fraction,
                      segment_lattice_points, shoelace_rational,
-                     triangle_points_by_edge, triangle_points_scan)
+                     split_triangles_reference, triangle_points_by_edge,
+                     triangle_points_scan)
 
 UNIT_SQUARE = LatticePolygon(((0, 0), (1, 0), (1, 1), (0, 1)))
 SQUARE3 = LatticePolygon(((0, 0), (3, 0), (3, 3), (0, 3)))
@@ -34,6 +35,19 @@ class TestPolygonConstruction:
     def test_integer_coordinates_only(self):
         with pytest.raises(DomainError):
             LatticePolygon(((0, 0), (1.5, 0), (0, 1)))
+
+    @pytest.mark.parametrize("vertices", [
+        iter([(0, 0), (Fraction(3, 2), 0), (0, 1)]),
+        (pt for pt in [(0, 0), (2.7, 0), (0, 1)]),
+    ], ids=["iterator", "generator"])
+    def test_integer_coordinates_checked_on_one_pass_input(self, vertices):
+        # a one-pass input is checked, not truncated to (1, 0) or (2, 0)
+        with pytest.raises(DomainError, match="integer coordinates"):
+            LatticePolygon(vertices)
+
+    def test_one_pass_input_accepted(self):
+        poly = LatticePolygon(pt for pt in ((0, 0), (2, 0), (0, 2)))
+        assert poly.vertices == ((0, 0), (2, 0), (0, 2))
 
     def test_rejects_repeats_and_zero_area(self):
         with pytest.raises(DomainError):
@@ -252,6 +266,101 @@ def test_triangles_pinned(source, order):
     report = empty_triangulation(poly, order)
     digest = hashlib.sha256(repr(report.triangles).encode()).hexdigest()
     assert digest == TRIANGLE_PINS[source, order]
+
+
+ORDERS = ("boundary_first", "interior_first")
+
+
+def _fan_triangle(step, w, k, reverse):
+    """A counterclockwise triangle (u, v, w) with k lattice points on u-v,
+    spaced by `step`, and none elsewhere; u > v when `reverse`."""
+    u, v = (0, 0), ((k + 1) * step[0], (k + 1) * step[1])
+    if reverse:      # the half-turn keeps the orientation and swaps u < v
+        u, v, w = (-u[0], -u[1]), (-v[0], -v[1]), (-w[0], -w[1])
+    return u, v, w
+
+
+def _rotated(t, edge):
+    """The vertex order that puts t's edge t[0]-t[1] at index `edge`."""
+    u, v, w = t
+    return ((u, v, w), (w, u, v), (v, w, u))[edge]
+
+
+class TestFanShortcut:
+    """The fans `empty_triangulation` finishes without splitting, against
+    the loop that splits at every point (`split_triangles_reference`)."""
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return split(*args)
+        split = lattice_pick._split
+        monkeypatch.setattr(lattice_pick, "_split", counted)
+        return calls
+
+    @staticmethod
+    def _check(vertices, order):
+        poly = LatticePolygon(vertices)
+        report = empty_triangulation(poly, order)
+        assert report.passed
+        expected = split_triangles_reference(_ear_clip(poly),
+                                             order == "boundary_first")
+        assert list(report.triangles) == expected
+        return report
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 1 << 32), st.integers(2, 25),
+           st.sampled_from(ORDERS))
+    def test_matches_reference_on_random_polygons(self, seed, extent,
+                                                  order):
+        self._check(random_lattice_polygon(seed, extent).vertices, order)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("reverse", [False, True], ids=["u<v", "u>v"])
+    @pytest.mark.parametrize("step, w", [((1, 0), (0, 1)), ((0, 1), (-1, 0)),
+                                         ((1, 1), (0, 1)), ((2, 1), (1, 1))],
+                             ids=["horizontal", "vertical", "diagonal",
+                                  "slope-1/2"])
+    @pytest.mark.parametrize("edge", [0, 1, 2])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_one_edge_fan(self, k, edge, step, w, reverse, order, splits):
+        u, v, w = t = _fan_triangle(step, w, k, reverse)
+        assert (u < v) != reverse
+        assert [len(points) for points in triangle_points_by_edge(t)] == \
+            [k, 0, 0, 0]
+        report = self._check(_rotated(t, edge), order)
+        # (q1, v, w), (q2, q1, w), ..., (u, qk, w), q1..qk from v back to u
+        qs = [(v[0] - i * (v[0] - u[0]) // (k + 1),
+               v[1] - i * (v[1] - u[1]) // (k + 1)) for i in range(1, k + 1)]
+        ends = [v] + qs + [u]
+        fan = [(ends[i + 1], ends[i], w) for i in range(k + 1)]
+        # pieces come out as (u, v, w), the popped triangle as it was given
+        assert list(report.triangles) == (fan if k else [_rotated(t, edge)])
+        assert splits == []
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_one_point_fan(self, order, splits):
+        a, b, c = t = ((0, 0), (2, 1), (1, 2))
+        assert triangle_points_by_edge(t) == [[], [], [], [(1, 1)]]
+        report = self._check(t, order)
+        p = (1, 1)
+        assert report.triangles == ((c, a, p), (b, c, p), (a, b, p))
+        assert splits == []
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("t", [
+        ((0, 0), (2, 0), (0, 2)),       # a point on each edge
+        ((0, 0), (2, 0), (2, 3)),       # two edges and one interior point
+        ((0, 0), (3, 0), (0, 3)),       # three edges and one interior point
+    ])
+    def test_points_on_two_or_three_edges_are_split(self, t, order, splits):
+        on_edges = triangle_points_by_edge(t)[:3]
+        assert sum(1 for points in on_edges if points) >= 2
+        self._check(t, order)
+        assert splits
 
 
 lattice_points = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
