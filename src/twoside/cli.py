@@ -24,7 +24,7 @@ from . import lattice_pick as lattice
 from . import probability_games as prob
 from .exact_core import DomainError, NonConvergenceError, rat_from_str, \
     rat_to_decimal, rat_to_str
-from .registry import SUITES, SuiteParams, require_trials
+from .registry import SUITES, SWEEP_TRIALS_CAP, SuiteParams
 from .report import FAIL, row_status
 
 _FORMATS = ("table", "json", "csv")
@@ -128,6 +128,11 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out_path) -> None:
 Rows = tuple[Iterable[dict], list[str]]
 
 
+def _flag(name: str) -> str:
+    """The `check` flag that sets the `SuiteParams` field `name`."""
+    return "--" + name.replace("_", "-")
+
+
 def _cmd_check(args) -> Rows:
     ids = sorted(SUITES) if args.suites == ["all"] else args.suites
     unknown = [s for s in ids if s not in SUITES]
@@ -141,7 +146,8 @@ def _cmd_check(args) -> Rows:
     params = SuiteParams(max_n=args.max_n, seed=args.seed, trials=args.trials,
                          terms=args.terms, digits=args.digits)
     for suite_id in ids:    # every cap is refused before any suite runs
-        SUITES[suite_id].check(params)
+        for name, cap in SUITES[suite_id].caps.items():
+            cap.require(getattr(params, name), _flag(name))
     rows: list[dict] = []
     empty = []
     for suite_id in ids:
@@ -191,7 +197,9 @@ def _cmd_converge(args) -> Rows:
 
 def _cmd_divisors(args) -> Rows:
     n = args.n
-    dv.require_harmonic_n(n)
+    if n < 1:
+        raise DomainError("--n must be a positive integer")
+    dv.HARMONIC_CAP.require(n, "--n")
     table = dv.divisor_counts(n)
     report = dv.divisor_average_bounds(n, table)
     identity = dv.divisor_identity_check(n, table)
@@ -227,7 +235,7 @@ def _cmd_jordan(args) -> Rows:
 def _cmd_pick(args) -> Rows:
     if args.seeds < 1:
         raise DomainError("--seeds must be positive")
-    require_trials(SuiteParams(trials=args.seeds), "--seeds")
+    SWEEP_TRIALS_CAP.require(args.seeds, "--seeds")
     lattice.require_extent(args.extent, "--extent")
     rows = []
     for i in range(args.seeds):
@@ -251,14 +259,14 @@ def _cmd_prob(args) -> Rows:
     if args.trials < 1:
         raise DomainError("--trials must be positive: the simulation is one "
                           "of the three routes")
-    prob.require_terms(args.terms)
+    prob.SERIES_TERMS_CAP.require(args.terms, "--terms")
     if args.game == "coin" and args.n < 1:
         raise DomainError("--n must be a positive integer: the coin game "
                           "ends at the n-th head")
     if args.game == "coin" and args.terms < args.n:
         raise DomainError(f"--terms must be at least --n = {args.n}: the coin "
                           f"series bounds its tail only from the n-th term on")
-    prob.require_mc_trials(args.trials)
+    prob.MC_TRIALS_CAP.require(args.trials, "--trials")
     if args.game == "dice":
         report, mc = prob.dice_game(terms=args.terms, trials=args.trials,
                                     seed=args.seed)
@@ -300,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("suites", nargs="+",
                          help="suite ids (see 'list'), or 'all'")
     for field in dataclasses.fields(SuiteParams):
-        p_check.add_argument(f"--{field.name.replace('_', '-')}", type=int,
+        p_check.add_argument(_flag(field.name), type=int,
                              default=field.default)
     p_check.set_defaults(run=_cmd_check)
 

@@ -15,7 +15,7 @@ import math
 import operator
 
 from ._lazy import np
-from .exact_core import DomainError
+from .exact_core import Cap, DomainError
 from .report import IdentityReport, report_check, report_equal
 from .sums_fib import fibonacci
 
@@ -32,6 +32,7 @@ def binomial(n: int, k: int) -> int:
 #: Largest n `binom_identity_check` accepts; its sides read table rows up to
 #: n + 1.
 BINOM_MAX_N = 300
+BINOM_CAP = Cap("BINOM_MAX_N", BINOM_MAX_N)
 
 #: Pascal's triangle, row n at index n, grown by `_pascal_rows` on demand.
 _PASCAL: list[list[int]] = [[1]]
@@ -66,12 +67,17 @@ def _count_paths(n: int, k: int) -> int:
     return ways[k]
 
 
+#: Largest n `binomial_enumeration_crosscheck` accepts: it lists every
+#: k-subset of n items one by one.
+CROSSCHECK_MAX_N = 22
+CROSSCHECK_CAP = Cap("CROSSCHECK_MAX_N", CROSSCHECK_MAX_N)
+
+
 def binomial_enumeration_crosscheck(n: int, k: int) -> IdentityReport:
     """Subset listing, path walking, and `binomial` agree."""
     if not 0 <= k <= n:
         raise DomainError("need 0 <= k <= n")
-    if n > 22:
-        raise DomainError("enumeration crosscheck capped at n <= 22")
+    CROSSCHECK_CAP.require(n, "n")
     subsets = _count_subsets(n, k)
     paths = _count_paths(n, k)
     formula = binomial(n, k)
@@ -106,8 +112,7 @@ def binom_identity_check(kind: BinomKind, **params: int) -> IdentityReport:
     n = params.get("n")
     if n is None or n < 0:
         raise DomainError("parameter n >= 0 is required")
-    if n > BINOM_MAX_N:
-        raise DomainError(f"binomial identities capped at n <= {BINOM_MAX_N}")
+    BINOM_CAP.require(n, "n")
     point, lhs, rhs = sides(_pascal_rows(n + 1), n, params)
     return report_equal(point, lhs, rhs)
 
@@ -248,12 +253,16 @@ def _count_no_adjacent_ones(n: int) -> int:
     return int(count)
 
 
+#: Largest n `colorings_report` accepts: uint32 words hold its n bits.
+COLORINGS_MAX_N = 30
+COLORINGS_CAP = Cap("COLORINGS_MAX_N", COLORINGS_MAX_N, least=1)
+
+
 def colorings_report(n: int) -> IdentityReport:
     """Length-n strings with no two adjacent 1s, counted by testing
     candidates, against f_{n+2}; the report passes when the count also
     equals sum_k C(n-k+1, k)."""
-    if not 1 <= n <= 30:
-        raise DomainError("enumeration capped at 1 <= n <= 30")
+    COLORINGS_CAP.require(n, "n")
     count = _count_no_adjacent_ones(n)
     fib_side = fibonacci(n + 2)
     binom_side = sum(binomial(n - k + 1, k) for k in range((n + 1) // 2 + 1))
@@ -262,6 +271,12 @@ def colorings_report(n: int) -> IdentityReport:
 
 
 # --- partitions ----------------------------------------------------------------
+
+#: Largest n `partitions_enumerate` lists: it keeps all p(45) = 89134
+#: partitions.
+PARTITION_MAX_N = 45
+PARTITION_CAP = Cap("PARTITION_MAX_N", PARTITION_MAX_N, least=1)
+
 
 def partitions_enumerate(n: int) -> list[tuple[int, ...]]:
     """All partitions of n as weakly decreasing tuples, in reverse
@@ -273,10 +288,7 @@ def partitions_enumerate(n: int) -> list[tuple[int, ...]]:
     part by one and spreads it with the 1s after it into copies of the
     lowered part and a remainder, which gives the next partition.
     """
-    if n < 1:
-        raise DomainError("n must be a positive integer")
-    if n > 45:
-        raise DomainError("partition enumeration capped at n <= 45")
+    PARTITION_CAP.require(n, "n")
     x = [1] * n
     x[0] = n
     m = 1   # number of parts

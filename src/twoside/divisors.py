@@ -14,17 +14,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._lazy import np
-from .exact_core import DomainError
+from .exact_core import Cap, DomainError
 from .report import IdentityReport, report_equal
 
 
 #: Largest n `divisor_counts` sieves: its int64 array and cumulative sum
 #: are allocated whole.
 SIEVE_MAX_N = 10 ** 6
+SIEVE_CAP = Cap("SIEVE_MAX_N", SIEVE_MAX_N)
 
 #: Largest n whose harmonic numbers are built: each H_k is an exact
 #: `Fraction`, and the denominator of H_n grows with n.
 HARMONIC_MAX_N = 10 ** 4
+HARMONIC_CAP = Cap("HARMONIC_MAX_N", HARMONIC_MAX_N)
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,7 @@ def divisor_counts(n: int) -> DivisorTable:
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
-    require_sieve_n(n)
+    SIEVE_CAP.require(n, "n")
     d = np.zeros(n + 1, dtype=np.int64)
     for i in range(1, math.isqrt(n) + 1):
         d[i * i::i] += 2
@@ -71,21 +73,9 @@ def divisor_identity_check(n: int, table: DivisorTable | None = None) -> Identit
     return report_equal((n,), int(table.totals[n]), floor_sum(n))
 
 
-def require_sieve_n(n: int) -> None:
-    """Refuse n above `SIEVE_MAX_N` before the sieve allocates."""
-    if n > SIEVE_MAX_N:
-        raise DomainError(f"divisor sieve capped at n <= {SIEVE_MAX_N}")
-
-
-def require_harmonic_n(n: int) -> None:
-    """Refuse n above `HARMONIC_MAX_N` before any sieve or harmonic work."""
-    if n > HARMONIC_MAX_N:
-        raise DomainError(f"harmonic numbers capped at n <= {HARMONIC_MAX_N}")
-
-
 def harmonic_numbers(max_n: int) -> list[Fraction]:
     """H[n] = 1 + 1/2 + ... + 1/n exactly; H[0] = 0."""
-    require_harmonic_n(max_n)
+    HARMONIC_CAP.require(max_n, "max_n")
     out = [Fraction(0)] * (max_n + 1)
     running = Fraction(0)
     for n in range(1, max_n + 1):
@@ -103,7 +93,7 @@ def harmonic_number(n: int) -> Fraction:
     final `Fraction` is normalised, where `harmonic_numbers` normalises one
     per term.
     """
-    require_harmonic_n(n)
+    HARMONIC_CAP.require(n, "n")
     if n < 1:
         return Fraction(0)
     return Fraction(*_harmonic_split(1, n + 1))
@@ -143,7 +133,7 @@ def divisor_average_bounds(n: int, table: DivisorTable | None = None,
     """Exact harmonic sandwich H_n - 1 < average divisor count <= H_n."""
     if n < 1:
         raise DomainError("n must be a positive integer")
-    require_harmonic_n(n)
+    HARMONIC_CAP.require(n, "n")
     if table is None or table.n < n:
         table = divisor_counts(n)
     if harmonic is None:

@@ -22,6 +22,7 @@ RationalLike = Union[Fraction, int]
 __all__ = [
     "Rational",
     "DomainError",
+    "Cap",
     "NonConvergenceError",
     "rat_from_str",
     "rat_to_str",
@@ -35,6 +36,26 @@ __all__ = [
 
 class DomainError(ValueError):
     """An argument lies outside an operation's mathematical domain."""
+
+
+@dataclass(frozen=True)
+class Cap:
+    """The bounds on one size, refused before any work on it starts; `name`
+    is the constant that holds `most`."""
+
+    name: str
+    most: int
+    least: int | None = None
+
+    def require(self, value: int, source: str) -> None:
+        """Raise DomainError naming `source`, the argument or flag that set
+        `value`, when the value lies outside the bounds."""
+        if self.least is not None and value < self.least:
+            raise DomainError(f"{source} must be at least {self.least}, "
+                              f"not {value}")
+        if value > self.most:
+            raise DomainError(f"{source} capped at {self.name} = {self.most}, "
+                              f"not {value}")
 
 
 class NonConvergenceError(RuntimeError):

@@ -19,7 +19,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from .analysis_brackets import refine
-from .exact_core import Bracket, DomainError, RationalLike, rat_from_str
+from .exact_core import (Bracket, Cap, DomainError, RationalLike,
+                         rat_from_str)
 
 Point = tuple[Fraction, Fraction]
 
@@ -27,6 +28,7 @@ Point = tuple[Fraction, Fraction]
 #: ceil(bounding-box height * n) rows, each classified in constant time, so
 #: this bounds its work before any row is looked at.
 JORDAN_MAX_ROWS = 10 ** 6
+JORDAN_ROWS_CAP = Cap("JORDAN_MAX_ROWS", JORDAN_MAX_ROWS)
 
 
 def _as_point(p) -> Point:
@@ -195,11 +197,8 @@ def _poly_counts(poly: ConvexPolygon, n: int) -> tuple[int, int]:
 def _require_rows(region: Region, n: int) -> None:
     """Refuse a bracket of more than `JORDAN_MAX_ROWS` rows."""
     _, y0, _, y1 = region.bounding_box()
-    rows = math.ceil((y1 - y0) * n)
-    if rows > JORDAN_MAX_ROWS:
-        raise DomainError(f"Jordan brackets capped at JORDAN_MAX_ROWS = "
-                          f"{JORDAN_MAX_ROWS} rows; the grid at n={n} on "
-                          f"this region has {rows}")
+    JORDAN_ROWS_CAP.require(math.ceil((y1 - y0) * n),
+                            f"the rows of the grid at n={n} on this region")
 
 
 def jordan_bracket(region: Region, n: int) -> Bracket:

@@ -29,7 +29,7 @@ from functools import cmp_to_key
 from itertools import chain
 
 from ._lazy import np
-from .exact_core import DomainError
+from .exact_core import Cap, DomainError
 from .report import IdentityReport, report_check
 from .rng import SplitMix64
 
@@ -43,6 +43,7 @@ IntPoint = tuple[int, int]
 #: corner, every coordinate is below 10^6, so no product it forms reaches
 #: 2 * 10^12, far below 2^63.
 LATTICE_MAX_POINTS = 10 ** 6
+LATTICE_POINTS_CAP = Cap("LATTICE_MAX_POINTS", LATTICE_MAX_POINTS)
 
 #: Coordinates have magnitude below this, so subtracting the box corner in
 #: int64 cannot wrap around.
@@ -196,17 +197,10 @@ def boundary_points(p: LatticePolygon) -> set[IntPoint]:
     return points
 
 
-def _require_points(points: int, where: str) -> None:
-    """Refuse lattice work over more than `LATTICE_MAX_POINTS` points."""
-    if points > LATTICE_MAX_POINTS:
-        raise DomainError(f"lattice work capped at LATTICE_MAX_POINTS = "
-                          f"{LATTICE_MAX_POINTS} points in the bounding box; "
-                          f"{where} holds {points}")
-
-
 def _require_box(p: LatticePolygon) -> None:
     x0, y0, x1, y1 = p.bounding_box()
-    _require_points((x1 - x0 + 1) * (y1 - y0 + 1), "the polygon's box")
+    LATTICE_POINTS_CAP.require((x1 - x0 + 1) * (y1 - y0 + 1),
+                               "the polygon's box")
 
 
 def _by_position(c: tuple[int, int], d: tuple[int, int]) -> int:
@@ -622,7 +616,7 @@ def require_extent(half_extent: int, name: str = "half_extent") -> None:
     span = 2 * half_extent + 1
     box = (f"the box [-{half_extent}, {half_extent}]^2 of {name} = "
            f"{half_extent}")
-    _require_points(span * span, box)
+    LATTICE_POINTS_CAP.require(span * span, box)
     if span * span < 12:  # vertex counts are drawn from 6..12
         raise DomainError(f"cannot place 12 distinct vertices among the "
                           f"{span * span} lattice points of {box}")

@@ -18,7 +18,7 @@ from typing import Mapping
 
 from ._lazy import np
 from .analysis_brackets import geometric_series_sum
-from .exact_core import Bracket, DomainError, root_bracket
+from .exact_core import Bracket, Cap, DomainError, root_bracket
 from .rng import GAMMA, MASK64, MIX_1, MIX_2
 from .report import IdentityReport, report_check, sigma_gate
 
@@ -125,30 +125,14 @@ def dice_chain() -> AbsorbingChain:
 #: index; at this cap, in one process on a 2-core x86-64 container with
 #: Python 3.11, `prob coin` takes about 0.03 s and `check prob.dice` 0.07 s.
 SERIES_MAX_TERMS = 10 ** 4
-
-
-def require_terms(terms: int) -> None:
-    """Refuse a negative count, or more than `SERIES_MAX_TERMS` terms,
-    before any term is added."""
-    if terms < 0:
-        raise DomainError("--terms must be non-negative: it counts series "
-                          "terms")
-    if terms > SERIES_MAX_TERMS:
-        raise DomainError(f"series capped at SERIES_MAX_TERMS = "
-                          f"{SERIES_MAX_TERMS} terms, not {terms}")
+SERIES_TERMS_CAP = Cap("SERIES_MAX_TERMS", SERIES_MAX_TERMS, least=0)
 
 
 #: Most trials a game simulates.  At this cap a fresh `prob dice` process
 #: takes about 6.5 s on a 2-core x86-64 container with Python 3.11 and
 #: numpy 2.4.
 MC_MAX_TRIALS = 10 ** 8
-
-
-def require_mc_trials(trials: int) -> None:
-    """Refuse more than `MC_MAX_TRIALS` trials before any is drawn."""
-    if trials > MC_MAX_TRIALS:
-        raise DomainError(f"simulation capped at MC_MAX_TRIALS = "
-                          f"{MC_MAX_TRIALS} trials, not {trials}")
+MC_TRIALS_CAP = Cap("MC_MAX_TRIALS", MC_MAX_TRIALS)
 
 
 def dice_series_bracket(terms: int) -> Bracket:

@@ -12,9 +12,10 @@ A suite is declared by one `_suite` call:
   Without one the row shows the parameter tuple;
 - **expected-fail**, stated once: ``True`` when every row is a shipped
   misprint kept on display, or the set of case labels that are;
-- an **argument check**, for a suite whose work has a cap: it raises
-  `DomainError` for parameters above the cap, and `check` runs the checks
-  of every selected suite before the first runner starts.
+- **caps**, for a suite whose work has a size cap: a map from each capped
+  `SuiteParams` field to its `exact_core.Cap`.  `check` refuses the caps
+  of every selected suite, naming the field's flag, before the first
+  runner starts.
 
 Each declaration hands its reports and its own id to `report.rows`, the
 one path from reports to rows, so a row's suite is the declaration that
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from . import analysis_brackets as ab
 from . import combinatorics as comb
@@ -39,7 +40,7 @@ from . import lattice_pick as lattice
 from . import polyform
 from . import probability_games as prob
 from . import sums_fib
-from .exact_core import Bracket, DomainError, rat_to_str
+from .exact_core import Bracket, Cap, rat_to_str
 from .report import Case, IdentityReport, report_check, report_equal, rows
 from .rng import SplitMix64
 
@@ -53,21 +54,11 @@ class SuiteParams:
     digits: int = 6
 
 
-def _no_check(_: SuiteParams) -> None:
-    """A suite without a cap accepts any parameters."""
-
-
 #: Most trials of a suite that makes one row per trial.  At this cap
 #: `check pick.formula` takes about 3 s and each `geom.*` suite about 0.6 s.
 SWEEP_MAX_TRIALS = 10 ** 4
-
-
-def require_trials(params: SuiteParams, flag: str = "--trials") -> None:
-    """Refuse more than `SWEEP_MAX_TRIALS` trials before any is drawn; the
-    refusal names the flag that set them."""
-    if params.trials > SWEEP_MAX_TRIALS:
-        raise DomainError(f"{flag} capped at SWEEP_MAX_TRIALS = "
-                          f"{SWEEP_MAX_TRIALS}, not {params.trials}")
+SWEEP_TRIALS_CAP = Cap("SWEEP_MAX_TRIALS", SWEEP_MAX_TRIALS)
+_TRIALS_CAPS = {"trials": SWEEP_TRIALS_CAP}
 
 
 @dataclass(frozen=True)
@@ -75,8 +66,8 @@ class Suite:
     suite_id: str
     tag: str
     runner: Callable[[SuiteParams], list[dict]]
-    expected_fail: bool | frozenset[str] = False
-    check: Callable[[SuiteParams], None] = _no_check
+    expected_fail: bool | frozenset[str]
+    caps: Mapping[str, Cap]
 
 
 Sweep = Callable[[SuiteParams], Iterable[IdentityReport]]
@@ -84,10 +75,10 @@ Sweep = Callable[[SuiteParams], Iterable[IdentityReport]]
 
 def _suite(suite_id: str, tag: str, sweep: Sweep, case: Case = None,
            expected_fail: bool | frozenset[str] = False,
-           check: Callable[[SuiteParams], None] = _no_check) -> Suite:
+           caps: Mapping[str, Cap] | None = None) -> Suite:
     def run(params: SuiteParams) -> list[dict]:
         return rows(suite_id, sweep(params), case, expected_fail)
-    return Suite(suite_id, tag, run, expected_fail, check)
+    return Suite(suite_id, tag, run, expected_fail, caps or {})
 
 
 # --- algebra ---------------------------------------------------------------------
@@ -290,11 +281,6 @@ def _cauchy(params: SuiteParams):
 
 # --- probability ---------------------------------------------------------------------
 
-def _dice_check(params: SuiteParams) -> None:
-    prob.require_terms(params.terms)
-    prob.require_mc_trials(params.trials)
-
-
 def _dice(params: SuiteParams):
     """No report without a simulation: it is one of the three routes."""
     if params.trials < 1:
@@ -323,7 +309,7 @@ def _build() -> dict[str, Suite]:
     suites += [_suite(f"sum.{kind.value}", "sums",
                       lambda p, kind=kind: sums_fib.sum_identity_sweep(
                           kind, p.max_n), "n={0}",
-                      check=lambda p: sums_fib.require_sum_n(p.max_n))
+                      caps={"max_n": sums_fib.SUM_CAP})
                for kind in sums_fib.SumKind]
     suites += [
         _suite("fib.betweenness", "fibonacci",
@@ -331,9 +317,9 @@ def _build() -> dict[str, Suite]:
                           for n in range(2, min(p.max_n, 40) + 1)
                           for m in range(1, n)), "m={0},n={1}"),
         _suite("divisor.identity", "divisors", _divisor_identity, "n={0}",
-               check=lambda p: dv.require_sieve_n(p.max_n)),
+               caps={"max_n": dv.SIEVE_CAP}),
         _suite("divisor.bounds", "divisors", _divisor_bounds, "n={0}",
-               check=lambda p: dv.require_harmonic_n(p.max_n)),
+               caps={"max_n": dv.HARMONIC_CAP}),
         _suite("binom.pascal", "binomials",
                _binom_nk(B.PASCAL, k_hi=lambda n: n + 1), "n={0},k={1}"),
         _suite("binom.square_pascal", "binomials",
@@ -387,19 +373,21 @@ def _build() -> dict[str, Suite]:
                 if p.digits >= -6 else (),
                 "doublings={0}"),
         _suite("limit.nthroot", "limits", _limit, "steps={0}"),
-        _suite("geom.ceva", "euclid", _ceva, "p={3}", check=require_trials),
+        _suite("geom.ceva", "euclid", _ceva, "p={3}", caps=_TRIALS_CAPS),
         _suite("geom.ceva_converse", "euclid", _ceva_converse,
-               "r=({0},{1},{2})", check=require_trials),
+               "r=({0},{1},{2})", caps=_TRIALS_CAPS),
         _suite("geom.squares_fit", "euclid", _squares, "a={0},b={1}",
-               check=require_trials),
+               caps=_TRIALS_CAPS),
         _suite("geom.cauchy_schwarz", "euclid", _cauchy,
-               "a=({0},{1}),b=({2},{3})", check=require_trials),
+               "a=({0},{1}),b=({2},{3})", caps=_TRIALS_CAPS),
         _suite("pick.formula", "lattice",
                lambda p: (lattice.pick_check(
                    lattice.random_lattice_polygon(p.seed + seed, 20))
                           for seed in range(p.trials)),
-               lambda r: f"vertices={len(r.params)}", check=require_trials),
-        _suite("prob.dice", "probability", _dice, "dice", check=_dice_check),
+               lambda r: f"vertices={len(r.params)}", caps=_TRIALS_CAPS),
+        _suite("prob.dice", "probability", _dice, "dice",
+               caps={"terms": prob.SERIES_TERMS_CAP,
+                     "trials": prob.MC_TRIALS_CAP}),
         _suite("prob.coin", "probability",
                lambda p: (report_equal((n,), prob.coin_game_exact(n),
                                        prob.coin_game_closed_form(n))

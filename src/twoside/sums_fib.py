@@ -13,7 +13,7 @@ from functools import partial
 from typing import Iterator
 
 from ._lazy import np
-from .exact_core import DomainError
+from .exact_core import Cap, DomainError
 from .report import IdentityReport, report_check, report_equal
 
 
@@ -36,6 +36,7 @@ class SumKind(enum.Enum):
 #: additions.  The cap also keeps every cube-layer partial sum at most
 #: SUM_MAX_N^3 = 10^12 < 2^63, so `_cube_layers` adds them exactly in int64.
 SUM_MAX_N = 10 ** 4
+SUM_CAP = Cap("SUM_MAX_N", SUM_MAX_N)
 
 
 def fibonacci(n: int) -> int:
@@ -149,24 +150,18 @@ _SUMS = {
 }
 
 
-def require_sum_n(max_n: int) -> None:
-    """Refuse a sweep past `SUM_MAX_N` before any term is added."""
-    if max_n > SUM_MAX_N:
-        raise DomainError(f"sum sweeps capped at n <= SUM_MAX_N = "
-                          f"{SUM_MAX_N}, not {max_n}")
-
-
 def sum_identity_sweep(kind: SumKind, max_n: int) -> list[IdentityReport]:
     """Check every n in 1..max_n (none when max_n < 1).
 
     The literal sum is extended term by term, so the sweep makes O(max_n)
     additions, except for cube_layers, which re-sums at every n and makes
-    O(max_n^2), done in C by int64 array sums.  An unknown kind is refused
-    before any term is added.
+    O(max_n^2), done in C by int64 array sums.  An unknown kind, or max_n
+    past `SUM_MAX_N`, is refused before any term is added.
     """
     sides = _SUMS.get(kind)
     if sides is None:
         raise DomainError(f"unknown sum kind {kind!r}")
+    SUM_CAP.require(max_n, "max_n")
     counting, closed = sides
     return [report_equal((n,), lhs, closed(n))
             for n, lhs in zip(range(1, max_n + 1), counting())]

@@ -1,4 +1,4 @@
-"""Audit of the package source: three rules checked by reading the code,
+"""Audit of the package source: four rules checked by reading the code,
 one by running it.
 
 The first rule: suite ids live in the registry alone.  A row's ``suite``
@@ -16,7 +16,12 @@ holds no float or complex literal and calls no ``float``.  The one
 exception is the digit split of ``exact_core._int_to_str``, which only
 picks where to cut an integer in two.
 
-The fourth rule, checked by running the code: every function is on a
+The fourth rule: every size cap is refused by ``exact_core.Cap.require``,
+whose message names the flag or argument that set the size, so no other
+string constant, nor any constant part of an f-string, says "capped at".
+Docstrings may.
+
+The fifth rule, checked by running the code: every function is on a
 program path.  A trace of the command line over every subcommand, in every
 format, enters each module-level and class-body function of the package,
 but for the few on `REACH_ALLOWLIST`, each with its reason.
@@ -176,6 +181,47 @@ def f(x):
     return a, b, c, d
 '''
     assert float_uses(source) == [6, 7, 7, 8, 8]
+
+
+def cap_refusals(source: str) -> list[int]:
+    """Lines of each string constant or f-string part that says "capped
+    at", outside ``Cap.require`` and docstrings."""
+    tree = ast.parse(source)
+    skip = _docstring_nodes(tree)
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "Cap":
+            skip.update(id(node) for fn in cls.body
+                        if isinstance(fn, ast.FunctionDef)
+                        and fn.name == "require"
+                        for node in ast.walk(fn))
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and id(node) not in skip and "capped at" in node.value)
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_only_cap_require_refuses_caps(path):
+    assert cap_refusals((SRC / path).read_text()) == []
+
+
+def test_audit_sees_cap_messages_outside_cap_require():
+    source = '''
+class Cap:
+    def require(self, value, source):
+        """Docstring: a refusal reads "n capped at N"."""
+        raise DomainError(f"{source} capped at {self.name}")
+def f(n):
+    """Docstring: capped at 10."""
+    a = "sieve capped at n <= 10"
+    b = f"{n} capped at {n}"
+    c = f"lattice work capped at {n}"
+    d = "capped", f"{n} is at most {n}"
+    return a, b, c, d
+def require(n):
+    raise DomainError(f"n capped at {n}")
+'''
+    assert cap_refusals(source) == [8, 9, 10, 14]
 
 
 #: The functions no command enters, each with the reason it stays.

@@ -655,6 +655,8 @@ def test_usage_error_message_exits_2(argv, capsys):
     for flag in ("--terms", "--extent"):
         if flag in argv:
             assert flag in err
+    if argv[-2] in ("--n", "--seeds"):  # a row's last flag is the one refused
+        assert argv[-2] in err
 
 
 # (suite, flag, the cap's name in the refusal, the largest accepted value)
@@ -665,7 +667,16 @@ SWEEP_CAPS = (
        for s in ("geom.ceva", "geom.ceva_converse", "geom.cauchy_schwarz",
                  "geom.squares_fit", "pick.formula")]
     + [("prob.dice", "--terms", "SERIES_MAX_TERMS", prob.SERIES_MAX_TERMS),
-       ("prob.dice", "--trials", "MC_MAX_TRIALS", prob.MC_MAX_TRIALS)])
+       ("prob.dice", "--trials", "MC_MAX_TRIALS", prob.MC_MAX_TRIALS),
+       ("divisor.identity", "--max-n", "SIEVE_MAX_N", dv.SIEVE_MAX_N),
+       ("divisor.bounds", "--max-n", "HARMONIC_MAX_N", dv.HARMONIC_MAX_N)])
+
+
+def test_sweep_caps_are_the_declared_caps():
+    # A cap declared on a suite without a row here has no refusal test.
+    declared = {(s.suite_id, "--" + name.replace("_", "-"))
+                for s in SUITES.values() for name in s.caps}
+    assert {(suite, flag) for suite, flag, _, _ in SWEEP_CAPS} == declared
 
 
 def _cap_ids(caps) -> list[str]:
@@ -798,7 +809,8 @@ class TestCapsBeforeWork:
         ("0", "--extent must be at least 1"),
         ("1", "cannot place 12 distinct vertices among the 9 lattice points "
               "of the box [-1, 1]^2 of --extent = 1"),
-        ("500", "the box [-500, 500]^2 of --extent = 500 holds 1002001"),
+        ("500", "the box [-500, 500]^2 of --extent = 500 capped at "
+                "LATTICE_MAX_POINTS = 1000000, not 1002001"),
     ])
     def test_pick_refuses_extent_before_sampling(self, extent, message,
                                                  capsys, monkeypatch):

@@ -1,7 +1,7 @@
 import pytest
 
 from twoside.exact_core import DomainError
-from twoside.sums_fib import (SUM_MAX_N, SumKind, _fibonacci_pair,
+from twoside.sums_fib import (SUM_MAX_N, SumKind, _SUMS, _fibonacci_pair,
                               fib_betweenness_report, fibonacci,
                               sum_identity_sweep)
 from oracles import fibonacci_matrix, literal_sum
@@ -102,6 +102,18 @@ class TestSumIdentities:
         assert type(report.lhs) is int
         assert report.lhs == literal_sum("cube_layers", n) == n ** 3
         assert report.passed
+
+    def test_sweep_past_the_cap_is_refused_before_any_term(self,
+                                                            monkeypatch):
+        # The cap keeps the int64 cube layers exact, so the sweep itself
+        # refuses it, not only `check`.
+        def fail():
+            raise AssertionError("a term was added before the cap")
+        monkeypatch.setitem(_SUMS, SumKind.CUBE_LAYERS, (fail, fail))
+        with pytest.raises(DomainError, match=(
+                f"max_n capped at SUM_MAX_N = {SUM_MAX_N}, "
+                f"not {SUM_MAX_N + 1}")):
+            sum_identity_sweep(SumKind.CUBE_LAYERS, SUM_MAX_N + 1)
 
     def test_odd_square_at_1000(self):
         report = sum_identity_sweep(SumKind.ODD_SQUARE, 1000)[-1]
