@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Iterator
 
@@ -168,6 +169,14 @@ def _cmd_list(args) -> Rows:
     return rows, ["suite", "tag", "expected_fail"]
 
 
+def _tol(text: str) -> Fraction:
+    """The `--tol` rational, refused unless positive."""
+    tol = rat_from_str(text)
+    if tol <= 0:
+        raise DomainError(f"--tol must be positive, not {rat_to_str(tol)}")
+    return tol
+
+
 def _cmd_converge(args) -> Rows:
     rungs = ab.LADDER_RUNGS.get(args.generator, ab.CONVERGE_MAX_STEPS)
     doublings = args.doublings
@@ -182,7 +191,7 @@ def _cmd_converge(args) -> Rows:
     if args.tol is None:
         gen = islice(gen, doublings + 1)
     else:
-        gen = ab.refine(gen, rat_from_str(args.tol), doublings + 1)
+        gen = ab.refine(gen, _tol(args.tol), doublings + 1)
     # A generator, so the rows made before a missed tolerance reach `main`.
     rows = ({"step": step,
              "lo": rat_to_str(b.lo),
@@ -220,7 +229,9 @@ def _cmd_divisors(args) -> Rows:
 
 def _cmd_jordan(args) -> Rows:
     region = jm.parse_region(args.region)
-    ladder = jm.jordan_refine(region, rat_from_str(args.tol), args.max_n)
+    tol = _tol(args.tol)
+    jm.require_ladder(region, args.max_n, "--max-n")
+    ladder = jm.jordan_refine(region, tol, args.max_n)
     # A generator, so the rows made before a missed tolerance reach `main`.
     rows = ({"n": n,
              "inner": rat_to_str(b.lo),
@@ -267,6 +278,9 @@ def _cmd_prob(args) -> Rows:
         raise DomainError(f"--terms must be at least --n = {args.n}: the coin "
                           f"series bounds its tail only from the n-th term on")
     prob.MC_TRIALS_CAP.require(args.trials, "--trials")
+    if args.game == "coin":
+        prob.COIN_TRIAL_HEADS_CAP.require(args.trials * args.n,
+                                          "--trials * --n")
     if args.game == "dice":
         report, mc = prob.dice_game(terms=args.terms, trials=args.trials,
                                     seed=args.seed)

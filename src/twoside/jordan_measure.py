@@ -194,18 +194,19 @@ def _poly_counts(poly: ConvexPolygon, n: int) -> tuple[int, int]:
 
 # --- public operations -----------------------------------------------------------
 
-def _require_rows(region: Region, n: int) -> None:
-    """Refuse a bracket of more than `JORDAN_MAX_ROWS` rows."""
+def _require_rows(region: Region, n: int, rung: str) -> None:
+    """Refuse a bracket of more than `JORDAN_MAX_ROWS` rows; `rung` names
+    the grid n."""
     _, y0, _, y1 = region.bounding_box()
     JORDAN_ROWS_CAP.require(math.ceil((y1 - y0) * n),
-                            f"the rows of the grid at n={n} on this region")
+                            f"the rows of the grid at {rung} on this region")
 
 
 def jordan_bracket(region: Region, n: int) -> Bracket:
     """[inner grid area, outer grid area] on the 1/n grid."""
     if n < 1:
         raise DomainError("grid refinement n must be a positive integer")
-    _require_rows(region, n)
+    _require_rows(region, n, f"n={n}")
     if isinstance(region, Disk):
         inner_cells, outer_cells = _disk_counts(region, n)
     else:
@@ -214,19 +215,30 @@ def jordan_bracket(region: Region, n: int) -> Bracket:
     return Bracket(inner_cells * cell_area, outer_cells * cell_area)
 
 
+def require_ladder(region: Region, max_n: int, source: str) -> int:
+    """The rung count of the grids n = 1, 2, 4, ... <= max_n on `region`.
+
+    Refuses a `max_n` below 1, and a largest rung of more than
+    `JORDAN_MAX_ROWS` rows; `source` names what set `max_n`.
+    """
+    if max_n < 1:
+        raise DomainError(f"{source} must be a positive integer, not {max_n}")
+    rungs = max_n.bit_length()
+    top = 1 << (rungs - 1)
+    _require_rows(region, top, f"n={top}, the top rung of {source} {max_n},")
+    return rungs
+
+
 def jordan_refine(region: Region, tol: RationalLike,
                   max_n: int = 1 << 12) -> Iterator[tuple[int, Bracket]]:
     """(n, bracket) on grids n = 1, 2, 4, ... <= max_n, up to and including
     the first bracket of width <= tol.
 
-    `max_n` and the largest rung's rows are refused here, before any row is
-    classified; a ladder that ends without reaching the tolerance raises
+    `max_n` is refused by `require_ladder`, before any row is classified; a
+    ladder that ends without reaching the tolerance raises
     NonConvergenceError after its last pair.
     """
-    if max_n < 1:
-        raise DomainError("max_n must be a positive integer")
-    rungs = max_n.bit_length()
-    _require_rows(region, 1 << (rungs - 1))
+    rungs = require_ladder(region, max_n, "max_n")
     ladder = (jordan_bracket(region, 1 << i) for i in range(rungs))
     return ((1 << i, bracket)
             for i, bracket in enumerate(refine(ladder, tol, rungs)))

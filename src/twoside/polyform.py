@@ -1,126 +1,27 @@
-"""Multivariate polynomial normal forms and the algebraic identity checkers.
+"""Multivariate polynomials in normal form and the algebraic identity checkers.
 
-An identity between two expressions is certified by expanding both into the
-unique sparse normal form (exponent vector -> nonzero rational coefficient)
-and comparing term by term.  A failed identity is reported together with the
-first integer counterexample point, searched coordinate-wise in the order
-0, 1, -1, 2, -2, 3, -3.
+A `Polynomial` is the unique sparse normal form over an ordered variable
+tuple (exponent vector -> nonzero rational coefficient), and it is the only
+representation of an identity's sides: `variables` makes one polynomial per
+name, and +, - (with int and `Fraction` constants on either side of + and
+*), * and non-negative integer powers expand as they go.  An identity is
+certified by comparing the two normal forms term by term.  A failed identity
+is reported together with the first integer counterexample point, searched
+coordinate-wise in the order 0, 1, -1, 2, -2, 3, -3.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .exact_core import DomainError, rat_to_str
 from .report import IdentityReport, report_check, report_equal
 
 _WITNESS_COORDS = (0, 1, -1, 2, -2, 3, -3)
-
-
-# --- expression trees -------------------------------------------------------
-
-class Expr:
-    """Base for the small expression language: +, -, *, integer powers."""
-
-    def __add__(self, other):
-        return Sum(self, _as_expr(other))
-
-    def __sub__(self, other):
-        return Diff(self, _as_expr(other))
-
-    def __mul__(self, other):
-        return Prod(self, _as_expr(other))
-
-    def __rmul__(self, other):
-        return Prod(_as_expr(other), self)
-
-    def __pow__(self, exponent):
-        return Pow(self, exponent)
-
-
-@dataclass(frozen=True)
-class Const(Expr):
-    value: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-
-
-@dataclass(frozen=True)
-class Var(Expr):
-    name: str
-
-    def __post_init__(self):
-        if not self.name:
-            raise DomainError("variable names must be nonempty")
-
-
-@dataclass(frozen=True)
-class Sum(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Diff(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Prod(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Pow(Expr):
-    base: Expr
-    exponent: int
-
-    def __post_init__(self):
-        if not isinstance(self.exponent, int) or self.exponent < 0:
-            raise DomainError("power exponents must be non-negative integers")
-
-
-def _as_expr(v) -> Expr:
-    if isinstance(v, Expr):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return Const(Fraction(v))
-    raise DomainError(f"cannot coerce {v!r} into an expression")
-
-
-def variables(e: Expr) -> set[str]:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Const):
-        return set()
-    if isinstance(e, Pow):
-        return variables(e.base)
-    return variables(e.left) | variables(e.right)
-
-
-def evaluate(e: Expr, env: Mapping[str, Fraction]) -> Fraction:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return Fraction(env[e.name])
-        except KeyError:
-            raise DomainError(f"unbound variable {e.name!r}") from None
-    if isinstance(e, Sum):
-        return evaluate(e.left, env) + evaluate(e.right, env)
-    if isinstance(e, Diff):
-        return evaluate(e.left, env) - evaluate(e.right, env)
-    if isinstance(e, Prod):
-        return evaluate(e.left, env) * evaluate(e.right, env)
-    if isinstance(e, Pow):
-        return evaluate(e.base, env) ** e.exponent
-    raise DomainError(f"unknown expression node {e!r}")
 
 
 # --- normal form -------------------------------------------------------------
@@ -136,31 +37,51 @@ class Polynomial:
         cleaned = {m: Fraction(c) for m, c in self.terms.items() if c != 0}
         object.__setattr__(self, "terms", cleaned)
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def _coerce(self, other) -> "Polynomial":
+        """`other` over this polynomial's variables: an int or `Fraction`
+        becomes a constant, a polynomial over other variables is refused."""
+        if isinstance(other, Polynomial):
+            if other.vars != self.vars:
+                raise DomainError(f"cannot combine polynomials over "
+                                  f"{self.vars} and {other.vars}")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return Polynomial(self.vars, {(0,) * len(self.vars): other})
+        raise DomainError(f"cannot coerce {other!r} into a polynomial")
+
+    def __add__(self, other) -> "Polynomial":
         terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
+        for m, c in self._coerce(other).terms.items():
+            terms[m] = terms.get(m, 0) + c
         return Polynomial(self.vars, terms)
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) - c
-        return Polynomial(self.vars, terms)
+    def __sub__(self, other) -> "Polynomial":
+        return self + self._coerce(other) * -1
 
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
+    def __mul__(self, other) -> "Polynomial":
+        other = self._coerce(other)
         terms: dict[tuple[int, ...], Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
+                terms[m] = terms.get(m, 0) + c1 * c2
         return Polynomial(self.vars, terms)
 
+    __radd__ = __add__
+    __rmul__ = __mul__
+
     def __pow__(self, exponent: int) -> "Polynomial":
-        result = Polynomial(self.vars, {(0,) * len(self.vars): Fraction(1)})
+        if not isinstance(exponent, int) or exponent < 0:
+            raise DomainError("power exponents must be non-negative integers")
+        result = self._coerce(1)
         for _ in range(exponent):
             result = result * self
         return result
+
+    def at(self, point) -> Fraction:
+        """The value at `point`, one coordinate per variable."""
+        return sum((c * math.prod(x ** e for x, e in zip(point, m))
+                    for m, c in self.terms.items()), Fraction(0))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -185,81 +106,54 @@ class Polynomial:
         return out
 
 
-def poly_normalize(e: Expr, var_order: Sequence[str]) -> Polynomial:
-    """Expand an expression into its unique normal form over var_order."""
-    var_order = tuple(var_order)
-    undeclared = variables(e) - set(var_order)
-    if undeclared:
-        raise DomainError(f"undeclared variables: {sorted(undeclared)}")
-    index = {name: i for i, name in enumerate(var_order)}
-    zero_mono = (0,) * len(var_order)
-
-    def walk(node: Expr) -> Polynomial:
-        if isinstance(node, Const):
-            return Polynomial(var_order, {zero_mono: node.value})
-        if isinstance(node, Var):
-            mono = list(zero_mono)
-            mono[index[node.name]] = 1
-            return Polynomial(var_order, {tuple(mono): Fraction(1)})
-        if isinstance(node, Sum):
-            return walk(node.left) + walk(node.right)
-        if isinstance(node, Diff):
-            return walk(node.left) - walk(node.right)
-        if isinstance(node, Prod):
-            return walk(node.left) * walk(node.right)
-        if isinstance(node, Pow):
-            return walk(node.base) ** node.exponent
-        raise DomainError(f"unknown expression node {node!r}")
-
-    return walk(e)
+def variables(*names: str) -> tuple[Polynomial, ...]:
+    """One polynomial per name, each the bare variable over all `names`."""
+    if not all(names) or len(set(names)) != len(names):
+        raise DomainError("variable names must be nonempty and distinct")
+    zero = (0,) * len(names)
+    return tuple(Polynomial(names, {zero[:i] + (1,) + zero[i + 1:]: 1})
+                 for i in range(len(names)))
 
 
-def _search_witness(lhs: Expr, rhs: Expr, var_order: Sequence[str]):
-    """The first small integer point where the sides differ, or
-    ("symbolic",) when they differ at none of them."""
-    for point in itertools.product(_WITNESS_COORDS, repeat=len(var_order)):
-        env = {name: Fraction(v) for name, v in zip(var_order, point)}
-        if evaluate(lhs, env) != evaluate(rhs, env):
-            return point
-    return ("symbolic",)
-
-
-def identity_check(lhs: Expr, rhs: Expr,
-                   var_order: Sequence[str]) -> IdentityReport:
-    """Pass iff the two expressions have identical normal forms."""
-    lp = poly_normalize(lhs, var_order)
-    rp = poly_normalize(rhs, var_order)
-    if lp == rp:
-        return report_check(var_order, lp, rp, True)
-    return report_check(var_order, lp, rp, False,
-                        witness=_search_witness(lhs, rhs, var_order))
+def identity_check(lhs: Polynomial, rhs: Polynomial) -> IdentityReport:
+    """Pass iff the two sides have one normal form; the report's params are
+    their variables.  A failure's witness is the first small integer point
+    where the sides differ, or ("symbolic",) when they differ at none."""
+    rhs = lhs._coerce(rhs)
+    if lhs == rhs:
+        return report_check(lhs.vars, lhs, rhs, True)
+    grid = itertools.product(_WITNESS_COORDS, repeat=len(lhs.vars))
+    witness = next((p for p in grid if lhs.at(p) != rhs.at(p)), ("symbolic",))
+    return report_check(lhs.vars, lhs, rhs, False, witness=witness)
 
 
 # --- built-in identity suite -------------------------------------------------
 
-def _abcd():
-    return Var("a"), Var("b"), Var("c"), Var("d")
+#: The distributive/notable-product identities verified by expansion, keyed
+#: by short name: the variable names and a function of those variables that
+#: builds the two sides.
+BUILTIN_IDENTITIES = {
+    "distr": ("abc", lambda a, b, c: ((b + c) * a, b * a + c * a)),
+    "every_term": ("abcd", lambda a, b, c, d: (
+        (a + b) * (c + d), a * c + a * d + b * c + b * d)),
+    "sq_sum": ("ab", lambda a, b: (
+        (a + b) ** 2, a ** 2 + 2 * a * b + b ** 2)),
+    "distr_diff": ("abc", lambda a, b, c: (a * (b - c), a * b - a * c)),
+    "diff_sum": ("abcd", lambda a, b, c, d: (
+        (a - b) * (c + d), a * c + a * d - b * c - b * d)),
+    "diff_diff": ("abcd", lambda a, b, c, d: (
+        (a - b) * (c - d), a * c - a * d - b * c + b * d)),
+    "sq_diff": ("ab", lambda a, b: (
+        (a - b) ** 2, a ** 2 - 2 * a * b + b ** 2)),
+    "cube_sum_expand": ("ab", lambda a, b: (
+        (a + b) ** 3, a ** 3 + 3 * a ** 2 * b + 3 * a * b ** 2 + b ** 3)),
+}
 
 
-def builtin_identities() -> dict[str, tuple[Expr, Expr, tuple[str, ...]]]:
-    """The distributive/notable-product identities verified by expansion,
-    keyed by short name."""
-    a, b, c, d = _abcd()
-    return {
-        "distr": ((b + c) * a, b * a + c * a, ("a", "b", "c")),
-        "every_term": ((a + b) * (c + d), a * c + a * d + b * c + b * d,
-                       ("a", "b", "c", "d")),
-        "sq_sum": ((a + b) ** 2, a ** 2 + 2 * a * b + b ** 2, ("a", "b")),
-        "distr_diff": (a * (b - c), a * b - a * c, ("a", "b", "c")),
-        "diff_sum": ((a - b) * (c + d), a * c + a * d - b * c - b * d,
-                     ("a", "b", "c", "d")),
-        "diff_diff": ((a - b) * (c - d), a * c - a * d - b * c + b * d,
-                      ("a", "b", "c", "d")),
-        "sq_diff": ((a - b) ** 2, a ** 2 - 2 * a * b + b ** 2, ("a", "b")),
-        "cube_sum_expand": ((a + b) ** 3,
-                            a ** 3 + 3 * a ** 2 * b + 3 * a * b ** 2 + b ** 3,
-                            ("a", "b")),
-    }
+def builtin_identity(name: str) -> tuple[Polynomial, Polynomial]:
+    """The two sides of the built-in identity `name`, built when asked."""
+    names, sides = BUILTIN_IDENTITIES[name]
+    return sides(*variables(*names))
 
 
 # --- geometry-flavoured algebra checks ---------------------------------------
@@ -274,11 +168,11 @@ def pythagoras_rearrangement_check() -> IdentityReport:
     When the two area computations agree, the difference being zero is
     exactly the statement a^2 + b^2 = c^2 for the right triangle involved.
     """
-    a, b, c = Var("a"), Var("b"), Var("c")
+    a, b, c = variables("a", "b", "c")
     half = Fraction(1, 2)
-    lhs = Const(half) * (a + b) ** 2 - (a * b + Const(half) * c ** 2)
-    rhs = Const(half) * (a ** 2 + b ** 2 - c ** 2)
-    report = identity_check(lhs, rhs, ("a", "b", "c"))
+    lhs = half * (a + b) ** 2 - (a * b + half * c ** 2)
+    rhs = half * (a ** 2 + b ** 2 - c ** 2)
+    report = identity_check(lhs, rhs)
     sa, sb, sc = _PYTHAGORAS_SAMPLE
     whole = half * (sa + sb) ** 2
     pieces = sa * sb + half * sc ** 2
@@ -294,10 +188,8 @@ def pythagoras_printed_check() -> IdentityReport:
     Dimensionally inconsistent (the left side omits the factor 1/2); this
     check is expected to fail and carries the witness point.
     """
-    a, b, c = Var("a"), Var("b"), Var("c")
-    lhs = (a + b) ** 2
-    rhs = Const(Fraction(1, 2)) * (2 * a * b + c ** 2)
-    return identity_check(lhs, rhs, ("a", "b", "c"))
+    a, b, c = variables("a", "b", "c")
+    return identity_check((a + b) ** 2, Fraction(1, 2) * (2 * a * b + c ** 2))
 
 
 def cauchy_schwarz_check(a1, a2, b1, b2) -> IdentityReport:
@@ -347,10 +239,9 @@ def incircle_tangent_check(a, b, c, ce) -> IdentityReport:
 
 def incircle_tangent_symbolic() -> IdentityReport:
     """Same identity with the semiperimeter eliminated symbolically."""
-    a, b, c = Var("a"), Var("b"), Var("c")
-    ce = Var("t")
-    half = Const(Fraction(1, 2))
+    a, b, c, ce = variables("a", "b", "c", "t")
+    half = Fraction(1, 2)
     s = half * (a + b + c)
     de = half * ((s - a) + ce - b)
     fe = half * ((s - b) + ce - a)
-    return identity_check(de, fe, ("a", "b", "c", "t"))
+    return identity_check(de, fe)

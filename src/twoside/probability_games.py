@@ -135,6 +135,13 @@ MC_MAX_TRIALS = 10 ** 8
 MC_TRIALS_CAP = Cap("MC_MAX_TRIALS", MC_MAX_TRIALS)
 
 
+#: Most trials * n of a coin game simulation, whose work grows as their
+#: product.  At this cap a fresh `prob coin` process took 11.4-11.6 s, at
+#: n = 10 and at n = 10^4, on the container above with numpy 2.4.
+COIN_MAX_TRIAL_HEADS = 10 ** 9
+COIN_TRIAL_HEADS_CAP = Cap("COIN_MAX_TRIAL_HEADS", COIN_MAX_TRIAL_HEADS)
+
+
 def dice_series_bracket(terms: int) -> Bracket:
     """Partial sum of (1/6)(25/36)^k plus the exact geometric tail."""
     return geometric_series_sum(Fraction(1, 6), Fraction(25, 36), terms)
@@ -377,6 +384,8 @@ def dice_game(trials: int, terms: int = 40,
               seed: int = 42) -> tuple[IdentityReport, MonteCarloReport]:
     """Chain-solved value against closed form 6/11 and the series bracket,
     gated by the simulation."""
+    SERIES_TERMS_CAP.require(terms, "terms")
+    MC_TRIALS_CAP.require(trials, "trials")
     exact = absorbing_chain_solve(dice_chain())["S"]
     series = dice_series_bracket(terms)
     mc = _gate(exact, monte_carlo_dice(trials, seed), trials)
@@ -387,6 +396,9 @@ def coin_game(n: int, trials: int, terms: int = 60,
               seed: int = 42) -> tuple[IdentityReport, MonteCarloReport]:
     """Exact DP value against the closed form and the (index-0) series
     bracket, gated by the simulation."""
+    SERIES_TERMS_CAP.require(terms, "terms")
+    MC_TRIALS_CAP.require(trials, "trials")
+    COIN_TRIAL_HEADS_CAP.require(trials * n, "trials * n")
     exact = coin_game_exact(n)
     series = coin_series_tail_bracket(n, 0, terms)
     mc = _gate(exact, monte_carlo_coin(n, trials, seed), trials)

@@ -84,10 +84,8 @@ def _suite(suite_id: str, tag: str, sweep: Sweep, case: Case = None,
 # --- algebra ---------------------------------------------------------------------
 
 def _identity(name: str) -> Sweep:
-    def sweep(_: SuiteParams):
-        lhs, rhs, vs = polyform.builtin_identities()[name]
-        return [polyform.identity_check(lhs, rhs, vs)]
-    return sweep
+    return lambda _: [
+        polyform.identity_check(*polyform.builtin_identity(name))]
 
 
 def _incircle(params: SuiteParams):
@@ -295,7 +293,7 @@ def _dice(params: SuiteParams):
 def _build() -> dict[str, Suite]:
     B = comb.BinomKind
     suites = [_suite(f"alg.{name}", "algebra", _identity(name))
-              for name in polyform.builtin_identities()]
+              for name in polyform.BUILTIN_IDENTITIES]
     suites += [
         _suite("alg.pythagoras_trapezoid", "algebra",
                lambda _: [polyform.pythagoras_rearrangement_check()]),

@@ -28,7 +28,8 @@ from twoside import combinatorics as comb
 from twoside.lattice_pick import boundary_points
 from twoside.exact_core import (Bracket, DomainError, _int_to_str,
                                 _PowComparator, bracket_point)
-from twoside.polyform import builtin_identities, identity_check
+from twoside.polyform import (BUILTIN_IDENTITIES, builtin_identity,
+                              identity_check)
 from twoside.report import IdentityReport, report_check, report_equal
 from twoside.rng import MASK64, SplitMix64
 from twoside.sums_fib import fibonacci
@@ -614,8 +615,8 @@ def partition_duality_oracle(n: int) -> list[IdentityReport]:
 
 def run_builtin_suite():
     """`identity_check` of every built-in polyform identity, by name."""
-    return {name: identity_check(lhs, rhs, vs)
-            for name, (lhs, rhs, vs) in builtin_identities().items()}
+    return {name: identity_check(*builtin_identity(name))
+            for name in BUILTIN_IDENTITIES}
 
 
 def reference_monte_carlo_dice(trials: int, seed: int,

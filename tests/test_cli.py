@@ -208,14 +208,9 @@ class TestCheck:
 
     def test_failing_identity_witness_is_the_search_point(self, capsys,
                                                           monkeypatch):
-        builtins = polyform.builtin_identities
-
-        def broken():
-            table = builtins()
-            a, b, c = polyform.Var("a"), polyform.Var("b"), polyform.Var("c")
-            table["distr"] = ((b + c) * a, b * a + c * a + a, ("a", "b", "c"))
-            return table
-        monkeypatch.setattr(polyform, "builtin_identities", broken)
+        a, b, c = polyform.variables("a", "b", "c")
+        monkeypatch.setattr(polyform, "builtin_identity",
+                            lambda name: ((b + c) * a, b * a + c * a + a))
         code, out, err = run_cli(capsys, "check", "alg.distr",
                                  "--format", "json")
         assert (code, err) == (1, "")
@@ -385,7 +380,7 @@ class TestConverge:
         code, out, err = run_cli(capsys, "converge", "pi", *tol)
         assert code == 2
         assert out == ""
-        assert "tolerance must be positive" in err
+        assert "--tol must be positive" in err
 
     def test_tol_not_reached_within_max_steps_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "converge", "sqrt2", "--tol",
@@ -479,7 +474,7 @@ class TestDedicatedCommands:
         assert code == 2
         assert out == ""
         assert len(err.strip().splitlines()) == 1
-        assert "max_n" in err
+        assert "--max-n" in err
 
     @pytest.mark.parametrize("argv, made", [
         (["jordan", "--region", "disk:1", "--tol", "1/1000000", "--max-n",
@@ -641,6 +636,7 @@ USAGE_ERRORS = [
     ["check", "prob.dice", "--terms", "-1"],
     ["prob", "coin", "--n", "10", "--terms", "3"],
     ["prob", "coin", "--n", "0"],
+    ["prob", "coin", "--trials", "100000000", "--n", "11"],
 ]
 
 
@@ -655,7 +651,8 @@ def test_usage_error_message_exits_2(argv, capsys):
     for flag in ("--terms", "--extent"):
         if flag in argv:
             assert flag in err
-    if argv[-2] in ("--n", "--seeds"):  # a row's last flag is the one refused
+    # a row's last flag is the one refused
+    if argv[-2] in ("--n", "--seeds", "--tol", "--max-n"):
         assert argv[-2] in err
 
 
@@ -833,6 +830,22 @@ class TestCapsBeforeWork:
         assert (code, out) == (2, "")
         assert "--n must be a positive integer" in err
 
+    def test_prob_coin_refuses_trials_times_n_before_any_draw(
+            self, capsys, monkeypatch):
+        def fail(*_):
+            raise AssertionError("coin game work started before the cap")
+        for name in ("coin_game_exact", "coin_game_series_partial",
+                     "monte_carlo_coin"):
+            monkeypatch.setattr(prob, name, fail)
+        n = 10 ** 4
+        trials = prob.COIN_MAX_TRIAL_HEADS // n + 1
+        code, out, err = run_cli(capsys, "prob", "coin", "--n", str(n),
+                                 "--terms", str(n), "--trials", str(trials))
+        assert (code, out) == (2, "")
+        assert err.strip() == (
+            f"--trials * --n capped at COIN_MAX_TRIAL_HEADS = "
+            f"{prob.COIN_MAX_TRIAL_HEADS}, not {trials * n}")
+
     def test_jordan_refuses_before_any_row(self, capsys, monkeypatch):
         def fail(*_):
             raise AssertionError("a Jordan row was classified before the cap")
@@ -842,6 +855,7 @@ class TestCapsBeforeWork:
                                  "--max-n", "4")
         assert (code, out) == (2, "")
         assert "JORDAN_MAX_ROWS = 1000000" in err
+        assert "--max-n 4" in err
 
 
 class TestOutputPlumbing:

@@ -6,7 +6,9 @@ from hypothesis import example, given, strategies as st
 
 from twoside import probability_games
 from twoside.exact_core import DomainError
-from twoside.probability_games import (AbsorbingChain, ModelError,
+from twoside.probability_games import (COIN_MAX_TRIAL_HEADS, MC_MAX_TRIALS,
+                                       SERIES_MAX_TERMS, AbsorbingChain,
+                                       ModelError,
                                        MonteCarloReport,
                                        absorbing_chain_solve, coin_game,
                                        coin_game_closed_form, coin_game_exact,
@@ -90,6 +92,45 @@ class TestDiceSeries:
                 dice_game(trials=trials)
             with pytest.raises(DomainError):
                 coin_game(2, trials=trials)
+
+
+class TestGameCaps:
+    """Each game refuses its own sizes past their caps before any series
+    term or simulated draw."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def fail(*_):
+            raise AssertionError("series or simulation work started")
+        for name in ("dice_series_bracket", "coin_series_tail_bracket",
+                     "monte_carlo_dice", "monte_carlo_coin"):
+            monkeypatch.setattr(probability_games, name, fail)
+
+    @pytest.mark.parametrize("play", [
+        lambda **kw: dice_game(**kw), lambda **kw: coin_game(2, **kw)],
+        ids=["dice", "coin"])
+    @pytest.mark.parametrize("sizes, refusal", [
+        ({"trials": 1, "terms": SERIES_MAX_TERMS + 1},
+         f"terms capped at SERIES_MAX_TERMS = {SERIES_MAX_TERMS}, "
+         f"not {SERIES_MAX_TERMS + 1}"),
+        ({"trials": 1, "terms": -1}, "terms must be at least 0, not -1"),
+        ({"trials": MC_MAX_TRIALS + 1},
+         f"trials capped at MC_MAX_TRIALS = {MC_MAX_TRIALS}, "
+         f"not {MC_MAX_TRIALS + 1}"),
+    ], ids=["terms", "negative-terms", "trials"])
+    def test_cap_plus_one_refused(self, play, sizes, refusal):
+        with pytest.raises(DomainError) as exc:
+            play(**sizes)
+        assert str(exc.value) == refusal
+
+    def test_coin_trials_times_n_refused(self):
+        n = 1000
+        trials = COIN_MAX_TRIAL_HEADS // n + 1
+        with pytest.raises(DomainError) as exc:
+            coin_game(n, trials=trials, terms=n)
+        assert str(exc.value) == (
+            f"trials * n capped at COIN_MAX_TRIAL_HEADS = "
+            f"{COIN_MAX_TRIAL_HEADS}, not {trials * n}")
 
 
 class TestCoinGame:
