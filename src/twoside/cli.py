@@ -171,7 +171,10 @@ def _cmd_list(args) -> Rows:
 
 def _tol(text: str) -> Fraction:
     """The `--tol` rational, refused unless positive."""
-    tol = rat_from_str(text)
+    try:
+        tol = rat_from_str(text)
+    except DomainError as exc:
+        raise DomainError(f"--tol: {exc}") from exc
     if tol <= 0:
         raise DomainError(f"--tol must be positive, not {rat_to_str(tol)}")
     return tol
@@ -228,7 +231,10 @@ def _cmd_divisors(args) -> Rows:
 
 
 def _cmd_jordan(args) -> Rows:
-    region = jm.parse_region(args.region)
+    try:
+        region = jm.parse_region(args.region)
+    except DomainError as exc:
+        raise DomainError(f"--region: {exc}") from exc
     tol = _tol(args.tol)
     jm.require_ladder(region, args.max_n, "--max-n")
     ladder = jm.jordan_refine(region, tol, args.max_n)

@@ -18,8 +18,7 @@ from .exact_core import Cap, DomainError
 from .report import IdentityReport, report_equal
 
 
-#: Largest n `divisor_counts` sieves: its int64 array and cumulative sum
-#: are allocated whole.
+#: Largest n `divisor_counts` sieves: its int64 array is allocated whole.
 SIEVE_MAX_N = 10 ** 6
 SIEVE_CAP = Cap("SIEVE_MAX_N", SIEVE_MAX_N)
 
@@ -31,11 +30,10 @@ HARMONIC_CAP = Cap("HARMONIC_MAX_N", HARMONIC_MAX_N)
 
 @dataclass(frozen=True)
 class DivisorTable:
-    """d[k] = number of divisors of k for 1 <= k <= n (d[0] unused), and
-    totals[k] = d(1)+...+d(k) (totals[0] = 0), both int64 arrays."""
+    """totals[k] = d(1)+...+d(k) for 0 <= k <= n, an int64 array, where
+    d(k) is the number of divisors of k."""
 
     n: int
-    d: np.ndarray = field(compare=False, repr=False)
     totals: np.ndarray = field(compare=False, repr=False)
 
 
@@ -43,7 +41,8 @@ def divisor_counts(n: int) -> DivisorTable:
     """Sieve of divisor counts in isqrt(n) slice operations.
 
     A multiple m >= i*i of i has the divisor pair (i, m/i) with i <= m/i;
-    the pair adds 2 to d[m], or 1 when m = i*i and both are the same.
+    the pair adds 2 to d[m], or 1 when m = i*i and both are the same.  The
+    counts are then summed in place into the running totals.
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
@@ -52,7 +51,7 @@ def divisor_counts(n: int) -> DivisorTable:
     for i in range(1, math.isqrt(n) + 1):
         d[i * i::i] += 2
         d[i * i] -= 1
-    return DivisorTable(n, d, np.cumsum(d))
+    return DivisorTable(n, np.cumsum(d, out=d))
 
 
 def floor_sum(n: int) -> int:

@@ -613,6 +613,7 @@ USAGE_ERRORS = [
     ["converge", "pi", "--doublings", "-1"],
     ["converge", "power", "--doublings", "9"],
     ["converge", "pi", "--tol", "0"],
+    ["converge", "pi", "--tol", "abc"],
     ["converge", "pi", "--doublings", "2000"],
     ["converge", "sqrt2", "--tol", "1/100", "--doublings", "-1"],
     ["converge", "sqrt2", "--tol", "1/100", "--doublings", "2000"],
@@ -624,6 +625,9 @@ USAGE_ERRORS = [
     ["jordan", "--region", "blob:1"],
     ["jordan", "--region", "disk:1", "--max-n", "0"],
     ["jordan", "--region", "disk:1", "--tol", "0"],
+    ["jordan", "--region", "disk:1", "--tol", "abc"],
+    ["jordan", "--region", "disk:abc"],
+    ["jordan", "--region", "poly:0,0;1,x;0,1"],
     ["jordan", "--region", "disk:1000000", "--max-n", "4"],
     ["pick", "--seeds", "0"],
     ["pick", "--extent", "0"],
@@ -652,7 +656,7 @@ def test_usage_error_message_exits_2(argv, capsys):
         if flag in argv:
             assert flag in err
     # a row's last flag is the one refused
-    if argv[-2] in ("--n", "--seeds", "--tol", "--max-n"):
+    if argv[-2] in ("--n", "--seeds", "--tol", "--max-n", "--region"):
         assert argv[-2] in err
 
 

@@ -73,6 +73,47 @@ class TestPolygonConstruction:
         assert len(poly.vertices) == 9
         assert (7, 3) not in poly.vertices
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                    min_size=3, max_size=8, unique=True), st.booleans(),
+           st.lists(st.integers(0, 7), max_size=3),
+           st.none() | st.integers(0, 7), st.booleans())
+    def test_refused_or_canonical(self, points, star, straight, repeat,
+                                  reverse):
+        # The simplicity test skips adjacent edges and the ear clipper has no
+        # progress guard, both on the strength of this canonical form.  The
+        # points are taken in drawn or angular order, then doubled so that
+        # each edge drawn in `straight` gets its midpoint inserted as a
+        # straight vertex; `repeat` appends a copy of a vertex.  Spikes,
+        # crossings and both orientations come from the draw.
+        if star:
+            points = angular_sort_comparator(points)
+        vertices = [(2 * x, 2 * y) for x, y in points]
+        for k in sorted({k % len(vertices) for k in straight}, reverse=True):
+            (x1, y1), (x2, y2) = vertices[k], vertices[(k + 1) % len(vertices)]
+            vertices.insert(k + 1, ((x1 + x2) // 2, (y1 + y2) // 2))
+        if repeat is not None:
+            vertices.append(vertices[repeat % len(vertices)])
+        if reverse:
+            vertices.reverse()
+        try:
+            poly = LatticePolygon(vertices)
+        except DomainError:
+            return
+
+        def turn(o, a, b):
+            return ((a[0] - o[0]) * (b[1] - o[1])
+                    - (a[1] - o[1]) * (b[0] - o[0]))
+        pts = poly.vertices
+        n = len(pts)
+        assert sum(turn((0, 0), pts[i - 1], pts[i]) for i in range(n)) > 0
+        assert all(turn(pts[i - 2], pts[i - 1], pts[i]) for i in range(n))
+        ears = _ear_clip(poly)
+        assert len(ears) == n - 2
+        doubled = [turn(*t) for t in ears]
+        assert min(doubled) > 0
+        assert Fraction(sum(doubled), 2) == shoelace_area(poly)
+
 
 class TestCounts:
     def test_shoelace_examples(self):
